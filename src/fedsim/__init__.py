@@ -16,7 +16,6 @@ from .adapter_net import (
     adam_step,
     adapter_forward,
     build_model,
-    grad_adapters,
     model_forward,
     objective,
     reg_loss,

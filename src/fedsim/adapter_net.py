@@ -9,7 +9,7 @@ hand-derived reverse mode and updates use Adam.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,57 +23,76 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class AdapterParams:
     """Trainable bottleneck adapter: down projection, ReLU, up projection.
 
     down_proj is (bottleneck_dim, feature_dim); up_proj is
-    (feature_dim, bottleneck_dim). No bias terms.
+    (feature_dim, bottleneck_dim). No bias terms. Both are reshaped views
+    of one flat vector, `values` (down_proj then up_proj, row-major);
+    assigning a projection writes into that vector in place.
     """
 
-    down_proj: np.ndarray
-    up_proj: np.ndarray
+    __slots__ = ("values", "_down", "_up")
 
-    def __post_init__(self) -> None:
-        self.down_proj = np.array(self.down_proj, dtype=np.float64)
-        self.up_proj = np.array(self.up_proj, dtype=np.float64)
-        if self.down_proj.ndim != 2 or self.up_proj.ndim != 2:
+    def __init__(self, down_proj: np.ndarray, up_proj: np.ndarray) -> None:
+        down = np.array(down_proj, dtype=np.float64)
+        up = np.array(up_proj, dtype=np.float64)
+        if down.ndim != 2 or up.ndim != 2:
             raise InvalidArgumentError("adapter projections must be matrices")
-        b, d = self.down_proj.shape
-        d2, b2 = self.up_proj.shape
+        b, d = down.shape
+        d2, b2 = up.shape
         if (d, b) != (d2, b2):
             raise InvalidArgumentError(
-                f"up_proj shape {self.up_proj.shape} does not mirror down_proj {self.down_proj.shape}"
+                f"up_proj shape {up.shape} does not mirror down_proj {down.shape}"
             )
         if b >= d:
             raise InvalidArgumentError("bottleneck_dim must be smaller than feature_dim")
-        if not (np.all(np.isfinite(self.down_proj)) and np.all(np.isfinite(self.up_proj))):
+        if not (np.all(np.isfinite(down)) and np.all(np.isfinite(up))):
             raise InvalidArgumentError("adapter parameters must be finite")
+        self._bind(np.concatenate([down.ravel(), up.ravel()]), b, d)
+
+    @classmethod
+    def over(cls, values: np.ndarray, bottleneck_dim: int, feature_dim: int) -> "AdapterParams":
+        """An adapter whose projections are views of `values` (no copy, no checks)."""
+        adapter = cls.__new__(cls)
+        adapter._bind(values, bottleneck_dim, feature_dim)
+        return adapter
+
+    def _bind(self, values: np.ndarray, b: int, d: int) -> None:
+        self.values = values
+        self._down = values[: b * d].reshape(b, d)
+        self._up = values[b * d :].reshape(d, b)
+
+    @property
+    def down_proj(self) -> np.ndarray:
+        return self._down
+
+    @down_proj.setter
+    def down_proj(self, value: np.ndarray) -> None:
+        _assign(self._down, value)
+
+    @property
+    def up_proj(self) -> np.ndarray:
+        return self._up
+
+    @up_proj.setter
+    def up_proj(self, value: np.ndarray) -> None:
+        _assign(self._up, value)
 
     @property
     def feature_dim(self) -> int:
-        return self.down_proj.shape[1]
+        return self._down.shape[1]
 
     @property
     def bottleneck_dim(self) -> int:
-        return self.down_proj.shape[0]
+        return self._down.shape[0]
 
-    @property
-    def size(self) -> int:
-        return self.down_proj.size + self.up_proj.size
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.down_proj.ravel(), self.up_proj.ravel()])
-
-    def load_flat(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.size != self.size:
-            raise InvalidArgumentError(
-                f"expected {self.size} adapter values, got {values.size}"
-            )
-        split = self.down_proj.size
-        self.down_proj = values[:split].reshape(self.down_proj.shape).copy()
-        self.up_proj = values[split:].reshape(self.up_proj.shape).copy()
+def _assign(target: np.ndarray, value: np.ndarray) -> None:
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != target.shape:
+        raise InvalidArgumentError(f"expected a {target.shape} projection, got {value.shape}")
+    target[...] = value
 
 
 @dataclass(frozen=True)
@@ -98,12 +117,19 @@ class FrozenBlock:
 
 @dataclass
 class ToyFM:
-    """K frozen blocks, each wrapped with an adapter, plus a frozen head."""
+    """K frozen blocks, each wrapped with an adapter, plus a frozen head.
+
+    The model owns every adapter weight in one contiguous float64 vector,
+    `flat`, in FlatParams order: layers ascending, down_proj before up_proj,
+    row-major within each. Each block's adapter is a view of its slice, so
+    writing `flat` (Adam, install) moves the adapters with no copies.
+    """
 
     blocks: list[tuple[FrozenBlock, AdapterParams]]
     head: FrozenBlock
     feature_dim: int
     bottleneck_dim: int
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) < 2:
@@ -115,6 +141,12 @@ class ToyFM:
                 raise InvalidArgumentError("adapter feature_dim mismatch")
             if adapter.bottleneck_dim != self.bottleneck_dim:
                 raise InvalidArgumentError("adapter bottleneck_dim mismatch")
+        self.flat = np.concatenate([adapter.values for _, adapter in self.blocks])
+        b, d = self.bottleneck_dim, self.feature_dim
+        self.blocks = [
+            (block, AdapterParams.over(self.flat[self._span(k)], b, d))
+            for k, (block, _) in enumerate(self.blocks, start=1)
+        ]
 
     @property
     def num_blocks(self) -> int:
@@ -124,23 +156,38 @@ class ToyFM:
     def layer_size(self) -> int:
         return 2 * self.feature_dim * self.bottleneck_dim
 
-    def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
-        """Adapter weights for the given 1-based layers (default: all) as FlatParams."""
+    def _span(self, k: int) -> slice:
+        """Where 1-based adapter layer k sits in flat."""
+        if not 1 <= k <= len(self.blocks):
+            raise InvalidArgumentError(f"layer {k} out of range 1..{len(self.blocks)}")
+        return slice((k - 1) * self.layer_size, k * self.layer_size)
+
+    def manifest(self, layers: list[int] | None = None) -> tuple[tuple[int, int], ...]:
+        """FlatParams manifest of the given 1-based layers (default: all)."""
         if layers is None:
-            layers = list(range(1, self.num_blocks + 1))
-        parts = []
+            layers = range(1, self.num_blocks + 1)
         for k in layers:
-            if not 1 <= k <= self.num_blocks:
-                raise InvalidArgumentError(f"layer {k} out of range 1..{self.num_blocks}")
-            parts.append((k, self.blocks[k - 1][1].flatten()))
-        return FlatParams.from_layers(parts)
+            self._span(k)
+        return tuple((int(k), self.layer_size) for k in layers)
+
+    def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
+        """A copy of the adapter weights for the given 1-based layers (default: all)."""
+        if layers is None:
+            return FlatParams(self.flat, self.manifest())
+        return FlatParams.from_layers((k, self.flat[self._span(k)]) for k in layers)
 
     def install_adapter_params(self, params: FlatParams) -> None:
-        """Overwrite the adapters named in the manifest; others stay untouched."""
+        """Overwrite the adapters named in the manifest, in place; others stay untouched."""
+        writes = []
         for k, values in params.split():
-            if not 1 <= k <= self.num_blocks:
-                raise InvalidArgumentError(f"layer {k} out of range 1..{self.num_blocks}")
-            self.blocks[k - 1][1].load_flat(values)
+            span = self._span(k)
+            if values.size != self.layer_size:
+                raise InvalidArgumentError(
+                    f"expected {self.layer_size} adapter values, got {values.size}"
+                )
+            writes.append((span, values))
+        for span, values in writes:
+            self.flat[span] = values
 
     def frozen_digest(self) -> str:
         """SHA-256 over every frozen weight and bias, in block order."""
@@ -153,12 +200,8 @@ class ToyFM:
         return h.hexdigest()
 
     def clone(self) -> "ToyFM":
-        """Copy with fresh adapter arrays; frozen blocks are shared (immutable)."""
-        blocks = [
-            (block, AdapterParams(adapter.down_proj.copy(), adapter.up_proj.copy()))
-            for block, adapter in self.blocks
-        ]
-        return ToyFM(blocks, self.head, self.feature_dim, self.bottleneck_dim)
+        """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
+        return ToyFM(list(self.blocks), self.head, self.feature_dim, self.bottleneck_dim)
 
 
 def _orthogonal(stream: RngStream, n: int) -> np.ndarray:
@@ -200,14 +243,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: exp is only taken of -|x| <= 0."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def adapter_forward(f: np.ndarray, adapter: AdapterParams) -> np.ndarray:
@@ -237,16 +277,32 @@ def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
     return h @ model.head.weight.T + model.head.bias
 
 
+def _check_mask(y: np.ndarray) -> None:
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise InvalidArgumentError("mask entries must be 0 or 1")
+
+
+def _bce(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of probabilities p, clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
+    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
+
+
 def seg_loss(logits: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy over pixels (and batch), with clamped probabilities."""
     logits = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if logits.shape != y.shape:
         raise InvalidArgumentError(f"shape mismatch: logits {logits.shape} vs mask {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise InvalidArgumentError("mask entries must be 0 or 1")
-    p = np.clip(sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
+    _check_mask(y)
+    return _bce(sigmoid(logits), y)
+
+
+def _neg_cosine(theta_low: np.ndarray, theta_ref: np.ndarray) -> float:
+    """-cos(theta_low, theta_ref), or 0 when theta_low is the zero vector."""
+    if not np.any(theta_low):
+        return 0.0
+    return -cosine_similarity(theta_low, theta_ref)
 
 
 def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
@@ -259,9 +315,7 @@ def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
         raise InvalidArgumentError("reg_loss requires identical manifests")
     if not np.any(theta_ref.values):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    if not np.any(theta_low.values):
-        return 0.0
-    return -cosine_similarity(theta_low.values, theta_ref.values)
+    return _neg_cosine(theta_low.values, theta_ref.values)
 
 
 def _reg_grad(theta_low: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
@@ -274,10 +328,22 @@ def _reg_grad(theta_low: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
     return -(theta_ref / (na * nb) - theta_low * dot / (na**3 * nb))
 
 
+Reference = tuple[list[slice], np.ndarray]
+
+
 def _check_objective_args(
-    images: np.ndarray, masks: np.ndarray, theta_ref: FlatParams | None, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate an objective's arguments; return images and masks as float64 matrices."""
+    images: np.ndarray,
+    masks: np.ndarray,
+    model: ToyFM,
+    theta_ref: FlatParams | None,
+    beta: float,
+) -> tuple[np.ndarray, np.ndarray, Reference | None]:
+    """Validate an objective's arguments.
+
+    Returns images and masks as float64 matrices, and the regularizer's
+    reference: None when it is off, else where each layer theta_ref names
+    sits in model.flat and theta_ref's values.
+    """
     if beta < 0:
         raise InvalidArgumentError("beta must be >= 0")
     if beta > 0 and theta_ref is None:
@@ -286,27 +352,36 @@ def _check_objective_args(
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
     if images.shape != masks.shape:
         raise InvalidArgumentError("images and masks must have matching shapes")
-    if not np.all((masks == 0.0) | (masks == 1.0)):
-        raise InvalidArgumentError("mask entries must be 0 or 1")
-    return images, masks
+    _check_mask(masks)
+    if theta_ref is None or beta == 0:
+        return images, masks, None
+    spans = []
+    for k, length in theta_ref.manifest:
+        spans.append(model._span(k))
+        if length != model.layer_size:
+            raise InvalidArgumentError("theta_ref manifest does not match the model's layers")
+    if not np.any(theta_ref.values):
+        raise InvalidArgumentError("reference parameters must be non-zero")
+    return images, masks, (spans, theta_ref.values)
 
 
-def _reference_layers(model: ToyFM, theta_ref: FlatParams) -> FlatParams:
-    """The model's adapters for the layers theta_ref names, with a matching manifest."""
-    theta_low = model.adapter_params(list(theta_ref.layer_indices))
-    if not theta_low.same_manifest(theta_ref):
-        raise InvalidArgumentError("theta_ref manifest does not match the model's layers")
-    return theta_low
+def _reference_layers(model: ToyFM, spans: list[slice]) -> np.ndarray:
+    """A copy of the model's adapters at spans, concatenated in order."""
+    return np.concatenate([model.flat[span] for span in spans])
 
 
 def _forward_cached(x: np.ndarray, model: ToyFM):
+    """model_forward's arithmetic, in place where it can be, keeping what backprop needs."""
     h = x
     cache = []
     for block, adapter in model.blocks:
-        r = _relu(h @ block.weight.T + block.bias)
+        r = h @ block.weight.T
+        r += block.bias
+        np.maximum(r, 0.0, out=r)
         u = r @ adapter.down_proj.T
         s = _relu(u)
-        h = s @ adapter.up_proj.T + r
+        h = s @ adapter.up_proj.T
+        h += r
         cache.append((r, u, s))
     logits = h @ model.head.weight.T + model.head.bias
     return logits, cache
@@ -318,58 +393,58 @@ def objective_and_grad(
     model: ToyFM,
     theta_ref: FlatParams | None,
     beta: float,
-) -> tuple[float, FlatParams]:
+    *,
+    out: np.ndarray | None = None,
+) -> tuple[float, FlatParams | np.ndarray]:
     """Objective value and its exact gradient w.r.t. all adapter parameters.
 
     The segmentation term is averaged over the batch; the regularizer pulls
     the layers named in theta_ref's manifest toward theta_ref, scaled by beta.
-    Frozen blocks receive no gradient.
+    Frozen blocks receive no gradient, so backpropagation stops at the
+    layer-1 adapter. The gradient is returned as a FlatParams over all
+    layers; with `out` (a float64 vector shaped like model.flat) it is
+    written into `out` instead, which is returned.
     """
-    images, masks = _check_objective_args(images, masks, theta_ref, beta)
+    images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
+    if out is None:
+        grads = np.empty_like(model.flat)
+    elif out.shape != model.flat.shape or out.dtype != np.float64:
+        raise InvalidArgumentError(f"out must be a float64 vector of {model.flat.size} entries")
+    else:
+        grads = out
     batch, pixels = images.shape
     logits, cache = _forward_cached(images, model)
     p = sigmoid(logits)
-    clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    loss = float(np.mean(-masks * np.log(clamped) - (1.0 - masks) * np.log1p(-clamped)))
+    loss = _bce(p, masks)
 
     # d(loss)/d(logit) = (p - y) where the clamp is inactive, else 0.
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
     g = np.where(inside, p - masks, 0.0) / (batch * pixels)
     g = g @ model.head.weight
 
-    layer_grads: dict[int, np.ndarray] = {}
     for k in range(model.num_blocks, 0, -1):
         block, adapter = model.blocks[k - 1]
         r, u, s = cache[k - 1]
-        d_up = g.T @ s
+        layer = AdapterParams.over(grads[model._span(k)], model.bottleneck_dim, model.feature_dim)
+        np.matmul(g.T, s, out=layer.up_proj)
         d_hidden = (g @ adapter.up_proj) * (u > 0)
-        d_down = d_hidden.T @ r
-        g = (d_hidden @ adapter.down_proj + g) * (r > 0)
-        g = g @ block.weight
-        layer_grads[k] = np.concatenate([d_down.ravel(), d_up.ravel()])
+        np.matmul(d_hidden.T, r, out=layer.down_proj)
+        if k > 1:
+            d_input = d_hidden @ adapter.down_proj
+            d_input += g
+            d_input *= r > 0
+            g = d_input @ block.weight
 
-    grads = FlatParams.from_layers(
-        (k, layer_grads[k]) for k in range(1, model.num_blocks + 1)
-    )
-
-    if theta_ref is not None and beta > 0:
-        theta_low = _reference_layers(model, theta_ref)
-        loss += beta * reg_loss(theta_low, theta_ref)
-        reg_g = beta * _reg_grad(theta_low.values, theta_ref.values)
-        values = grads.values.copy()
-        offset_by_layer = {}
-        offset = 0
-        for idx, length in grads.manifest:
-            offset_by_layer[idx] = (offset, length)
-            offset += length
-        ref_offset = 0
-        for idx, length in theta_ref.manifest:
-            dst, _ = offset_by_layer[idx]
-            values[dst : dst + length] += reg_g[ref_offset : ref_offset + length]
-            ref_offset += length
-        grads = grads.with_values(values)
-
-    return loss, grads
+    if ref is not None:
+        spans, reference = ref
+        theta_low = _reference_layers(model, spans)
+        loss += beta * _neg_cosine(theta_low, reference)
+        reg_grad = beta * _reg_grad(theta_low, reference)
+        for span, part in zip(spans, reg_grad.reshape(len(spans), -1)):
+            grads[span] += part
+    if out is not None:
+        return loss, out
+    return loss, FlatParams(grads, model.manifest())
 
 
 def objective(
@@ -381,27 +456,18 @@ def objective(
 ) -> float:
     """Forward-only objective: the same float objective_and_grad returns as its loss.
 
-    Runs model_forward, seg_loss and the beta-scaled reg_loss on the layers
-    named in theta_ref, with no backward pass and no gradient built. It
-    makes objective_and_grad's argument checks and computes the loss with
-    the same operations in the same order, so the two agree bit for bit.
+    Runs model_forward, the segmentation loss and the beta-scaled
+    regularizer on the layers named in theta_ref, with no backward pass and
+    no gradient built. It makes objective_and_grad's argument checks and
+    computes the loss with the same operations in the same order, so the
+    two agree bit for bit.
     """
-    images, masks = _check_objective_args(images, masks, theta_ref, beta)
-    loss = seg_loss(model_forward(images, model), masks)
-    if theta_ref is not None and beta > 0:
-        loss += beta * reg_loss(_reference_layers(model, theta_ref), theta_ref)
+    images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
+    loss = _bce(sigmoid(model_forward(images, model)), masks)
+    if ref is not None:
+        spans, reference = ref
+        loss += beta * _neg_cosine(_reference_layers(model, spans), reference)
     return loss
-
-
-def grad_adapters(
-    images: np.ndarray,
-    masks: np.ndarray,
-    model: ToyFM,
-    theta_ref: FlatParams | None,
-    beta: float,
-) -> FlatParams:
-    _, grads = objective_and_grad(images, masks, model, theta_ref, beta)
-    return grads
 
 
 @dataclass
@@ -423,23 +489,51 @@ class AdamState:
         )
 
 
+def adam_update(values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step, in place on values and state.
+
+    Raises NumericError if the updated values are not all finite; values
+    and state then hold that failed step.
+    """
+    if lr <= 0:
+        raise InvalidArgumentError("learning rate must be > 0")
+    if not values.size == grads.size == state.first_moment.size == state.second_moment.size:
+        raise InvalidArgumentError("Adam state does not match parameter size")
+    t = state.step_count + 1
+    m, v = state.first_moment, state.second_moment
+    step = (1.0 - state.beta1) * grads
+    m *= state.beta1
+    m += step
+    np.square(grads, out=step)
+    step *= 1.0 - state.beta2
+    v *= state.beta2
+    v += step
+    denom = v / (1.0 - state.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - state.beta1**t, out=step)
+    step *= lr
+    step /= denom
+    values -= step
+    state.step_count = t
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"parameter update diverged at optimizer step {t}")
+
+
 def adam_step(
     params: FlatParams, grads: FlatParams, state: AdamState, lr: float
 ) -> tuple[FlatParams, AdamState]:
     """One bias-corrected Adam update; returns new params and state."""
-    if lr <= 0:
-        raise InvalidArgumentError("learning rate must be > 0")
     if not params.same_manifest(grads):
         raise InvalidArgumentError("params and grads manifests must match")
-    if state.first_moment.size != params.total_size:
-        raise InvalidArgumentError("Adam state does not match parameter size")
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads.values
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads.values**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    if not np.all(np.isfinite(new_values)):
-        raise NumericError(f"parameter update diverged at optimizer step {t}")
-    new_state = AdamState(m, v, t, state.beta1, state.beta2, state.eps)
-    return params.with_values(new_values), new_state
+    values = params.values.copy()
+    new_state = AdamState(
+        state.first_moment.copy(),
+        state.second_moment.copy(),
+        state.step_count,
+        state.beta1,
+        state.beta2,
+        state.eps,
+    )
+    adam_update(values, grads.values, new_state, lr)
+    return params.with_values(values), new_state

@@ -6,9 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter_net import AdamState, ToyFM, adam_step, model_forward, objective_and_grad, sigmoid
+from .adapter_net import (
+    AdamState,
+    ToyFM,
+    adam_update,
+    model_forward,
+    objective_and_grad,
+    sigmoid,
+)
 from .datagen import ClientDataset
-from .errors import InvalidArgumentError, InvalidStateError, ProtocolError
+from .errors import InvalidArgumentError, InvalidStateError, NumericError, ProtocolError
 from .numerics import FlatParams, RngStream, derive_stream_id
 
 
@@ -82,7 +89,7 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 def install_low_adapters(state: ClientState, received: FlatParams) -> None:
     """Overwrite adapter layers 1..L with the broadcast and snapshot it as theta_ref."""
-    expected = state.model.adapter_params(state.low_layer_list).manifest
+    expected = state.model.manifest(state.low_layer_list)
     if received.manifest != expected:
         raise ProtocolError(
             f"broadcast manifest {received.manifest} does not cover layers 1..{state.config.low_layers}"
@@ -95,36 +102,42 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     """One local training pass (config.local_epochs epochs) plus evaluation.
 
     Batches are drawn in a seeded shuffle keyed by (client, round); only
-    adapter parameters move. Returns the post-training low-level adapters.
+    adapter parameters move. Each step writes the gradient into one buffer
+    and updates model.flat and the Adam moments in place. Returns the
+    post-training low-level adapters.
     """
     if state._train_images.size == 0:
         raise InvalidStateError(f"client {state.client_id} has an empty train set")
     cfg = state.config
+    model = state.model
     n = state._train_images.shape[0]
     shuffle = RngStream(
         state.seed, derive_stream_id("shuffle", state.client_id, round_index)
     )
+    grads = np.empty_like(model.flat)
     losses = []
     for _ in range(cfg.local_epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = objective_and_grad(
+            loss, _ = objective_and_grad(
                 state._train_images[idx],
                 state._train_masks[idx],
-                state.model,
+                model,
                 state.theta_ref,
                 cfg.beta,
+                out=grads,
             )
-            params = state.model.adapter_params()
-            new_params, state.adam = adam_step(params, grads, state.adam, cfg.learning_rate)
-            state.model.install_adapter_params(new_params)
+            try:
+                adam_update(model.flat, grads, state.adam, cfg.learning_rate)
+            except NumericError as exc:
+                raise NumericError(f"client {state.client_id}: {exc}") from exc
             losses.append(loss)
     iou, dice = evaluate(state)
     return ClientUpdate(
         client_id=state.client_id,
         round_index=round_index,
-        low_params=state.model.adapter_params(state.low_layer_list),
+        low_params=model.adapter_params(state.low_layer_list),
         n_i=state.dataset.n_i,
         train_loss=float(np.mean(losses)),
         test_iou=iou,
@@ -132,18 +145,21 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     )
 
 
-def iou_dice(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """Overlap metrics for one binary mask pair; both-empty counts as perfect."""
+def iou_dice(pred: np.ndarray, truth: np.ndarray):
+    """Overlap metrics of binary masks along the last axis; both-empty counts as perfect.
+
+    One mask pair gives two floats; a stack of pairs gives two arrays, one
+    entry per pair.
+    """
     pred = np.asarray(pred, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
-    inter = float(np.sum(pred & truth))
-    p_size = float(np.sum(pred))
-    g_size = float(np.sum(truth))
-    union = p_size + g_size - inter
-    if union == 0.0:
-        return 1.0, 1.0
-    iou = inter / union
-    dice = 2.0 * inter / (p_size + g_size)
+    inter = np.count_nonzero(pred & truth, axis=-1)
+    sizes = np.count_nonzero(pred, axis=-1) + np.count_nonzero(truth, axis=-1)
+    union = sizes - inter
+    iou = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+    dice = np.divide(2.0 * inter, sizes, out=np.ones(sizes.shape), where=sizes > 0)
+    if iou.ndim == 0:
+        return float(iou), float(dice)
     return iou, dice
 
 
@@ -152,12 +168,7 @@ def evaluate(state: ClientState) -> tuple[float, float]:
     if state._test_images.size == 0:
         raise InvalidStateError(f"client {state.client_id} has an empty test set")
     logits = model_forward(state._test_images, state.model)
-    pred = sigmoid(logits) > 0.5
-    ious, dices = [], []
-    for row_pred, row_truth in zip(pred, state._test_masks):
-        iou, dice = iou_dice(row_pred, row_truth.astype(bool))
-        ious.append(iou)
-        dices.append(dice)
+    ious, dices = iou_dice(sigmoid(logits) > 0.5, state._test_masks)
     return float(np.mean(ious)), float(np.mean(dices))
 
 

@@ -159,10 +159,9 @@ def gradient_rel_error(fx: dict, h: float = 1e-5) -> float:
 
     The analytic side is one objective_and_grad call. The numeric side is
     the central difference (f(x + h) - f(x - h)) / 2h of the forward-only
-    objective, one entry at a time, in place in a clone's adapter arrays:
-    layers in ascending order, down_proj before up_proj, row-major within
-    each, which is FlatParams order. Each entry is restored to its exact
-    value before the next one moves, and x + h and x - h are the floats
+    objective, one entry of a clone's flat adapter buffer at a time, which
+    is FlatParams order. Each entry is restored to its exact value before
+    the next one moves, and x + h and x - h are the floats
     numerics.finite_diff_grad would evaluate.
     """
     if h <= 0:
@@ -170,19 +169,16 @@ def gradient_rel_error(fx: dict, h: float = 1e-5) -> float:
     model, images, masks, theta_ref = _build_fixture(fx)
     _, analytic = objective_and_grad(images, masks, model, theta_ref, fx["beta"])
     scratch = model.clone()
-    numeric = np.empty(analytic.total_size)
-    j = 0
-    for _, adapter in scratch.blocks:
-        for weights in (adapter.down_proj, adapter.up_proj):
-            for idx in np.ndindex(weights.shape):
-                x = weights[idx]
-                weights[idx] = x + h
-                f_plus = objective(images, masks, scratch, theta_ref, fx["beta"])
-                weights[idx] = x - h
-                f_minus = objective(images, masks, scratch, theta_ref, fx["beta"])
-                weights[idx] = x
-                numeric[j] = (f_plus - f_minus) / (2.0 * h)
-                j += 1
+    flat = scratch.flat
+    numeric = np.empty(flat.size)
+    for j in range(flat.size):
+        x = flat[j]
+        flat[j] = x + h
+        f_plus = objective(images, masks, scratch, theta_ref, fx["beta"])
+        flat[j] = x - h
+        f_minus = objective(images, masks, scratch, theta_ref, fx["beta"])
+        flat[j] = x
+        numeric[j] = (f_plus - f_minus) / (2.0 * h)
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
     return float(np.max(np.abs(analytic.values - numeric))) / scale
 

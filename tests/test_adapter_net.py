@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedsim.adapter_net import (
+    PROB_CLAMP,
     AdamState,
     AdapterParams,
     FrozenBlock,
@@ -12,12 +13,12 @@ from fedsim.adapter_net import (
     adam_step,
     adapter_forward,
     build_model,
-    grad_adapters,
     model_forward,
     objective,
     objective_and_grad,
     reg_loss,
     seg_loss,
+    sigmoid,
 )
 from fedsim.errors import InvalidArgumentError
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id, finite_diff_grad
@@ -99,6 +100,103 @@ class TestModelForward:
         stacked = model_forward(batch, model)
         for i in range(3):
             assert np.allclose(stacked[i], model_forward(batch[i], model), atol=1e-12)
+
+
+class TestFlatBuffer:
+    def test_adapters_are_views_of_the_flat_buffer(self):
+        model = small_model(num_blocks=3)
+        _, adapter = model.blocks[1]
+        span = slice(model.layer_size, 2 * model.layer_size)
+        assert np.shares_memory(adapter.down_proj, model.flat)
+        model.flat[span] = np.arange(model.layer_size, dtype=float)
+        assert np.array_equal(adapter.down_proj.ravel(), np.arange(16.0))
+        adapter.up_proj = np.full((8, 2), 7.0)
+        assert np.array_equal(model.flat[span][16:], np.full(16, 7.0))
+
+    def test_clone_has_its_own_buffer(self):
+        model = golden_model()
+        before = model.flat.copy()
+        twin = model.clone()
+        assert np.array_equal(twin.flat, before)
+        assert not np.shares_memory(twin.flat, model.flat)
+        twin.flat += 1.0
+        twin.blocks[0][1].up_proj = np.zeros((8, 2))
+        assert np.array_equal(model.flat, before)
+        model.flat -= 1.0
+        assert np.array_equal(twin.blocks[1][1].down_proj.ravel(), before[32:48] + 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_installing_layer_k_changes_only_its_slice(self, k):
+        model = small_model(num_blocks=3)
+        before = model.flat.copy()
+        values = RngStream(k, 0).draw_gaussian(model.layer_size)
+        model.install_adapter_params(FlatParams.from_layers([(k, values)]))
+        span = slice((k - 1) * model.layer_size, k * model.layer_size)
+        assert np.array_equal(model.flat[span], values)
+        outside = np.ones(model.flat.size, dtype=bool)
+        outside[span] = False
+        assert np.array_equal(model.flat[outside], before[outside])
+
+    def test_rejected_install_writes_nothing(self):
+        model = small_model(num_blocks=3)
+        before = model.flat.copy()
+        params = FlatParams.from_layers(
+            [(1, np.ones(model.layer_size)), (2, np.ones(model.layer_size - 1))]
+        )
+        with pytest.raises(InvalidArgumentError):
+            model.install_adapter_params(params)
+        assert np.array_equal(model.flat, before)
+
+    def test_adapter_params_is_a_copy_later_steps_leave_alone(self):
+        model = golden_model()
+        whole, low = model.adapter_params(), model.adapter_params([1])
+        snapshot = whole.values.copy(), low.values.copy()
+        stream = RngStream(19, 0)
+        images = stream.draw_uniform(4 * 8).reshape(4, 8)
+        masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
+        state = AdamState.for_params(whole)
+        for _ in range(3):
+            _, grads = objective_and_grad(images, masks, model, None, 0.0)
+            params, state = adam_step(model.adapter_params(), grads, state, 1e-2)
+            model.install_adapter_params(params)
+        assert not np.array_equal(model.flat, snapshot[0])
+        assert np.array_equal(whole.values, snapshot[0])
+        assert np.array_equal(low.values, snapshot[1])
+
+
+def masked_sigmoid(x):
+    """The masked two-branch logistic that sigmoid replaced, kept as its reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_formula(self):
+        stream = RngStream(20, 0)
+        clamp_logit = float(np.log(PROB_CLAMP / (1.0 - PROB_CLAMP)))
+        near_clamp = np.concatenate(
+            [
+                c + np.array([-1e-9, 0.0, 1e-9]) + d
+                for c in (clamp_logit, -clamp_logit)
+                for d in (0.0, np.spacing(c), -np.spacing(c))
+            ]
+        )
+        special = np.array(
+            [0.0, -0.0, 750.0, -750.0, 745.2, -745.2, 709.8, -709.8, 1e-300, -1e-300]
+        )
+        gaussian = stream.draw_gaussian(32 * 256).reshape(32, 256)
+        for x in [
+            *(scale * gaussian for scale in (1.0, 10.0, 300.0)),
+            near_clamp,
+            special,
+            np.float64(-3.5),
+        ]:
+            assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
 
 
 class TestSegLoss:
@@ -252,7 +350,7 @@ class TestGradAdapters:
             adapter.up_proj = stream.draw_gaussian(12).reshape(6, 2)
         images = stream.draw_uniform(4 * 6).reshape(4, 6)
         masks = (stream.draw_uniform(4 * 6).reshape(4, 6) < 0.5).astype(float)
-        grads = grad_adapters(images, masks, model, None, 0.0)
+        grads = objective_and_grad(images, masks, model, None, 0.0)[1]
         for k in (1, 2):
             layer = grads.layer(k)
             down = layer[: 2 * 6]
@@ -263,7 +361,7 @@ class TestGradAdapters:
         stream = RngStream(14, 0)
         images = stream.draw_uniform(4 * 6).reshape(4, 6)
         masks = (stream.draw_uniform(4 * 6).reshape(4, 6) < 0.5).astype(float)
-        grads = grad_adapters(images, masks, model, None, 0.0)
+        grads = objective_and_grad(images, masks, model, None, 0.0)[1]
         up = grads.layer(1)[2 * 6 :]
         assert np.any(up != 0.0)
 
@@ -272,10 +370,10 @@ class TestGradAdapters:
         stream = RngStream(15, 0)
         images = stream.draw_uniform(3 * 8).reshape(3, 8)
         masks = (stream.draw_uniform(3 * 8).reshape(3, 8) < 0.5).astype(float)
-        g1 = grad_adapters(images, masks, model, None, 0.0)
-        g2 = grad_adapters(
+        g1 = objective_and_grad(images, masks, model, None, 0.0)[1]
+        g2 = objective_and_grad(
             np.concatenate([images, images]), np.concatenate([masks, masks]), model, None, 0.0
-        )
+        )[1]
         assert np.allclose(g1.values, g2.values, atol=1e-12)
 
     def test_regularizer_gradient_matches_finite_differences(self):
@@ -299,6 +397,123 @@ class TestGradAdapters:
         numeric = finite_diff_grad(f, start.values, 1e-5)
         scale = max(np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic.values - numeric)) / scale < 1e-4
+
+    def test_reference_on_non_consecutive_layers(self):
+        # Layers 1 and 3 are not one slice of the flat buffer.
+        model = small_model(num_blocks=3)
+        stream = RngStream(24, 0)
+        template = model.adapter_params()
+        model.install_adapter_params(
+            template.with_values(0.3 * stream.draw_gaussian(template.total_size))
+        )
+        images = stream.draw_uniform(2 * 8).reshape(2, 8)
+        masks = (stream.draw_uniform(2 * 8).reshape(2, 8) < 0.5).astype(float)
+        ref = model.adapter_params([1, 3]).with_values(stream.draw_gaussian(2 * 32))
+        loss, analytic = objective_and_grad(images, masks, model, ref, 0.5)
+        seg, seg_grads = objective_and_grad(images, masks, model, None, 0.0)
+        assert loss == objective(images, masks, model, ref, 0.5)
+        assert loss == seg + 0.5 * reg_loss(model.adapter_params([1, 3]), ref)
+        assert np.array_equal(analytic.layer(2), seg_grads.layer(2))
+        scratch = model.clone()
+
+        def f(values):
+            scratch.install_adapter_params(template.with_values(values))
+            return objective(images, masks, scratch, ref, 0.5)
+
+        numeric = finite_diff_grad(f, model.flat.copy(), 1e-5)
+        scale = max(np.max(np.abs(numeric)), 1e-12)
+        assert np.max(np.abs(analytic.values - numeric)) / scale < 1e-4
+
+
+def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
+    """The out-of-place backward objective_and_grad replaced, kept as its reference.
+
+    It allocates every intermediate, propagates the input gradient through
+    every block, builds one array per layer and adds the regularizer's
+    gradient layer by layer, in the order the kernel must keep.
+    """
+    batch, pixels = images.shape
+    h, cache = images, []
+    for block, adapter in model.blocks:
+        r = np.maximum(h @ block.weight.T + block.bias, 0.0)
+        u = r @ adapter.down_proj.T
+        s = np.maximum(u, 0.0)
+        h = s @ adapter.up_proj.T + r
+        cache.append((r, u, s))
+    p = masked_sigmoid(h @ model.head.weight.T + model.head.bias)
+    clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    loss = float(np.mean(-masks * np.log(clamped) - (1.0 - masks) * np.log1p(-clamped)))
+    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+    g = np.where(inside, p - masks, 0.0) / (batch * pixels)
+    g = g @ model.head.weight
+    layers = {}
+    for k in range(model.num_blocks, 0, -1):
+        block, adapter = model.blocks[k - 1]
+        r, u, s = cache[k - 1]
+        d_up = g.T @ s
+        d_hidden = (g @ adapter.up_proj) * (u > 0)
+        d_down = d_hidden.T @ r
+        g = ((d_hidden @ adapter.down_proj + g) * (r > 0)) @ block.weight
+        layers[k] = np.concatenate([d_down.ravel(), d_up.ravel()])
+    if beta > 0:
+        theta_low = model.adapter_params(list(theta_ref.layer_indices))
+        loss += beta * reg_loss(theta_low, theta_ref)
+        a, b = theta_low.values, theta_ref.values
+        na, nb, dot = float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.dot(a, b))
+        reg_grad = beta * -(b / (na * nb) - a * dot / (na**3 * nb))
+        for k, part in zip(theta_ref.layer_indices, reg_grad.reshape(len(theta_ref.manifest), -1)):
+            layers[k] = layers[k] + part
+    return loss, np.concatenate([layers[k] for k in sorted(layers)])
+
+
+class TestGradientKernel:
+    """objective_and_grad is bitwise equal to the allocating backward it replaced."""
+
+    @staticmethod
+    def _case(shape, low_layers, beta, seed):
+        feature_dim, bottleneck_dim, num_blocks, batch = shape
+        model = small_model(seed, feature_dim, bottleneck_dim, num_blocks)
+        stream = RngStream(seed, 1)
+        model.flat[:] = 0.1 * stream.draw_gaussian(model.flat.size)
+        images = stream.draw_gaussian(batch * feature_dim).reshape(batch, feature_dim)
+        masks = (stream.draw_uniform(batch * feature_dim) < 0.3).astype(float)
+        masks = masks.reshape(batch, feature_dim)
+        theta_ref = None
+        if low_layers:
+            theta_ref = model.adapter_params(low_layers).with_values(
+                stream.draw_gaussian(len(low_layers) * model.layer_size)
+            )
+        return images, masks, model, theta_ref, beta
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(8, 2, 3, 5), (256, 16, 6, 32)],
+        ids=["small", "default_ini"],
+    )
+    @pytest.mark.parametrize(
+        "low_layers, beta",
+        [([1], 0.01), ([1, 2], 0.5), ([1, 3], 0.5), (None, 0.0)],
+        ids=["L1", "L2", "layers_1_3", "beta0"],
+    )
+    def test_bitwise_equal_to_allocating_backward(self, shape, low_layers, beta):
+        images, masks, model, theta_ref, beta = self._case(shape, low_layers, beta, seed=31)
+        want_loss, want = allocating_objective_and_grad(images, masks, model, theta_ref, beta)
+        loss, grads = objective_and_grad(images, masks, model, theta_ref, beta)
+        assert float.hex(loss) == float.hex(want_loss)
+        assert grads.values.tobytes() == want.tobytes()
+        assert grads.manifest == model.manifest()
+        out = np.full_like(model.flat, np.nan)
+        loss_out, written = objective_and_grad(images, masks, model, theta_ref, beta, out=out)
+        assert written is out
+        assert float.hex(loss_out) == float.hex(want_loss)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(96, dtype=np.float32)])
+    def test_rejects_out_that_is_not_a_flat_float64_buffer(self, bad):
+        images, masks, model, _, _ = self._case((8, 2, 3, 5), None, 0.0, seed=32)
+        assert model.flat.size == 96
+        with pytest.raises(InvalidArgumentError):
+            objective_and_grad(images, masks, model, None, 0.0, out=bad)
 
 
 class TestAdamStep:
@@ -337,6 +552,36 @@ class TestAdamStep:
             return params.values
 
         assert np.array_equal(run(), run())
+
+    def test_bitwise_equal_to_allocating_formula(self):
+        # The out-of-place update adam_step replaced, in its arithmetic order.
+        def reference(values, grads, m, v, t, lr):
+            m = 0.9 * m + (1.0 - 0.9) * grads
+            v = 0.999 * v + (1.0 - 0.999) * grads**2
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            return values - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+        stream = RngStream(22, 0)
+        values = stream.draw_gaussian(257)
+        params = self._params(values)
+        state = AdamState.for_params(params)
+        m = v = np.zeros(257)
+        for t in range(1, 31):
+            grad_values = stream.draw_gaussian(257) * 10.0 ** stream.draw_integer(-6, 2)
+            params, state = adam_step(params, self._params(grad_values), state, 3e-3)
+            values, m, v = reference(values, grad_values, m, v, t, 3e-3)
+            assert params.values.tobytes() == values.tobytes()
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
+            assert state.step_count == t
+
+    def test_inputs_are_left_unchanged(self):
+        params = self._params([1.0, -2.0])
+        state = AdamState.for_params(params)
+        adam_step(params, self._params([0.5, 0.5]), state, 1e-2)
+        assert np.array_equal(params.values, [1.0, -2.0])
+        assert state.step_count == 0 and not np.any(state.first_moment)
 
     def test_shape_mismatch_raises(self):
         params = self._params([1.0, 2.0])

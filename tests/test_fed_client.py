@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fedsim.adapter_net import AdamState, build_model, reg_loss
+from fedsim.adapter_net import (
+    AdamState,
+    adam_step,
+    build_model,
+    model_forward,
+    objective_and_grad,
+    reg_loss,
+    sigmoid,
+)
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
 from fedsim.errors import InvalidArgumentError, InvalidStateError, ProtocolError
 from fedsim.fed_client import (
@@ -132,6 +140,70 @@ class TestLocalTraining:
             local_train_round(state, 1)
 
 
+def reference_round(state, round_index):
+    """The per-step loop local_train_round replaced; returns its mean train loss.
+
+    Every step goes through the public, validated API: objective_and_grad,
+    a FlatParams copy of the adapters, adam_step, and an install.
+    """
+    cfg = state.config
+    images, masks = state._train_images, state._train_masks
+    n = images.shape[0]
+    shuffle = RngStream(state.seed, derive_stream_id("shuffle", state.client_id, round_index))
+    losses = []
+    for _ in range(cfg.local_epochs):
+        order = shuffle.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = objective_and_grad(
+                images[idx], masks[idx], state.model, state.theta_ref, cfg.beta
+            )
+            params = state.model.adapter_params()
+            new_params, state.adam = adam_step(params, grads, state.adam, cfg.learning_rate)
+            state.model.install_adapter_params(new_params)
+            losses.append(loss)
+    return float(np.mean(losses))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize(
+        "beta, low_layers",
+        [(0.05, 1), (0.05, 2), (0.0, None)],
+        ids=["beta-L1", "beta-L2", "no-reference"],
+    )
+    def test_three_rounds_match_the_per_step_loop_bitwise(self, beta, low_layers):
+        states = [
+            make_state(seed=5, num_blocks=3, low_layers=low_layers or 1, beta=beta, epochs=2, n=50)
+            for _ in range(2)
+        ]
+        if low_layers is not None:
+            for state in states:
+                install_low_adapters(
+                    state, state.model.adapter_params(list(range(1, low_layers + 1)))
+                )
+        fast, slow = states
+        assert (fast.theta_ref is None) == (low_layers is None)
+        for round_index in range(1, 4):
+            update = local_train_round(fast, round_index)
+            assert update.train_loss == reference_round(slow, round_index)
+            assert fast.model.flat.tobytes() == slow.model.flat.tobytes()
+            assert fast.adam.first_moment.tobytes() == slow.adam.first_moment.tobytes()
+            assert fast.adam.second_moment.tobytes() == slow.adam.second_moment.tobytes()
+            assert fast.adam.step_count == slow.adam.step_count == 4 * round_index
+        assert update.low_params.equals(slow.model.adapter_params(update.low_params.layer_indices))
+
+
+def row_iou_dice(pred, truth):
+    """The per-pair float arithmetic evaluate used to loop over."""
+    inter = float(np.sum(pred & truth))
+    p_size = float(np.sum(pred))
+    g_size = float(np.sum(truth))
+    union = p_size + g_size - inter
+    if union == 0.0:
+        return 1.0, 1.0
+    return inter / union, 2.0 * inter / (p_size + g_size)
+
+
 class TestEvaluate:
     def test_perfect_prediction_scores_one(self):
         assert iou_dice(np.array([1, 0, 1]), np.array([1, 0, 1])) == (1.0, 1.0)
@@ -158,6 +230,28 @@ class TestEvaluate:
             assert 0.0 <= iou <= 1.0
             assert 0.0 <= dice <= 1.0
             assert dice >= iou
+
+    def test_rows_match_the_per_pair_loop(self):
+        stream = RngStream(23, 0)
+        pred = stream.draw_uniform(40 * 16).reshape(40, 16) < 0.3
+        truth = stream.draw_uniform(40 * 16).reshape(40, 16) < 0.3
+        pred[:3] = False
+        truth[:2] = False  # rows 0-1 both empty, row 2 empty prediction only
+        pred[5] = truth[5]
+        ious, dices = iou_dice(pred, truth)
+        expected = [row_iou_dice(p, t) for p, t in zip(pred, truth)]
+        assert ious.tolist() == [iou for iou, _ in expected]
+        assert dices.tolist() == [dice for _, dice in expected]
+        assert (ious[0], ious[2], ious[5]) == (1.0, 0.0, 1.0)
+
+    def test_evaluate_means_the_per_row_scores(self):
+        state = make_state(seed=2, num_blocks=2)
+        pred = sigmoid(model_forward(state._test_images, state.model)) > 0.5
+        rows = [row_iou_dice(p, t.astype(bool)) for p, t in zip(pred, state._test_masks)]
+        assert evaluate(state) == (
+            float(np.mean([iou for iou, _ in rows])),
+            float(np.mean([dice for _, dice in rows])),
+        )
 
     def test_empty_test_set_is_invalid_state(self):
         state = make_state(n=10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fedsim.orchestrator as orchestrator
+from fedsim import cli
 from fedsim.adapter_net import AdamState, build_model
 from fedsim.config import apply_sweep_value, parse_config_text
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
@@ -116,6 +117,36 @@ class TestRunExperiment:
         monkeypatch.setattr(orchestrator, "local_train_round", broken)
         with pytest.raises(NumericError, match="round 1"):
             run_experiment(cfg)
+
+    @staticmethod
+    def _poison_one_training_image(monkeypatch, client_id):
+        real = orchestrator.generate_federation
+
+        def poisoned(spec):
+            datasets = real(spec)
+            datasets[client_id].train[0].image[5] = np.nan
+            return datasets
+
+        monkeypatch.setattr(orchestrator, "generate_federation", poisoned)
+
+    def test_nan_training_image_names_round_client_and_step(self, small_config_text, monkeypatch):
+        # Client 2 has 11 training samples, one batch of 16: its first step diverges.
+        self._poison_one_training_image(monkeypatch, 2)
+        with pytest.raises(
+            NumericError,
+            match=r"^round 1: client 2: parameter update diverged at optimizer step 1$",
+        ):
+            run_experiment(parse_config_text(small_config_text))
+
+    def test_nan_training_image_exits_with_numeric_code(
+        self, small_config_text, monkeypatch, tmp_path, capsys
+    ):
+        self._poison_one_training_image(monkeypatch, 2)
+        config = tmp_path / "experiment.ini"
+        config.write_text(small_config_text, encoding="utf-8")
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERIC == 3
+        assert "client 2" in capsys.readouterr().err
 
     def test_zero_rounds_rejected_before_any_work(self, small_config_text, tmp_path):
         cfg = parse_config_text(small_config_text)
