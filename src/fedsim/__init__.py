@@ -57,7 +57,6 @@ from .numerics import (
     RngStream,
     derive_stream_id,
     finite_diff_grad,
-    rng_draw_gaussian,
     simplex_project,
 )
 from .orchestrator import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .numerics import FlatParams, RngStream, cosine_similarity
+from .numerics import FlatParams, RngStream
 
 PROB_CLAMP = 1e-7
 
@@ -298,11 +298,20 @@ def seg_loss(logits: np.ndarray, y: np.ndarray) -> float:
     return _bce(sigmoid(logits), y)
 
 
-def _neg_cosine(theta_low: np.ndarray, theta_ref: np.ndarray) -> float:
-    """-cos(theta_low, theta_ref), or 0 when theta_low is the zero vector."""
-    if not np.any(theta_low):
+def _cosine_parts(theta_low: np.ndarray, theta_ref: np.ndarray) -> tuple[float, float, float]:
+    """||theta_low||, ||theta_ref|| and their dot: all the regularizer and its gradient need."""
+    return (
+        float(np.linalg.norm(theta_low)),
+        float(np.linalg.norm(theta_ref)),
+        float(np.dot(theta_low, theta_ref)),
+    )
+
+
+def _neg_cosine(na: float, nb: float, dot: float) -> float:
+    """-cos from _cosine_parts, or 0 when either vector is the zero vector."""
+    if na == 0.0 or nb == 0.0:
         return 0.0
-    return -cosine_similarity(theta_low, theta_ref)
+    return -(dot / (na * nb))
 
 
 def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
@@ -315,16 +324,15 @@ def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
         raise InvalidArgumentError("reg_loss requires identical manifests")
     if not np.any(theta_ref.values):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    return _neg_cosine(theta_low.values, theta_ref.values)
+    return _neg_cosine(*_cosine_parts(theta_low.values, theta_ref.values))
 
 
-def _reg_grad(theta_low: np.ndarray, theta_ref: np.ndarray) -> np.ndarray:
-    """Gradient of -cos(theta_low, theta_ref) with respect to theta_low."""
-    na = float(np.linalg.norm(theta_low))
+def _reg_grad(
+    theta_low: np.ndarray, theta_ref: np.ndarray, na: float, nb: float, dot: float
+) -> np.ndarray:
+    """Gradient of -cos(theta_low, theta_ref) with respect to theta_low, given _cosine_parts."""
     if na == 0.0:
         return np.zeros_like(theta_low)
-    nb = float(np.linalg.norm(theta_ref))
-    dot = float(np.dot(theta_low, theta_ref))
     return -(theta_ref / (na * nb) - theta_low * dot / (na**3 * nb))
 
 
@@ -438,8 +446,9 @@ def objective_and_grad(
     if ref is not None:
         spans, reference = ref
         theta_low = _reference_layers(model, spans)
-        loss += beta * _neg_cosine(theta_low, reference)
-        reg_grad = beta * _reg_grad(theta_low, reference)
+        parts = _cosine_parts(theta_low, reference)
+        loss += beta * _neg_cosine(*parts)
+        reg_grad = beta * _reg_grad(theta_low, reference, *parts)
         for span, part in zip(spans, reg_grad.reshape(len(spans), -1)):
             grads[span] += part
     if out is not None:
@@ -466,7 +475,7 @@ def objective(
     loss = _bce(sigmoid(model_forward(images, model)), masks)
     if ref is not None:
         spans, reference = ref
-        loss += beta * _neg_cosine(_reference_layers(model, spans), reference)
+        loss += beta * _neg_cosine(*_cosine_parts(_reference_layers(model, spans), reference))
     return loss
 
 

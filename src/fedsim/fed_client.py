@@ -172,12 +172,29 @@ def evaluate(state: ClientState) -> tuple[float, float]:
     return float(np.mean(ious)), float(np.mean(dices))
 
 
-def measure_param_shift(before: FlatParams, after: FlatParams) -> np.ndarray:
-    """Per-layer relative L2 shift ||after - before|| / ||before|| (0/0 -> 0)."""
-    if not before.same_manifest(after):
-        raise InvalidArgumentError("param shift requires identical manifests")
+def measure_param_shift(
+    before: FlatParams | np.ndarray,
+    after: FlatParams | np.ndarray,
+    manifest: tuple[tuple[int, int], ...] | None = None,
+) -> np.ndarray:
+    """Per-layer relative L2 shift ||after - before|| / ||before|| (0/0 -> 0).
+
+    Takes two FlatParams with one manifest, or, with `manifest`, two flat
+    vectors laid out by it (such as a copy of a model's flat buffer and the
+    buffer itself).
+    """
+    if manifest is None:
+        if not before.same_manifest(after):
+            raise InvalidArgumentError("param shift requires identical manifests")
+        manifest, before, after = before.manifest, before.values, after.values
+    elif not before.shape == after.shape == (sum(length for _, length in manifest),):
+        raise InvalidArgumentError("param shift requires two vectors laid out by the manifest")
     shifts = []
-    for (idx, b_vals), (_, a_vals) in zip(before.split(), after.split()):
+    offset = 0
+    for _, length in manifest:
+        b_vals = before[offset : offset + length]
+        a_vals = after[offset : offset + length]
+        offset += length
         base = float(np.linalg.norm(b_vals))
         delta = float(np.linalg.norm(a_vals - b_vals))
         if base == 0.0:

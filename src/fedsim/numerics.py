@@ -141,10 +141,6 @@ def derive_stream_id(*parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def rng_draw_gaussian(stream: RngStream, count: int) -> np.ndarray:
-    return stream.draw_gaussian(count)
-
-
 def simplex_project(c: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of c onto {w : w >= 0, sum(w) = 1}.
 
@@ -184,14 +180,3 @@ def finite_diff_grad(
         step[j] = h
         grad[j] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; 0 if either is the zero vector."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

@@ -28,6 +28,7 @@ from .numerics import FlatParams, RngStream, derive_stream_id
 from .server import CollaborationMatrix, aggregate, fedavg_aggregate, update_matrix
 from .transport import (
     CommLedger,
+    LedgerEntry,
     WireMessage,
     deserialize_params,
     serialize_params,
@@ -106,8 +107,6 @@ class ResultsStore:
         ledger = CommLedger()
         reader = csv.DictReader(io.StringIO((run / "ledger.csv").read_text(encoding="utf-8")))
         for row in reader:
-            from .transport import LedgerEntry
-
             entry = LedgerEntry(
                 round_index=int(row["round"]),
                 direction=row["direction"],
@@ -171,9 +170,10 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
 
 def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int):
     install_low_adapters(state, deserialize_params(broadcast_payload))
-    before = state.model.adapter_params()
+    model = state.model
+    before = model.flat.copy()
     update = local_train_round(state, round_index)
-    shift = measure_param_shift(before, state.model.adapter_params())
+    shift = measure_param_shift(before, model.flat, model.manifest())
     return update, shift
 
 
@@ -205,6 +205,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             msg = WireMessage("broadcast", i, round_index, serialize_params(mixed[i]))
             ledger.record(msg)
             broadcasts.append(msg)
+        # The mixes and the payloads are n copies of the low layers each;
+        # dropping them once used keeps them out of the similarity step and
+        # the next round's mixing, where memory peaks.
+        del mixed
 
         try:
             if cfg.workers > 1:
@@ -222,6 +226,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from exc
 
+        del broadcasts
         # pool.map preserves input order, so results are already client-ordered.
         updates = [u for u, _ in results]
         shifts = np.stack([shift for _, shift in results])

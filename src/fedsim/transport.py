@@ -39,12 +39,13 @@ def serialize_params(params: FlatParams) -> bytes:
     chunks = [_FIXED_HEADER.pack(MAGIC, FORMAT_VERSION, len(params.manifest))]
     for idx, length in params.manifest:
         chunks.append(_LAYER_ENTRY.pack(idx, length))
-    chunks.append(params.values.astype("<f8").tobytes())
+    # A no-copy view on little-endian hosts; join makes the payload's one copy.
+    chunks.append(memoryview(params.values.astype("<f8", copy=False)))
     return b"".join(chunks)
 
 
-def _parse_header(data: bytes) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Manifest and payload offset; raises DecodeError naming the failed field."""
+def _parse_frame(data: bytes) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """Manifest, payload offset and scalar count; raises DecodeError naming the failed field."""
     if len(data) < _FIXED_HEADER.size:
         raise DecodeError("header: truncated")
     magic, version, layer_count = _FIXED_HEADER.unpack_from(data, 0)
@@ -59,28 +60,23 @@ def _parse_header(data: bytes) -> tuple[tuple[tuple[int, int], ...], int]:
             raise DecodeError("manifest: truncated")
         manifest.append(_LAYER_ENTRY.unpack_from(data, offset))
         offset += _LAYER_ENTRY.size
-    return tuple(manifest), offset
+    total = sum(length for _, length in manifest)
+    if len(data) != offset + 8 * total:
+        raise DecodeError(
+            f"payload: expected {8 * total} bytes, got {len(data) - offset}"
+        )
+    return tuple(manifest), offset, total
 
 
 def payload_scalar_count(data: bytes) -> int:
     """Number of float64 scalars in a serialized payload (validates framing)."""
-    manifest, offset = _parse_header(data)
-    total = sum(length for _, length in manifest)
-    if len(data) != offset + 8 * total:
-        raise DecodeError(
-            f"payload: expected {8 * total} bytes, got {len(data) - offset}"
-        )
-    return total
+    return _parse_frame(data)[2]
 
 
 def deserialize_params(data: bytes) -> FlatParams:
-    manifest, offset = _parse_header(data)
-    total = sum(length for _, length in manifest)
-    if len(data) != offset + 8 * total:
-        raise DecodeError(
-            f"payload: expected {8 * total} bytes, got {len(data) - offset}"
-        )
-    values = np.frombuffer(data, dtype="<f8", count=total, offset=offset).astype(np.float64)
+    manifest, offset, total = _parse_frame(data)
+    # FlatParams makes the one copy out of this read-only view of data.
+    values = np.frombuffer(data, dtype="<f8", count=total, offset=offset)
     if not np.all(np.isfinite(values)):
         raise DecodeError("payload: non-finite value")
     try:
@@ -145,15 +141,6 @@ class CommLedger:
             }
             for e in self.entries
         ]
-
-
-def ledger_record(ledger: CommLedger, msg: WireMessage) -> CommLedger:
-    ledger.record(msg)
-    return ledger
-
-
-def ledger_total(ledger: CommLedger) -> int:
-    return ledger.total
 
 
 def write_params_file(params: FlatParams, path: str) -> None:

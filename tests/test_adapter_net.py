@@ -252,6 +252,17 @@ class TestRegLoss:
         with pytest.raises(InvalidArgumentError):
             reg_loss(a, b)
 
+    def test_bitwise_equal_to_negated_cosine_of_two_norms_and_a_dot(self):
+        # Reference: the cosine as an array-scalar quotient, negated.
+        stream = RngStream(13, 0)
+        for size in (3, 8192):
+            for _ in range(20):
+                a, b = stream.draw_gaussian(size), stream.draw_gaussian(size)
+                na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+                expected = -float(np.dot(a, b) / (na * nb))
+                value = reg_loss(self._params(a), self._params(b))
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
 
 class TestObjective:
     def _fixture(self, beta):

@@ -22,6 +22,8 @@ from fedsim.fed_client import (
     measure_param_shift,
 )
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.orchestrator import _client_round
+from fedsim.transport import deserialize_params, serialize_params
 
 
 def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1, n=50,
@@ -293,3 +295,32 @@ class TestParamShift:
         b = self._params([(2, np.ones(2))])
         with pytest.raises(InvalidArgumentError):
             measure_param_shift(a, b)
+
+    def test_flat_vectors_must_match_the_manifest(self):
+        with pytest.raises(InvalidArgumentError):
+            measure_param_shift(np.ones(3), np.ones(3), ((1, 2),))
+        with pytest.raises(InvalidArgumentError):
+            measure_param_shift(np.ones(4), np.ones(3), ((1, 2), (2, 2)))
+
+    def test_round_shift_is_bitwise_the_flatparams_computation(self):
+        # The round loop measures the shift on a plain copy of model.flat;
+        # the reference takes it from two validated FlatParams snapshots.
+        def flatparams_shift(before, after):
+            shifts = []
+            for (_, b_vals), (_, a_vals) in zip(before.split(), after.split()):
+                base = float(np.linalg.norm(b_vals))
+                delta = float(np.linalg.norm(a_vals - b_vals))
+                shifts.append(delta / base if base else (0.0 if delta == 0.0 else float("inf")))
+            return np.array(shifts)
+
+        ref_state, state = make_state(beta=0.1, low_layers=2), make_state(beta=0.1, low_layers=2)
+        broadcast = serialize_params(state.model.adapter_params([1, 2]))
+        install_low_adapters(ref_state, deserialize_params(broadcast))
+        before = ref_state.model.adapter_params()
+        ref_update = local_train_round(ref_state, 1)
+        expected = flatparams_shift(before, ref_state.model.adapter_params())
+
+        update, shift = _client_round(state, broadcast, 1)
+        assert shift.tobytes() == expected.tobytes()
+        assert update.low_params.equals(ref_update.low_params)
+        assert np.array_equal(state.model.flat, ref_state.model.flat)

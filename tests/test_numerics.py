@@ -7,7 +7,6 @@ from fedsim.numerics import (
     RngStream,
     derive_stream_id,
     finite_diff_grad,
-    rng_draw_gaussian,
     simplex_project,
 )
 from fedsim.oracles import kkt_simplex_argmin
@@ -89,7 +88,7 @@ class TestFiniteDiff:
 
 class TestRngStream:
     def test_zero_count_gives_empty_vector(self):
-        assert rng_draw_gaussian(RngStream(1, 2), 0).size == 0
+        assert RngStream(1, 2).draw_gaussian(0).size == 0
 
     def test_same_key_replays_identical_draws(self):
         a = RngStream(42, 7).draw_gaussian(100)

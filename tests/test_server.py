@@ -33,11 +33,58 @@ def make_update(client_id, values, n_i=10, round_index=1):
     )
 
 
+def pair_loop_similarity(params, metric, normalization):
+    """Reference: one dot product or difference vector per pair, one row at a time."""
+    x = np.stack([p.values for p in params])
+    n = x.shape[0]
+    s = np.zeros((n, n))
+    if metric == "inner":
+        for i in range(n):
+            for j in range(i, n):
+                s[i, j] = s[j, i] = float(x[i] @ x[j])
+    elif metric == "cosine":
+        norms = np.linalg.norm(x, axis=1)
+        for i in range(n):
+            for j in range(i, n):
+                if norms[i] == 0.0 or norms[j] == 0.0:
+                    value = 0.0
+                else:
+                    value = float(x[i] @ x[j] / (norms[i] * norms[j]))
+                s[i, j] = s[j, i] = value
+    else:
+        order = 1 if metric == "l1_based" else 2
+        for i in range(n):
+            for j in range(i + 1, n):
+                s[i, j] = s[j, i] = -float(np.linalg.norm(x[i] - x[j], ord=order))
+    if normalization == "max_abs_row":
+        for i in range(n):
+            off = np.abs(np.delete(s[i], i)) if n > 1 else np.zeros(0)
+            scale = off.max() if off.size else 0.0
+            if scale > 0.0:
+                s[i] = s[i] / scale
+    return s
+
+
+def far_clusters(spread, size=4096, per_cluster=4, seed=40):
+    """Two clusters of unit width whose centers are `spread` apart, interleaved."""
+    stream = RngStream(seed, 0)
+    base = 100.0 * stream.draw_gaussian(size)
+    far = stream.draw_gaussian(size)
+    far *= spread / np.linalg.norm(far)
+    params = []
+    for k in range(2 * per_cluster):
+        noise = stream.draw_gaussian(size)
+        params.append(flat(base + (far if k % 2 else 0.0) + noise / np.linalg.norm(noise)))
+    return params
+
+
 class TestPairwiseSimilarity:
     def test_l2_identical_vectors_give_zero(self):
-        params = [flat([1.0, 2.0])] * 3
-        s = pairwise_similarity(params, "l2_based", "none")
-        assert np.array_equal(s, np.zeros((3, 3)))
+        for values in ([1.0, 2.0], RngStream(41, 0).draw_gaussian(49152)):
+            params = [flat(values)] * 3
+            for normalization in ("none", "max_abs_row"):
+                s = pairwise_similarity(params, "l2_based", normalization)
+                assert np.array_equal(s, np.zeros((3, 3)))
 
     def test_l2_three_four_five_triangle(self):
         s = pairwise_similarity([flat([0.0, 0.0]), flat([3.0, 4.0])], "l2_based", "none")
@@ -62,10 +109,13 @@ class TestPairwiseSimilarity:
 
     def test_raw_matrix_is_symmetric(self):
         stream = RngStream(31, 0)
-        params = [flat(stream.draw_gaussian(6)) for _ in range(5)]
-        for metric in ("inner", "cosine", "l1_based", "l2_based"):
-            s = pairwise_similarity(params, metric, "none")
-            assert np.allclose(s, s.T, atol=1e-12)
+        for size in (6, 1000):
+            params = [flat(3.0 + stream.draw_gaussian(size)) for _ in range(5)]
+            for metric in ("inner", "cosine", "l1_based", "l2_based"):
+                s = pairwise_similarity(params, metric, "none")
+                assert np.array_equal(s, s.T), metric
+            l2 = pairwise_similarity(params, "l2_based", "none")
+            assert np.array_equal(np.diag(l2), np.zeros(5))
 
     def test_max_abs_row_normalization_bounds_off_diagonal(self):
         stream = RngStream(32, 0)
@@ -78,6 +128,53 @@ class TestPairwiseSimilarity:
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
             pairwise_similarity([flat([1.0]), flat([1.0], ((2, 1),))], "l2_based")
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    @pytest.mark.parametrize("size", [7, 1000, 49152])
+    def test_gram_matches_pair_loop(self, n, size):
+        stream = RngStream(39, n * size)
+        offset = stream.draw_gaussian(size)
+        params = [flat(offset + 0.05 * stream.draw_gaussian(size)) for _ in range(n)]
+        for metric in ("inner", "cosine", "l1_based", "l2_based"):
+            s = pairwise_similarity(params, metric, "max_abs_row")
+            expected = pair_loop_similarity(params, metric, "max_abs_row")
+            assert np.max(np.abs(s - expected)) <= 1e-12, metric
+
+    @pytest.mark.parametrize("spread", [50.0, 1e4, 1e6])
+    def test_far_apart_tight_clusters_match_pair_loop(self, spread):
+        # Uploads far from the first one and close to each other cancel in
+        # G_ii + G_jj - 2 G_ij; 50 keeps every pair on the Gram path, the
+        # larger spreads send the far cluster's pairs past the cancellation limit.
+        params = far_clusters(spread)
+        s = pairwise_similarity(params, "l2_based", "max_abs_row")
+        expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
+        assert np.max(np.abs(s - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("spread, direct_pairs", [(50.0, 0), (1e4, 6), (1e6, 6)])
+    def test_only_pairs_far_from_the_first_upload_take_direct_differences(
+        self, monkeypatch, spread, direct_pairs
+    ):
+        # Centering keeps the shared offset of the uploads (norm ~6e3 here,
+        # width 1) off the Gram path's cancellation; only the far cluster's
+        # 4 * 3 / 2 pairs need direct differences.
+        params = far_clusters(spread)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        pairwise_similarity(params, "l2_based", "max_abs_row")
+        assert len(calls) == direct_pairs
+
+    def test_duplicate_upload_among_distinct_is_exactly_zero_apart(self):
+        stream = RngStream(42, 0)
+        values = [stream.draw_gaussian(4096) for _ in range(3)]
+        params = [flat(values[0]), flat(values[1]), flat(values[2]), flat(values[1])]
+        s = pairwise_similarity(params, "l2_based", "none")
+        assert s[1, 3] == 0.0 and s[3, 1] == 0.0
+
+    def test_single_upload(self):
+        params = [flat([3.0, 4.0])]
+        assert np.array_equal(pairwise_similarity(params, "l2_based"), [[0.0]])
+        assert np.array_equal(pairwise_similarity(params, "inner"), [[25.0]])
 
 
 class TestSolveRow:

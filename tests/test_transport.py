@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from fedsim.transport import (
     CommLedger,
     WireMessage,
     deserialize_params,
-    ledger_total,
     payload_scalar_count,
     read_params_file,
     select_for_transmission,
@@ -79,6 +80,18 @@ class TestSerialization:
         header = 12 + 8 * len(params.manifest)
         assert len(data) == header + 8 * params.total_size
 
+    def test_payload_is_header_manifest_then_little_endian_values(self):
+        params = FlatParams.from_layers([(1, [1.5, -2.0]), (4, [np.pi])])
+        expected = (
+            struct.pack("<4sII", b"FSCA", 1, 2)
+            + struct.pack("<II", 1, 2)
+            + struct.pack("<II", 4, 1)
+            + struct.pack("<3d", 1.5, -2.0, np.pi)
+        )
+        data = serialize_params(params)
+        assert type(data) is bytes
+        assert data == expected
+
     def test_serialization_is_stable_across_calls(self):
         params = FlatParams.from_layers([(1, np.array([1.5, -2.25])), (3, np.array([0.0]))])
         assert serialize_params(params) == serialize_params(params)
@@ -124,7 +137,7 @@ class TestLedger:
             for client in range(3):
                 ledger.record(self._message("broadcast", client, round_index, 100))
                 ledger.record(self._message("upload", client, round_index, 100))
-        assert ledger_total(ledger) == 2 * 2 * 3 * 100
+        assert ledger.total == 2 * 2 * 3 * 100
 
     def test_full_versus_low_depth_ratio_is_depth(self):
         model = small_model(num_blocks=6)
