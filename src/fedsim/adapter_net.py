@@ -170,11 +170,28 @@ class ToyFM:
             self._span(k)
         return tuple((int(k), self.layer_size) for k in layers)
 
+    def _runs(self, layers) -> list[slice]:
+        """Where the given 1-based layers sit in flat, adjacent layers merged into one slice."""
+        runs: list[slice] = []
+        for k in layers:
+            span = self._span(k)
+            if runs and runs[-1].stop == span.start:
+                runs[-1] = slice(runs[-1].start, span.stop)
+            else:
+                runs.append(span)
+        return runs
+
+    def _values_at(self, runs: list[slice]) -> np.ndarray:
+        """flat at runs, in order: a view of flat for one run, else a concatenated copy."""
+        if len(runs) == 1:
+            return self.flat[runs[0]]
+        return np.concatenate([self.flat[run] for run in runs]) if runs else np.zeros(0)
+
     def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
         """A copy of the adapter weights for the given 1-based layers (default: all)."""
-        if layers is None:
-            return FlatParams(self.flat, self.manifest())
-        return FlatParams.from_layers((k, self.flat[self._span(k)]) for k in layers)
+        manifest = self.manifest(layers)
+        # Consecutive layers are one slice of flat, which FlatParams copies once.
+        return FlatParams(self._values_at(self._runs(k for k, _ in manifest)), manifest)
 
     def install_adapter_params(self, params: FlatParams) -> None:
         """Overwrite the adapters named in the manifest, in place; others stay untouched."""
@@ -327,13 +344,36 @@ def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
     return _neg_cosine(*_cosine_parts(theta_low.values, theta_ref.values))
 
 
-def _reg_grad(
-    theta_low: np.ndarray, theta_ref: np.ndarray, na: float, nb: float, dot: float
-) -> np.ndarray:
-    """Gradient of -cos(theta_low, theta_ref) with respect to theta_low, given _cosine_parts."""
+def _add_reg_grad(
+    grads: np.ndarray,
+    runs: list[slice],
+    theta_low: np.ndarray,
+    theta_ref: np.ndarray,
+    beta: float,
+    na: float,
+    nb: float,
+    dot: float,
+) -> None:
+    """Add beta times the gradient of -cos(theta_low, theta_ref) into grads at runs, in place.
+
+    theta_low and theta_ref are laid out like the runs, concatenated. Each
+    entry gets -beta * (ref / (na * nb) - theta * dot / (na**3 * nb)) in that
+    arithmetic order. Nothing is added when theta_low is the zero vector,
+    where the regularizer is constant 0.
+    """
     if na == 0.0:
-        return np.zeros_like(theta_low)
-    return -(theta_ref / (na * nb) - theta_low * dot / (na**3 * nb))
+        return
+    term = theta_ref / (na * nb)
+    pull = theta_low * dot
+    pull /= na**3 * nb
+    term -= pull
+    term *= beta
+    offset = 0
+    for run in runs:
+        width = run.stop - run.start
+        # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
+        grads[run] -= term[offset : offset + width]
+        offset += width
 
 
 Reference = tuple[list[slice], np.ndarray]
@@ -349,8 +389,9 @@ def _check_objective_args(
     """Validate an objective's arguments.
 
     Returns images and masks as float64 matrices, and the regularizer's
-    reference: None when it is off, else where each layer theta_ref names
-    sits in model.flat and theta_ref's values.
+    reference: None when it is off, else where the layers theta_ref names
+    sit in model.flat (adjacent layers merged into one slice) and
+    theta_ref's values.
     """
     if beta < 0:
         raise InvalidArgumentError("beta must be >= 0")
@@ -363,14 +404,12 @@ def _check_objective_args(
     _check_mask(masks)
     if theta_ref is None or beta == 0:
         return images, masks, None
-    spans = []
-    for k, length in theta_ref.manifest:
-        spans.append(model._span(k))
-        if length != model.layer_size:
-            raise InvalidArgumentError("theta_ref manifest does not match the model's layers")
+    runs = model._runs(k for k, _ in theta_ref.manifest)
+    if any(length != model.layer_size for _, length in theta_ref.manifest):
+        raise InvalidArgumentError("theta_ref manifest does not match the model's layers")
     if not np.any(theta_ref.values):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    return images, masks, (spans, theta_ref.values)
+    return images, masks, (runs, theta_ref.values)
 
 
 def _reference_layers(model: ToyFM, spans: list[slice]) -> np.ndarray:
@@ -444,13 +483,11 @@ def objective_and_grad(
             g = d_input @ block.weight
 
     if ref is not None:
-        spans, reference = ref
-        theta_low = _reference_layers(model, spans)
+        runs, reference = ref
+        theta_low = model._values_at(runs)
         parts = _cosine_parts(theta_low, reference)
         loss += beta * _neg_cosine(*parts)
-        reg_grad = beta * _reg_grad(theta_low, reference, *parts)
-        for span, part in zip(spans, reg_grad.reshape(len(spans), -1)):
-            grads[span] += part
+        _add_reg_grad(grads, runs, theta_low, reference, beta, *parts)
     if out is not None:
         return loss, out
     return loss, FlatParams(grads, model.manifest())

@@ -43,6 +43,7 @@ class ExperimentConfig:
     aggregator: str = "sgca"
     rounds: int = 100
     seed: int = 0
+    # Parsed, validated and hashed, but clients always run one after another.
     workers: int = 1
 
     def validate(self) -> None:

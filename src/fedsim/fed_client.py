@@ -44,11 +44,15 @@ class ClientConfig:
 
 @dataclass
 class ClientUpdate:
-    """Per-round upload: the low-level adapters plus local metrics."""
+    """Per-round upload: the low-level adapters plus local metrics.
+
+    The round loop sets low_params to None once the server has decoded the
+    upload into its round matrix.
+    """
 
     client_id: int
     round_index: int
-    low_params: FlatParams
+    low_params: FlatParams | None
     n_i: int
     train_loss: float
     test_iou: float

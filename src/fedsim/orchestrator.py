@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,21 +173,31 @@ def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int
     before = model.flat.copy()
     update = local_train_round(state, round_index)
     shift = measure_param_shift(before, model.flat, model.manifest())
+    # The broadcast served as this round's regularizer reference only.
+    state.theta_ref = None
     return update, shift
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
-    """Execute the full round loop and return (and optionally save) the results."""
+    """Execute the full round loop and return (and optionally save) the results.
+
+    The server keeps one (N, P) matrix x of the round's uploads: each upload
+    is decoded into its row as soon as that client finishes, x is dropped
+    once it has been mixed, the mixes once they have been serialized, and a
+    client's broadcast payload once its round ends, so at most two such
+    buffers are alive at a time. Clients run one after another, in id
+    order; run.workers has no effect.
+    """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
     states = _init_states(cfg, datasets)
     n = cfg.federation.num_clients
     sizes = [ds.n_i for ds in datasets]
+    manifest = states[0].model.manifest(states[0].low_layer_list)
     ledger = CommLedger()
 
-    last_low = [
-        state.model.adapter_params(state.low_layer_list) for state in states
-    ]
+    x = np.stack([state.model.adapter_params(state.low_layer_list).values for state in states])
+    shape = x.shape
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
     w = np.tile(m_row, (n, 1))
@@ -196,46 +205,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     records: list[RoundRecord] = []
     for round_index in range(1, cfg.rounds + 1):
         if cfg.aggregator == "sgca":
-            mixed = aggregate(CollaborationMatrix(w, round_index - 1), last_low)
+            mixed = aggregate(CollaborationMatrix(w, round_index - 1), x)
+            del x
+            broadcasts = [serialize_params(row, manifest) for row in mixed]
+            del mixed
         else:
-            shared = fedavg_aggregate(last_low, sizes)
-            mixed = [shared] * n
-        broadcasts = []
-        for i in range(n):
-            msg = WireMessage("broadcast", i, round_index, serialize_params(mixed[i]))
-            ledger.record(msg)
-            broadcasts.append(msg)
-        # The mixes and the payloads are n copies of the low layers each;
-        # dropping them once used keeps them out of the similarity step and
-        # the next round's mixing, where memory peaks.
-        del mixed
+            broadcasts = [serialize_params(fedavg_aggregate(x, sizes), manifest)] * n
+            del x
+        for i, payload in enumerate(broadcasts):
+            ledger.record(WireMessage("broadcast", i, round_index, payload))
 
-        try:
-            if cfg.workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda i: _client_round(states[i], broadcasts[i].payload, round_index),
-                            range(n),
-                        )
-                    )
-            else:
-                results = [
-                    _client_round(states[i], broadcasts[i].payload, round_index) for i in range(n)
-                ]
-        except NumericError as exc:
-            raise NumericError(f"round {round_index}: {exc}") from exc
-
-        del broadcasts
-        # pool.map preserves input order, so results are already client-ordered.
-        updates = [u for u, _ in results]
-        shifts = np.stack([shift for _, shift in results])
-        for update in updates:
+        x = np.empty(shape)
+        updates = []
+        shifts = []
+        for i, state in enumerate(states):
+            try:
+                update, shift = _client_round(state, broadcasts[i], round_index)
+            except NumericError as exc:
+                raise NumericError(f"round {round_index}: {exc}") from exc
+            broadcasts[i] = None
             msg = WireMessage(
                 "upload", update.client_id, round_index, serialize_params(update.low_params)
             )
             ledger.record(msg)
-        last_low = [u.low_params for u in updates]
+            deserialize_params(msg.payload, manifest=manifest, out=x[i])
+            # Row i of x is now the server's only copy of this upload.
+            update.low_params = None
+            updates.append(update)
+            shifts.append(shift)
 
         metrics = np.array(
             [[u.train_loss, u.test_iou, u.test_dice] for u in updates], dtype=np.float64
@@ -245,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         w_snapshot = None
         if cfg.aggregator == "sgca":
-            matrix = update_matrix(updates, cfg.sgca)
+            matrix = update_matrix(updates, x, cfg.sgca)
             w = matrix.w
             w_snapshot = [[float(v) for v in row] for row in w]
 
@@ -258,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 mean_iou=float(metrics[:, 1].mean()),
                 mean_dice=float(metrics[:, 2].mean()),
                 w=w_snapshot,
-                layer_shift=[float(v) for v in shifts.mean(axis=0)],
+                layer_shift=[float(v) for v in np.stack(shifts).mean(axis=0)],
                 comm_total=ledger.total,
             )
         )

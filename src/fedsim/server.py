@@ -4,6 +4,10 @@ Each round the server solves, for every client row, the quadratic program
     min_w sum_j (w_j - m_i)^2 - alpha * sum_j w_j * s_ij   s.t. w on the simplex,
 which reduces to the exact Euclidean projection of m_i + (alpha/2) * s_i.
 A size-weighted plain average is provided as the control aggregator.
+
+The server holds a round's uploads in one (N, P) float64 matrix x, row i
+being client i's upload as decoded from the wire; similarity and mixing
+read x, and a mix is one row of W @ x.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ProtocolError
 from .fed_client import ClientUpdate
-from .numerics import FlatParams, simplex_project
+from .numerics import simplex_project
 
 SIMILARITY_METRICS = ("inner", "cosine", "l1_based", "l2_based")
 # Largest (G_ii + G_jj) / d_ij^2 for which an l2 distance is read off the Gram
@@ -70,45 +74,39 @@ class CollaborationMatrix:
         self.w = w
 
 
-def _check_manifests(params: Sequence[FlatParams]) -> None:
-    first = params[0].manifest
-    for p in params[1:]:
-        if p.manifest != first:
-            raise ProtocolError("parameter manifests differ across clients")
+def _check_uploads(x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise InvalidArgumentError("uploads must be an (N, P) matrix with N >= 1")
 
 
 def pairwise_similarity(
-    params: Sequence[FlatParams], metric: str, normalization: str = "max_abs_row"
+    x: np.ndarray, metric: str, normalization: str = "max_abs_row"
 ) -> np.ndarray:
-    """N x N similarity matrix; larger means more similar for every metric.
+    """N x N similarity matrix of the uploads in the rows of x; larger means more similar.
 
     l2_based / l1_based are negated distances (self-similarity 0); with
     max_abs_row each row is divided by its largest off-diagonal magnitude so
     alpha stays comparable across metrics. inner, cosine and l2_based come
-    from one Gram matrix of the stacked uploads (centered on the first one
-    for l2_based); l1_based takes one difference vector per pair.
+    from one Gram matrix of x (centered on the first row for l2_based);
+    l1_based takes one difference vector per pair.
     """
-    if len(params) == 0:
-        raise InvalidArgumentError("need at least one parameter vector")
+    _check_uploads(x)
     if metric not in SIMILARITY_METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     if normalization not in NORMALIZATIONS:
         raise InvalidArgumentError(f"unknown normalization {normalization!r}")
-    _check_manifests(params)
-    n = len(params)
+    n = x.shape[0]
     s = np.zeros((n, n))
     if metric == "l1_based":
         for i in range(n):
             for j in range(i + 1, n):
-                value = -float(np.linalg.norm(params[i].values - params[j].values, ord=1))
+                value = -float(np.linalg.norm(x[i] - x[j], ord=1))
                 s[i, j] = s[j, i] = value
     else:
-        x = np.stack([p.values for p in params])
-        if metric == "l2_based":
-            # l2 is translation invariant: centering on one upload bounds the
-            # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
-            x -= params[0].values
-        g = x @ x.T
+        # l2 is translation invariant: centering on one upload bounds the
+        # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
+        c = x - x[0] if metric == "l2_based" else x
+        g = c @ c.T
         sq = np.diag(g)
         # Only the upper triangle is filled and then mirrored, so S is exactly
         # symmetric; a GEMM's G is only symmetric up to rounding. The l2
@@ -127,7 +125,7 @@ def pairwise_similarity(
             # Pairs close to each other but far from the center lose precision
             # to cancellation; take those as direct differences.
             for k in np.flatnonzero(d2 * GRAM_CANCELLATION_LIMIT < span):
-                upper[k] = -np.linalg.norm(params[i[k]].values - params[j[k]].values)
+                upper[k] = -np.linalg.norm(x[i[k]] - x[j[k]])
         s[i, j] = upper
         s[j, i] = upper
     if normalization == "max_abs_row":
@@ -148,8 +146,14 @@ def solve_row(m_value: float, s_row: np.ndarray, alpha: float) -> np.ndarray:
     return simplex_project(m_value + (alpha / 2.0) * s_row)
 
 
-def update_matrix(updates: Sequence[ClientUpdate], cfg: SgcaConfig) -> CollaborationMatrix:
-    """Recompute the full collaboration matrix from this round's uploads."""
+def update_matrix(
+    updates: Sequence[ClientUpdate], x: np.ndarray, cfg: SgcaConfig
+) -> CollaborationMatrix:
+    """Recompute the full collaboration matrix from this round's uploads.
+
+    Row i of x is client i's upload; the updates supply each client's id,
+    round and dataset size.
+    """
     cfg.validate()
     n = len(updates)
     ids = sorted(u.client_id for u in updates)
@@ -158,10 +162,10 @@ def update_matrix(updates: Sequence[ClientUpdate], cfg: SgcaConfig) -> Collabora
     rounds = {u.round_index for u in updates}
     if len(rounds) != 1:
         raise ProtocolError(f"updates span multiple rounds: {sorted(rounds)}")
-    by_id = sorted(updates, key=lambda u: u.client_id)
-    params = [u.low_params for u in by_id]
-    s = pairwise_similarity(params, cfg.metric, cfg.normalization)
-    sizes = np.array([u.n_i for u in by_id], dtype=np.float64)
+    if x.shape[0] != n:
+        raise ProtocolError(f"got {n} updates but {x.shape[0]} uploads")
+    s = pairwise_similarity(x, cfg.metric, cfg.normalization)
+    sizes = np.array([u.n_i for u in sorted(updates, key=lambda u: u.client_id)], dtype=np.float64)
     if sizes.sum() <= 0:
         raise ProtocolError("total dataset size must be positive")
     m = sizes / sizes.sum()
@@ -174,27 +178,24 @@ def update_matrix(updates: Sequence[ClientUpdate], cfg: SgcaConfig) -> Collabora
     return CollaborationMatrix(np.vstack(rows), rounds.pop())
 
 
-def aggregate(matrix: CollaborationMatrix, params: Sequence[FlatParams]) -> list[FlatParams]:
-    """Per-client mixes: output_i = sum_j W_ij * params_j."""
-    if len(params) != matrix.w.shape[0]:
+def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:
+    """Per-client mixes of the uploads in the rows of x: row i of W @ x."""
+    _check_uploads(x)
+    if x.shape[0] != matrix.w.shape[0]:
         raise ProtocolError(
-            f"matrix is {matrix.w.shape[0]}x{matrix.w.shape[0]} but got {len(params)} parameter sets"
+            f"matrix is {matrix.w.shape[0]}x{matrix.w.shape[0]} but got {x.shape[0]} uploads"
         )
-    _check_manifests(params)
-    x = np.stack([p.values for p in params])
-    mixed = matrix.w @ x
-    return [params[0].with_values(mixed[i]) for i in range(len(params))]
+    return matrix.w @ x
 
 
-def fedavg_aggregate(params: Sequence[FlatParams], sizes: Sequence[int]) -> FlatParams:
-    """Size-weighted plain average; every client receives this same result."""
-    if len(params) == 0 or len(sizes) != len(params):
-        raise InvalidArgumentError("params and sizes must be non-empty and equal length")
-    _check_manifests(params)
+def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Size-weighted plain average of the rows of x; every client receives this same result."""
+    _check_uploads(x)
+    if len(sizes) != x.shape[0]:
+        raise InvalidArgumentError("sizes must have one entry per upload")
     weights = np.array(sizes, dtype=np.float64)
     total = weights.sum()
     if total <= 0:
         raise InvalidArgumentError("total dataset size must be > 0")
     weights = weights / total
-    x = np.stack([p.values for p in params])
-    return params[0].with_values(weights @ x)
+    return weights @ x

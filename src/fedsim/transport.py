@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter_net import ToyFM
-from .errors import DecodeError, InvalidArgumentError
+from .errors import DecodeError, InvalidArgumentError, ProtocolError
 from .numerics import FlatParams
+
+Manifest = tuple[tuple[int, int], ...]
 
 MAGIC = b"FSCA"
 FORMAT_VERSION = 1
@@ -35,16 +37,27 @@ def select_for_transmission(model: ToyFM, num_layers: int) -> FlatParams:
     return model.adapter_params(list(range(1, num_layers + 1)))
 
 
-def serialize_params(params: FlatParams) -> bytes:
-    chunks = [_FIXED_HEADER.pack(MAGIC, FORMAT_VERSION, len(params.manifest))]
-    for idx, length in params.manifest:
+def serialize_params(params: FlatParams | np.ndarray, manifest: Manifest | None = None) -> bytes:
+    """Wire bytes of a FlatParams, or, with `manifest`, of a flat float64 vector laid out by it.
+
+    The second form serializes a row of the server's mixing output with no
+    FlatParams built for it.
+    """
+    if manifest is None:
+        manifest, values = params.manifest, params.values
+    else:
+        values = params
+        if values.shape != (sum(length for _, length in manifest),):
+            raise InvalidArgumentError(f"values do not match the manifest {manifest}")
+    chunks = [_FIXED_HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest))]
+    for idx, length in manifest:
         chunks.append(_LAYER_ENTRY.pack(idx, length))
     # A no-copy view on little-endian hosts; join makes the payload's one copy.
-    chunks.append(memoryview(params.values.astype("<f8", copy=False)))
+    chunks.append(memoryview(np.ascontiguousarray(values, dtype="<f8")))
     return b"".join(chunks)
 
 
-def _parse_frame(data: bytes) -> tuple[tuple[tuple[int, int], ...], int, int]:
+def _parse_frame(data: bytes) -> tuple[Manifest, int, int]:
     """Manifest, payload offset and scalar count; raises DecodeError naming the failed field."""
     if len(data) < _FIXED_HEADER.size:
         raise DecodeError("header: truncated")
@@ -73,14 +86,31 @@ def payload_scalar_count(data: bytes) -> int:
     return _parse_frame(data)[2]
 
 
-def deserialize_params(data: bytes) -> FlatParams:
-    manifest, offset, total = _parse_frame(data)
-    # FlatParams makes the one copy out of this read-only view of data.
+def deserialize_params(
+    data: bytes, *, manifest: Manifest | None = None, out: np.ndarray | None = None
+) -> FlatParams | np.ndarray:
+    """Decode a payload into a FlatParams.
+
+    With `out`, a float64 vector laid out by `manifest` (such as row i of the
+    server's round matrix), the values are written into `out`, which is
+    returned, and no FlatParams is built. The payload must then carry exactly
+    `manifest`; any other is a ProtocolError, since it is not what the round
+    expects.
+    """
+    found, offset, total = _parse_frame(data)
+    # A read-only view of data; the decoded values are copied once out of it.
     values = np.frombuffer(data, dtype="<f8", count=total, offset=offset)
     if not np.all(np.isfinite(values)):
         raise DecodeError("payload: non-finite value")
+    if out is not None:
+        if manifest is None or out.shape != (sum(length for _, length in manifest),):
+            raise InvalidArgumentError("out must be a vector laid out by the given manifest")
+        if found != tuple(manifest):
+            raise ProtocolError(f"payload manifest {found} differs from the expected {manifest}")
+        out[...] = values
+        return out
     try:
-        return FlatParams(values, manifest)
+        return FlatParams(values, found)
     except InvalidArgumentError as exc:
         raise DecodeError(f"manifest: {exc}") from exc
 

@@ -125,6 +125,19 @@ class TestFlatBuffer:
         model.flat -= 1.0
         assert np.array_equal(twin.blocks[1][1].down_proj.ravel(), before[32:48] + 1.0)
 
+    @pytest.mark.parametrize("layers", [None, [1], [2, 3], [1, 2, 3], [1, 3], []])
+    def test_adapter_params_equals_the_per_layer_concatenation(self, layers):
+        model = small_model(num_blocks=3)
+        model.flat[:] = RngStream(56, 0).draw_gaussian(model.flat.size)
+        picked = [1, 2, 3] if layers is None else layers
+        expected = FlatParams.from_layers(
+            (k, model.flat[(k - 1) * model.layer_size : k * model.layer_size]) for k in picked
+        )
+        got = model.adapter_params(layers)
+        assert got.manifest == expected.manifest
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert not np.shares_memory(got.values, model.flat)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_installing_layer_k_changes_only_its_slice(self, k):
         model = small_model(num_blocks=3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedsim.orchestrator as orchestrator
 from fedsim.adapter_net import (
     AdamState,
     adam_step,
@@ -324,3 +325,16 @@ class TestParamShift:
         assert shift.tobytes() == expected.tobytes()
         assert update.low_params.equals(ref_update.low_params)
         assert np.array_equal(state.model.flat, ref_state.model.flat)
+
+    def test_round_releases_the_reference_once_training_is_done(self, monkeypatch):
+        state = make_state(beta=0.1, low_layers=2)
+        seen = []
+
+        def spy(state, round_index):
+            seen.append(state.theta_ref)
+            return local_train_round(state, round_index)
+
+        monkeypatch.setattr(orchestrator, "local_train_round", spy)
+        _client_round(state, serialize_params(state.model.adapter_params([1, 2])), 1)
+        assert seen[0] is not None and seen[0].layer_indices == (1, 2)
+        assert state.theta_ref is None

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ from fedsim import cli
 from fedsim.adapter_net import AdamState, build_model
 from fedsim.config import apply_sweep_value, parse_config_text
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
-from fedsim.errors import ConfigError, NumericError
+from fedsim.errors import ConfigError, NumericError, ProtocolError
 from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
-from fedsim.numerics import RngStream, derive_stream_id
+from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
 
@@ -90,10 +91,10 @@ class TestRunExperiment:
         monkeypatch.setattr(orchestrator, "aggregate", spy)
         run_experiment(cfg)
         params, mixed = seen["first"]
-        mean = np.mean([p.values for p in params], axis=0)
+        mean = np.mean(params, axis=0)
         for broadcast in mixed:
-            assert np.allclose(broadcast.values, mean, atol=1e-12)
-        payloads = {m.values.tobytes() for m in mixed}
+            assert np.allclose(broadcast, mean, atol=1e-12)
+        payloads = {m.tobytes() for m in mixed}
         assert len(payloads) == 1  # identical broadcast for every client
 
     def test_round_records_have_per_client_vectors(self, small_config_text):
@@ -157,6 +158,122 @@ class TestRunExperiment:
         assert not out.exists()
 
 
+def many_clients_config(num_clients):
+    """Ten-sample clients in two clusters, all six adapter layers uploaded (P = 49,152)."""
+    sizes = ", ".join(["10"] * num_clients)
+    clusters = ", ".join(str(i % 2) for i in range(num_clients))
+    return parse_config_text(
+        f"""
+[run]
+rounds = 3
+seed = 3
+aggregator = sgca
+
+[model]
+num_blocks = 6
+feature_dim = 256
+bottleneck_dim = 16
+
+[client]
+learning_rate = 0.01
+batch_size = 32
+low_layers = 6
+
+[federation]
+client_sizes = {sizes}
+clusters = {clusters}
+
+[cluster.0]
+gain = 1.5
+noise = 0.04
+radius = 2.0, 3.5
+blob_count = 1, 2
+
+[cluster.1]
+gain = 0.4
+noise = 0.04
+radius = 2.0, 3.5
+blob_count = 1, 2
+"""
+    )
+
+
+class TestServerMatrix:
+    """The round loop keeps one (N, P) upload matrix and decodes every upload into it."""
+
+    @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
+    def test_ledger_records_broadcasts_then_uploads_in_client_order(
+        self, small_config_text, aggregator
+    ):
+        cfg = parse_config_text(
+            small_config_text.replace("aggregator = sgca", f"aggregator = {aggregator}")
+        )
+        store = run_experiment(cfg)
+        expected = [
+            (round_index, direction, client_id)
+            for round_index in range(1, 4)
+            for direction in ("broadcast", "upload")
+            for client_id in range(4)
+        ]
+        got = [(e.round_index, e.direction, e.client_id) for e in store.ledger.entries]
+        assert got == expected
+
+    def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
+        def wrong_layers(state, round_index):
+            update = local_train_round(state, round_index)
+            if state.client_id == 2:
+                update.low_params = state.model.adapter_params([2])
+            return update
+
+        monkeypatch.setattr(orchestrator, "local_train_round", wrong_layers)
+        with pytest.raises(ProtocolError, match="manifest"):
+            run_experiment(parse_config_text(small_config_text))
+
+    def test_uploads_are_decoded_into_the_matrix_update_matrix_reads(
+        self, small_config_text, monkeypatch
+    ):
+        seen = []
+        real = orchestrator.update_matrix
+
+        def spy(updates, x, cfg):
+            seen.append((x.copy(), [u.low_params for u in updates]))
+            return real(updates, x, cfg)
+
+        trained = []
+        real_train = orchestrator.local_train_round
+
+        def record(state, round_index):
+            update = real_train(state, round_index)
+            trained.append(update.low_params.values.copy())
+            return update
+
+        monkeypatch.setattr(orchestrator, "update_matrix", spy)
+        monkeypatch.setattr(orchestrator, "local_train_round", record)
+        run_experiment(parse_config_text(small_config_text))
+        assert len(seen) == 3
+        for round_index, (x, lows) in enumerate(seen):
+            assert x.tobytes() == np.stack(trained[4 * round_index : 4 * round_index + 4]).tobytes()
+            # The server's row is the only copy kept of an upload once decoded.
+            assert lows == [None] * 4
+
+    def test_traced_peak_grows_by_at_most_five_and_a_half_uploads_per_client(self):
+        # Per client the run keeps model.flat and two Adam moments (3 P); a
+        # round adds at most two (N, P) buffers on top: x and its mixes, the
+        # broadcasts and the next x, or x and its centered copy.
+        def traced_peak(num_clients):
+            cfg = many_clients_config(num_clients)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        upload_bytes = 8 * 6 * 2 * 256 * 16
+        per_client = (traced_peak(16) - traced_peak(8)) / 8
+        assert per_client <= 5.5 * upload_bytes, per_client / upload_bytes
+
+
 class TestFedavgSymmetry:
     def test_equal_clients_stay_identical_every_round(self):
         # Two clients with byte-identical datasets, models, and optimizer state:
@@ -189,8 +306,8 @@ class TestFedavgSymmetry:
         # Identical shuffle streams as well: both clients must act as clones.
         states[1].client_id = 0
         for round_index in range(1, 4):
-            lows = [s.model.adapter_params([1]) for s in states]
-            shared = fedavg_aggregate(lows, [20, 20])
+            lows = np.stack([s.model.adapter_params([1]).values for s in states])
+            shared = FlatParams(fedavg_aggregate(lows, [20, 20]), states[0].model.manifest([1]))
             for state in states:
                 install_low_adapters(state, shared)
                 local_train_round(state, round_index)

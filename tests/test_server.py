@@ -14,11 +14,29 @@ from fedsim.server import (
     solve_row,
     update_matrix,
 )
+from fedsim.transport import deserialize_params, serialize_params
 
 
 def flat(values, manifest=None):
     values = np.asarray(values, dtype=float)
     return FlatParams(values, manifest or ((1, values.size),))
+
+
+def uploads(params):
+    """The server's (N, P) matrix: each upload sent over the wire and decoded into its row.
+
+    The decode checks every upload against the first one's manifest, as the
+    round loop checks them against the round's low layers.
+    """
+    manifest = params[0].manifest
+    x = np.zeros((len(params), params[0].total_size))
+    for row, p in zip(x, params):
+        deserialize_params(serialize_params(p), manifest=manifest, out=row)
+    return x
+
+
+def update_uploads(updates):
+    return uploads([u.low_params for u in updates])
 
 
 def make_update(client_id, values, n_i=10, round_index=1):
@@ -83,28 +101,28 @@ class TestPairwiseSimilarity:
         for values in ([1.0, 2.0], RngStream(41, 0).draw_gaussian(49152)):
             params = [flat(values)] * 3
             for normalization in ("none", "max_abs_row"):
-                s = pairwise_similarity(params, "l2_based", normalization)
+                s = pairwise_similarity(uploads(params), "l2_based", normalization)
                 assert np.array_equal(s, np.zeros((3, 3)))
 
     def test_l2_three_four_five_triangle(self):
-        s = pairwise_similarity([flat([0.0, 0.0]), flat([3.0, 4.0])], "l2_based", "none")
+        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l2_based", "none")
         assert s[0, 1] == pytest.approx(-5.0)
         assert s[1, 0] == pytest.approx(-5.0)
 
     def test_l1_distance(self):
-        s = pairwise_similarity([flat([0.0, 0.0]), flat([3.0, 4.0])], "l1_based", "none")
+        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l1_based", "none")
         assert s[0, 1] == pytest.approx(-7.0)
 
     def test_cosine_self_similarity_is_one(self):
         stream = RngStream(30, 0)
         params = [flat(stream.draw_gaussian(5)) for _ in range(4)]
-        s = pairwise_similarity(params, "cosine", "none")
+        s = pairwise_similarity(uploads(params), "cosine", "none")
         assert np.allclose(np.diag(s), 1.0)
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
     def test_inner_self_similarity_is_squared_norm(self):
         v = np.array([1.0, 2.0, 2.0])
-        s = pairwise_similarity([flat(v), flat(-v)], "inner", "none")
+        s = pairwise_similarity(uploads([flat(v), flat(-v)]), "inner", "none")
         assert s[0, 0] == pytest.approx(9.0)
 
     def test_raw_matrix_is_symmetric(self):
@@ -112,22 +130,22 @@ class TestPairwiseSimilarity:
         for size in (6, 1000):
             params = [flat(3.0 + stream.draw_gaussian(size)) for _ in range(5)]
             for metric in ("inner", "cosine", "l1_based", "l2_based"):
-                s = pairwise_similarity(params, metric, "none")
+                s = pairwise_similarity(uploads(params), metric, "none")
                 assert np.array_equal(s, s.T), metric
-            l2 = pairwise_similarity(params, "l2_based", "none")
+            l2 = pairwise_similarity(uploads(params), "l2_based", "none")
             assert np.array_equal(np.diag(l2), np.zeros(5))
 
     def test_max_abs_row_normalization_bounds_off_diagonal(self):
         stream = RngStream(32, 0)
         params = [flat(10.0 * stream.draw_gaussian(6)) for _ in range(4)]
-        s = pairwise_similarity(params, "l2_based", "max_abs_row")
+        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         for i in range(4):
             off = np.abs(np.delete(s[i], i))
             assert off.max() == pytest.approx(1.0)
 
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            pairwise_similarity([flat([1.0]), flat([1.0], ((2, 1),))], "l2_based")
+            pairwise_similarity(uploads([flat([1.0]), flat([1.0], ((2, 1),))]), "l2_based")
 
     @pytest.mark.parametrize("n", [2, 4, 32])
     @pytest.mark.parametrize("size", [7, 1000, 49152])
@@ -136,7 +154,7 @@ class TestPairwiseSimilarity:
         offset = stream.draw_gaussian(size)
         params = [flat(offset + 0.05 * stream.draw_gaussian(size)) for _ in range(n)]
         for metric in ("inner", "cosine", "l1_based", "l2_based"):
-            s = pairwise_similarity(params, metric, "max_abs_row")
+            s = pairwise_similarity(uploads(params), metric, "max_abs_row")
             expected = pair_loop_similarity(params, metric, "max_abs_row")
             assert np.max(np.abs(s - expected)) <= 1e-12, metric
 
@@ -146,7 +164,7 @@ class TestPairwiseSimilarity:
         # G_ii + G_jj - 2 G_ij; 50 keeps every pair on the Gram path, the
         # larger spreads send the far cluster's pairs past the cancellation limit.
         params = far_clusters(spread)
-        s = pairwise_similarity(params, "l2_based", "max_abs_row")
+        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
         assert np.max(np.abs(s - expected)) <= 1e-12
 
@@ -161,20 +179,20 @@ class TestPairwiseSimilarity:
         calls = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
-        pairwise_similarity(params, "l2_based", "max_abs_row")
+        pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         assert len(calls) == direct_pairs
 
     def test_duplicate_upload_among_distinct_is_exactly_zero_apart(self):
         stream = RngStream(42, 0)
         values = [stream.draw_gaussian(4096) for _ in range(3)]
         params = [flat(values[0]), flat(values[1]), flat(values[2]), flat(values[1])]
-        s = pairwise_similarity(params, "l2_based", "none")
+        s = pairwise_similarity(uploads(params), "l2_based", "none")
         assert s[1, 3] == 0.0 and s[3, 1] == 0.0
 
     def test_single_upload(self):
         params = [flat([3.0, 4.0])]
-        assert np.array_equal(pairwise_similarity(params, "l2_based"), [[0.0]])
-        assert np.array_equal(pairwise_similarity(params, "inner"), [[25.0]])
+        assert np.array_equal(pairwise_similarity(uploads(params), "l2_based"), [[0.0]])
+        assert np.array_equal(pairwise_similarity(uploads(params), "inner"), [[25.0]])
 
 
 class TestSolveRow:
@@ -233,7 +251,7 @@ class TestSolveRow:
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
         updates = [make_update(i, [float(i), 0.0], n_i=10 + i) for i in range(4)]
-        matrix = update_matrix(updates, SgcaConfig(alpha=0.0))
+        matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
             assert len(set(row.tolist())) == 1
@@ -244,7 +262,7 @@ class TestUpdateMatrix:
             make_update(1, [1.0, 1.0]),
             make_update(2, [4.0, -3.0]),
         ]
-        matrix = update_matrix(updates, SgcaConfig(alpha=1.0))
+        matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=1.0))
         assert matrix.w[0, 1] >= matrix.w[0, 2]
         assert matrix.w[1, 0] >= matrix.w[1, 2]
 
@@ -252,14 +270,11 @@ class TestUpdateMatrix:
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
         sizes = [10, 20, 30]
-        base = update_matrix(
-            [make_update(i, vectors[i], n_i=sizes[i]) for i in range(3)], SgcaConfig()
-        )
+        updates = [make_update(i, vectors[i], n_i=sizes[i]) for i in range(3)]
+        base = update_matrix(updates, update_uploads(updates), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
-        permuted = update_matrix(
-            [make_update(i, vectors[perm[i]], n_i=sizes[perm[i]]) for i in range(3)],
-            SgcaConfig(),
-        )
+        updates = [make_update(i, vectors[perm[i]], n_i=sizes[perm[i]]) for i in range(3)]
+        permuted = update_matrix(updates, update_uploads(updates), SgcaConfig())
         for i in range(3):
             for j in range(3):
                 assert permuted.w[i, j] == pytest.approx(base.w[perm[i], perm[j]], abs=1e-12)
@@ -271,24 +286,26 @@ class TestUpdateMatrix:
                 make_update(i, stream.draw_gaussian(6), n_i=stream.draw_integer(5, 50))
                 for i in range(5)
             ]
-            matrix = update_matrix(updates, SgcaConfig(alpha=alpha))
+            matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)
 
     def test_duplicate_ids_rejected(self):
         updates = [make_update(0, [1.0]), make_update(0, [2.0])]
         with pytest.raises(ProtocolError):
-            update_matrix(updates, SgcaConfig())
+            update_matrix(updates, update_uploads(updates), SgcaConfig())
 
     def test_inconsistent_rounds_rejected(self):
         updates = [make_update(0, [1.0]), make_update(1, [2.0], round_index=2)]
         with pytest.raises(ProtocolError):
-            update_matrix(updates, SgcaConfig())
+            update_matrix(updates, update_uploads(updates), SgcaConfig())
 
     def test_column_mode_reflects_dataset_sizes(self):
         # With zero similarities, column mode projects the size prior itself.
         updates = [make_update(i, [1.0, 1.0], n_i=n) for i, n in enumerate((10, 20, 70))]
-        matrix = update_matrix(updates, SgcaConfig(alpha=0.0, m_mode="column_mj"))
+        matrix = update_matrix(
+            updates, update_uploads(updates), SgcaConfig(alpha=0.0, m_mode="column_mj")
+        )
         assert np.allclose(matrix.w[0], [0.1, 0.2, 0.7], atol=1e-12)
 
 
@@ -298,33 +315,33 @@ class TestAggregate:
 
     def test_identity_matrix_returns_inputs(self):
         params = [self._params([1.0, 2.0]), self._params([3.0, 4.0])]
-        out = aggregate(CollaborationMatrix(np.eye(2), 0), params)
-        assert out[0].equals(params[0])
-        assert out[1].equals(params[1])
+        out = aggregate(CollaborationMatrix(np.eye(2), 0), uploads(params))
+        assert np.array_equal(out[0], params[0].values)
+        assert np.array_equal(out[1], params[1].values)
 
     def test_uniform_matrix_returns_mean(self):
         params = [self._params([0.0, 2.0]), self._params([2.0, 0.0])]
-        out = aggregate(CollaborationMatrix(np.full((2, 2), 0.5), 0), params)
-        assert np.allclose(out[0].values, [1.0, 1.0])
-        assert np.allclose(out[1].values, [1.0, 1.0])
+        out = aggregate(CollaborationMatrix(np.full((2, 2), 0.5), 0), uploads(params))
+        assert np.allclose(out[0], [1.0, 1.0])
+        assert np.allclose(out[1], [1.0, 1.0])
 
     def test_convex_combination(self):
         params = [self._params([1.0, 1.0]), self._params([5.0, 5.0])]
         w = CollaborationMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0)
-        out = aggregate(w, params)
-        assert np.allclose(out[0].values, [2.0, 2.0])
+        out = aggregate(w, uploads(params))
+        assert np.allclose(out[0], [2.0, 2.0])
 
     def test_outputs_stay_in_convex_hull(self):
         stream = RngStream(38, 0)
         params = [self._params(stream.draw_gaussian(6)) for _ in range(4)]
         rows = np.vstack([np.abs(stream.draw_gaussian(4)) for _ in range(4)])
         rows = rows / rows.sum(axis=1, keepdims=True)
-        out = aggregate(CollaborationMatrix(rows, 0), params)
+        out = aggregate(CollaborationMatrix(rows, 0), uploads(params))
         stacked = np.stack([p.values for p in params])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         for mixed in out:
-            assert np.all(mixed.values >= lo - 1e-12)
-            assert np.all(mixed.values <= hi + 1e-12)
+            assert np.all(mixed >= lo - 1e-12)
+            assert np.all(mixed <= hi + 1e-12)
 
     def test_matrix_validation_rejects_bad_rows(self):
         with pytest.raises(InvalidArgumentError):
@@ -335,17 +352,17 @@ class TestAggregate:
 
 class TestFedavg:
     def test_equal_sizes_average(self):
-        out = fedavg_aggregate([flat([0.0, 0.0]), flat([2.0, 2.0])], [5, 5])
-        assert np.allclose(out.values, [1.0, 1.0])
+        out = fedavg_aggregate(uploads([flat([0.0, 0.0]), flat([2.0, 2.0])]), [5, 5])
+        assert np.allclose(out, [1.0, 1.0])
 
     def test_size_weighted_average(self):
-        out = fedavg_aggregate([flat([0.0]), flat([4.0])], [1, 3])
-        assert np.allclose(out.values, [3.0])
+        out = fedavg_aggregate(uploads([flat([0.0]), flat([4.0])]), [1, 3])
+        assert np.allclose(out, [3.0])
 
     def test_single_client_returns_own_params(self):
-        out = fedavg_aggregate([flat([1.5, -2.0])], [7])
-        assert np.allclose(out.values, [1.5, -2.0])
+        out = fedavg_aggregate(uploads([flat([1.5, -2.0])]), [7])
+        assert np.allclose(out, [1.5, -2.0])
 
     def test_zero_total_size_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            fedavg_aggregate([flat([1.0])], [0])
+            fedavg_aggregate(uploads([flat([1.0])]), [0])

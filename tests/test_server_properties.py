@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from fedsim.numerics import FlatParams  # noqa: E402
 from fedsim.server import SIMILARITY_METRICS, pairwise_similarity  # noqa: E402
 
 # Integer-valued uploads: every Gram entry and difference is exact in float64,
@@ -18,10 +17,6 @@ integer_uploads = st.integers(2, 6).flatmap(
         lambda size: arrays(np.float64, (n, size), elements=st.integers(-8, 8).map(float))
     )
 )
-
-
-def as_params(x):
-    return [FlatParams(row, ((1, row.size),)) for row in x]
 
 
 @settings(deadline=None, database=None)
@@ -35,8 +30,8 @@ def test_l2_is_translation_invariant(x, seed, normalization):
     # rounds each coordinate of x + t by at most 6e-11.
     assume(len({row.tobytes() for row in x}) == x.shape[0])
     t = np.random.default_rng(seed).uniform(-1e6, 1e6, x.shape[1])
-    s = pairwise_similarity(as_params(x), "l2_based", normalization)
-    moved = pairwise_similarity(as_params(x + t), "l2_based", normalization)
+    s = pairwise_similarity(x, "l2_based", normalization)
+    moved = pairwise_similarity(x + t, "l2_based", normalization)
     assert np.max(np.abs(moved - s)) <= 1e-8 * max(1.0, np.max(np.abs(s)))
 
 
@@ -49,6 +44,6 @@ def test_l2_is_translation_invariant(x, seed, normalization):
 )
 def test_relabelling_clients_permutes_similarity(x, seed, metric, normalization):
     perm = np.random.default_rng(seed).permutation(x.shape[0])
-    s = pairwise_similarity(as_params(x), metric, normalization)
-    permuted = pairwise_similarity(as_params(x[perm]), metric, normalization)
+    s = pairwise_similarity(x, metric, normalization)
+    permuted = pairwise_similarity(x[perm], metric, normalization)
     assert np.array_equal(permuted, s[np.ix_(perm, perm)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim.adapter_net import build_model
-from fedsim.errors import DecodeError, InvalidArgumentError
+from fedsim.errors import DecodeError, InvalidArgumentError, ProtocolError
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.transport import (
     CommLedger,
@@ -124,6 +124,54 @@ class TestSerialization:
         path = tmp_path / "adapters.fsca"
         write_params_file(params, str(path))
         assert read_params_file(str(path)).equals(params)
+
+
+class TestDecodeIntoRow:
+    """Decoding an upload straight into the server's row: the upload decode boundary."""
+
+    MANIFEST = ((1, 3), (2, 2))
+
+    def _payload(self, values=(1.5, -2.0, 0.25, 4.0, -8.5), manifest=MANIFEST):
+        return serialize_params(FlatParams(np.array(values), manifest))
+
+    def test_values_land_in_the_row_bit_for_bit(self):
+        stream = RngStream(54, 0)
+        values = stream.draw_gaussian(5)
+        x = np.zeros((3, 5))
+        written = deserialize_params(self._payload(values), manifest=self.MANIFEST, out=x[1])
+        assert written is not None and np.shares_memory(written, x)
+        assert x[1].tobytes() == values.tobytes()
+        assert not np.any(x[[0, 2]])
+
+    def test_mismatched_manifest_is_a_protocol_error_and_writes_nothing(self):
+        row = np.zeros(5)
+        for manifest in (((1, 3), (3, 2)), ((1, 2), (2, 3)), ((1, 5),)):
+            with pytest.raises(ProtocolError, match="manifest"):
+                deserialize_params(
+                    self._payload(manifest=manifest), manifest=self.MANIFEST, out=row
+                )
+        assert not np.any(row)
+
+    def test_non_finite_upload_is_a_decode_error(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            data = bytearray(self._payload())
+            data[-16:-8] = np.array([bad]).tobytes()
+            with pytest.raises(DecodeError, match=r"^payload: "):
+                deserialize_params(bytes(data), manifest=self.MANIFEST, out=np.zeros(5))
+
+    def test_out_must_be_laid_out_by_the_manifest(self):
+        with pytest.raises(InvalidArgumentError):
+            deserialize_params(self._payload(), out=np.zeros(5))
+        with pytest.raises(InvalidArgumentError):
+            deserialize_params(self._payload(), manifest=self.MANIFEST, out=np.zeros(4))
+
+    def test_serializing_a_row_matches_serializing_its_flatparams(self):
+        x = RngStream(55, 0).draw_gaussian(10).reshape(2, 5)
+        for row in x:
+            expected = serialize_params(FlatParams(row, self.MANIFEST))
+            assert serialize_params(row, self.MANIFEST) == expected
+        with pytest.raises(InvalidArgumentError):
+            serialize_params(x[0, :4], self.MANIFEST)
 
 
 class TestLedger:
