@@ -8,79 +8,10 @@ similarity-guided quadratic program over the probability simplex.
 
 __version__ = "0.1.0"
 
-from .adapter_net import (
-    AdamState,
-    AdapterParams,
-    FrozenBlock,
-    ToyFM,
-    adam_step,
-    adapter_forward,
-    build_model,
-    model_forward,
-    objective,
-    reg_loss,
-    seg_loss,
-)
-from .config import ExperimentConfig, ModelConfig, load_config, parse_config_text
-from .datagen import (
-    ClientDataset,
-    ClusterParams,
-    FederationSpec,
-    Sample,
-    generate_client_dataset,
-    generate_federation,
-    load_federation,
-    save_federation,
-    split_train_test,
-)
-from .errors import (
-    ConfigError,
-    DecodeError,
-    FedsimError,
-    InvalidArgumentError,
-    InvalidStateError,
-    NumericError,
-    ProtocolError,
-)
-from .fed_client import (
-    ClientConfig,
-    ClientState,
-    ClientUpdate,
-    evaluate,
-    install_low_adapters,
-    iou_dice,
-    local_train_round,
-    measure_param_shift,
-)
-from .numerics import (
-    FlatParams,
-    RngStream,
-    derive_stream_id,
-    finite_diff_grad,
-    simplex_project,
-)
-from .orchestrator import (
-    ResultsStore,
-    RoundRecord,
-    export_store,
-    run_experiment,
-    run_sweep,
-)
-from .server import (
-    CollaborationMatrix,
-    SgcaConfig,
-    aggregate,
-    fedavg_aggregate,
-    pairwise_similarity,
-    solve_row,
-    update_matrix,
-)
-from .transport import (
-    CommLedger,
-    WireMessage,
-    deserialize_params,
-    read_params_file,
-    select_for_transmission,
-    serialize_params,
-    write_params_file,
-)
+# The names scripts outside the package use; everything else is imported
+# from its submodule.
+from .adapter_net import build_model, objective
+from .config import load_config, parse_config_text
+from .datagen import generate_federation
+from .numerics import RngStream, derive_stream_id
+from .orchestrator import run_experiment

@@ -23,78 +23,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class AdapterParams:
-    """Trainable bottleneck adapter: down projection, ReLU, up projection.
-
-    down_proj is (bottleneck_dim, feature_dim); up_proj is
-    (feature_dim, bottleneck_dim). No bias terms. Both are reshaped views
-    of one flat vector, `values` (down_proj then up_proj, row-major);
-    assigning a projection writes into that vector in place.
-    """
-
-    __slots__ = ("values", "_down", "_up")
-
-    def __init__(self, down_proj: np.ndarray, up_proj: np.ndarray) -> None:
-        down = np.array(down_proj, dtype=np.float64)
-        up = np.array(up_proj, dtype=np.float64)
-        if down.ndim != 2 or up.ndim != 2:
-            raise InvalidArgumentError("adapter projections must be matrices")
-        b, d = down.shape
-        d2, b2 = up.shape
-        if (d, b) != (d2, b2):
-            raise InvalidArgumentError(
-                f"up_proj shape {up.shape} does not mirror down_proj {down.shape}"
-            )
-        if b >= d:
-            raise InvalidArgumentError("bottleneck_dim must be smaller than feature_dim")
-        if not (np.all(np.isfinite(down)) and np.all(np.isfinite(up))):
-            raise InvalidArgumentError("adapter parameters must be finite")
-        self._bind(np.concatenate([down.ravel(), up.ravel()]), b, d)
-
-    @classmethod
-    def over(cls, values: np.ndarray, bottleneck_dim: int, feature_dim: int) -> "AdapterParams":
-        """An adapter whose projections are views of `values` (no copy, no checks)."""
-        adapter = cls.__new__(cls)
-        adapter._bind(values, bottleneck_dim, feature_dim)
-        return adapter
-
-    def _bind(self, values: np.ndarray, b: int, d: int) -> None:
-        self.values = values
-        self._down = values[: b * d].reshape(b, d)
-        self._up = values[b * d :].reshape(d, b)
-
-    @property
-    def down_proj(self) -> np.ndarray:
-        return self._down
-
-    @down_proj.setter
-    def down_proj(self, value: np.ndarray) -> None:
-        _assign(self._down, value)
-
-    @property
-    def up_proj(self) -> np.ndarray:
-        return self._up
-
-    @up_proj.setter
-    def up_proj(self, value: np.ndarray) -> None:
-        _assign(self._up, value)
-
-    @property
-    def feature_dim(self) -> int:
-        return self._down.shape[1]
-
-    @property
-    def bottleneck_dim(self) -> int:
-        return self._down.shape[0]
-
-
-def _assign(target: np.ndarray, value: np.ndarray) -> None:
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != target.shape:
-        raise InvalidArgumentError(f"expected a {target.shape} projection, got {value.shape}")
-    target[...] = value
-
-
 @dataclass(frozen=True)
 class FrozenBlock:
     """Immutable linear map (weight, bias); never receives gradient."""
@@ -117,36 +45,49 @@ class FrozenBlock:
 
 @dataclass
 class ToyFM:
-    """K frozen blocks, each wrapped with an adapter, plus a frozen head.
+    """K frozen blocks, each followed by a bottleneck adapter, plus a frozen head.
 
     The model owns every adapter weight in one contiguous float64 vector,
     `flat`, in FlatParams order: layers ascending, down_proj before up_proj,
-    row-major within each. Each block's adapter is a view of its slice, so
-    writing `flat` (Adam, install) moves the adapters with no copies.
+    row-major within each. down_proj is (bottleneck_dim, feature_dim) and
+    up_proj is (feature_dim, bottleneck_dim); there are no bias terms.
+    `adapters[k - 1]` is layer k's (down_proj, up_proj) as reshaped views of
+    its slice, so writing `flat` (Adam, install) moves the adapters with no
+    copies. The constructor copies `flat`.
     """
 
-    blocks: list[tuple[FrozenBlock, AdapterParams]]
+    blocks: list[FrozenBlock]
     head: FrozenBlock
     feature_dim: int
     bottleneck_dim: int
-    flat: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray = field(repr=False)
+    adapters: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.bottleneck_dim >= self.feature_dim:
+            raise InvalidArgumentError("bottleneck_dim must be smaller than feature_dim")
         if len(self.blocks) < 2:
             raise InvalidArgumentError("model needs at least 2 blocks")
-        for block, adapter in self.blocks:
+        for block in self.blocks:
             if block.weight.shape != (self.feature_dim, self.feature_dim):
                 raise InvalidArgumentError("frozen block dimension mismatch")
-            if adapter.feature_dim != self.feature_dim:
-                raise InvalidArgumentError("adapter feature_dim mismatch")
-            if adapter.bottleneck_dim != self.bottleneck_dim:
-                raise InvalidArgumentError("adapter bottleneck_dim mismatch")
-        self.flat = np.concatenate([adapter.values for _, adapter in self.blocks])
-        b, d = self.bottleneck_dim, self.feature_dim
-        self.blocks = [
-            (block, AdapterParams.over(self.flat[self._span(k)], b, d))
-            for k, (block, _) in enumerate(self.blocks, start=1)
-        ]
+        flat = np.array(self.flat, dtype=np.float64)
+        size = self.num_blocks * self.layer_size
+        if flat.shape != (size,):
+            raise InvalidArgumentError(f"flat must be a vector of {size} adapter values")
+        if not np.all(np.isfinite(flat)):
+            raise InvalidArgumentError("adapter parameters must be finite")
+        self.flat = flat
+        self.adapters = [self._layer_views(flat, k) for k in range(1, self.num_blocks + 1)]
+
+    def _layer_views(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer k's (down_proj, up_proj) as views of `values`, a vector laid out like flat."""
+        layer = values[self._span(k)]
+        cut = self.bottleneck_dim * self.feature_dim
+        return (
+            layer[:cut].reshape(self.bottleneck_dim, self.feature_dim),
+            layer[cut:].reshape(self.feature_dim, self.bottleneck_dim),
+        )
 
     @property
     def num_blocks(self) -> int:
@@ -209,7 +150,7 @@ class ToyFM:
     def frozen_digest(self) -> str:
         """SHA-256 over every frozen weight and bias, in block order."""
         h = hashlib.sha256()
-        for block, _ in self.blocks:
+        for block in self.blocks:
             h.update(block.weight.tobytes())
             h.update(block.bias.tobytes())
         h.update(self.head.weight.tobytes())
@@ -218,7 +159,9 @@ class ToyFM:
 
     def clone(self) -> "ToyFM":
         """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
-        return ToyFM(list(self.blocks), self.head, self.feature_dim, self.bottleneck_dim)
+        return ToyFM(
+            list(self.blocks), self.head, self.feature_dim, self.bottleneck_dim, self.flat
+        )
 
 
 def _orthogonal(stream: RngStream, n: int) -> np.ndarray:
@@ -240,19 +183,24 @@ def build_model(
     up_proj starts at zero, so each adapter is the identity map and every
     freshly built model computes the same function as its frozen backbone.
     """
-    if bottleneck_dim >= feature_dim:
-        raise InvalidArgumentError("bottleneck_dim must be smaller than feature_dim")
     blocks = []
     for _ in range(num_blocks):
         weight = _orthogonal(frozen_stream, feature_dim)
         bias = 0.1 * frozen_stream.draw_gaussian(feature_dim)
-        down = adapter_stream.draw_gaussian(bottleneck_dim * feature_dim).reshape(
-            bottleneck_dim, feature_dim
-        ) / np.sqrt(feature_dim)
-        up = np.zeros((feature_dim, bottleneck_dim))
-        blocks.append((FrozenBlock(weight, bias), AdapterParams(down, up)))
+        blocks.append(FrozenBlock(weight, bias))
     head = FrozenBlock(_orthogonal(frozen_stream, feature_dim), np.zeros(feature_dim))
-    return ToyFM(blocks, head, feature_dim, bottleneck_dim)
+    flat = np.zeros(num_blocks * 2 * feature_dim * bottleneck_dim)
+    model = ToyFM(blocks, head, feature_dim, bottleneck_dim, flat)
+    draw_adapters(model, adapter_stream)
+    return model
+
+
+def draw_adapters(model: ToyFM, stream: RngStream) -> None:
+    """Redraw every adapter in place, layer by layer: down_proj from N(0, 1/d), up_proj zero."""
+    scale = np.sqrt(model.feature_dim)
+    for down, up in model.adapters:
+        down[...] = stream.draw_gaussian(down.size).reshape(down.shape) / scale
+        up[...] = 0.0
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -267,18 +215,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def adapter_forward(f: np.ndarray, adapter: AdapterParams) -> np.ndarray:
+def adapter_forward(f: np.ndarray, down_proj: np.ndarray, up_proj: np.ndarray) -> np.ndarray:
     """Residual bottleneck: up_proj @ relu(down_proj @ f) + f.
 
     Accepts a single feature vector or a (batch, feature_dim) matrix.
     """
     f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] != adapter.feature_dim:
+    if f.shape[-1] != down_proj.shape[1]:
         raise InvalidArgumentError(
-            f"feature length {f.shape[-1]} does not match adapter dim {adapter.feature_dim}"
+            f"feature length {f.shape[-1]} does not match adapter dim {down_proj.shape[1]}"
         )
-    hidden = _relu(f @ adapter.down_proj.T)
-    return hidden @ adapter.up_proj.T + f
+    hidden = _relu(f @ down_proj.T)
+    return hidden @ up_proj.T + f
 
 
 def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
@@ -289,8 +237,8 @@ def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
             f"input length {x.shape[-1]} does not match feature_dim {model.feature_dim}"
         )
     h = x
-    for block, adapter in model.blocks:
-        h = adapter_forward(_relu(h @ block.weight.T + block.bias), adapter)
+    for block, (down, up) in zip(model.blocks, model.adapters):
+        h = adapter_forward(_relu(h @ block.weight.T + block.bias), down, up)
     return h @ model.head.weight.T + model.head.bias
 
 
@@ -412,22 +360,17 @@ def _check_objective_args(
     return images, masks, (runs, theta_ref.values)
 
 
-def _reference_layers(model: ToyFM, spans: list[slice]) -> np.ndarray:
-    """A copy of the model's adapters at spans, concatenated in order."""
-    return np.concatenate([model.flat[span] for span in spans])
-
-
 def _forward_cached(x: np.ndarray, model: ToyFM):
     """model_forward's arithmetic, in place where it can be, keeping what backprop needs."""
     h = x
     cache = []
-    for block, adapter in model.blocks:
+    for block, (down, up) in zip(model.blocks, model.adapters):
         r = h @ block.weight.T
         r += block.bias
         np.maximum(r, 0.0, out=r)
-        u = r @ adapter.down_proj.T
+        u = r @ down.T
         s = _relu(u)
-        h = s @ adapter.up_proj.T
+        h = s @ up.T
         h += r
         cache.append((r, u, s))
     logits = h @ model.head.weight.T + model.head.bias
@@ -470,17 +413,17 @@ def objective_and_grad(
     g = g @ model.head.weight
 
     for k in range(model.num_blocks, 0, -1):
-        block, adapter = model.blocks[k - 1]
+        down, up = model.adapters[k - 1]
         r, u, s = cache[k - 1]
-        layer = AdapterParams.over(grads[model._span(k)], model.bottleneck_dim, model.feature_dim)
-        np.matmul(g.T, s, out=layer.up_proj)
-        d_hidden = (g @ adapter.up_proj) * (u > 0)
-        np.matmul(d_hidden.T, r, out=layer.down_proj)
+        grad_down, grad_up = model._layer_views(grads, k)
+        np.matmul(g.T, s, out=grad_up)
+        d_hidden = (g @ up) * (u > 0)
+        np.matmul(d_hidden.T, r, out=grad_down)
         if k > 1:
-            d_input = d_hidden @ adapter.down_proj
+            d_input = d_hidden @ down
             d_input += g
             d_input *= r > 0
-            g = d_input @ block.weight
+            g = d_input @ model.blocks[k - 1].weight
 
     if ref is not None:
         runs, reference = ref
@@ -511,8 +454,8 @@ def objective(
     images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     loss = _bce(sigmoid(model_forward(images, model)), masks)
     if ref is not None:
-        spans, reference = ref
-        loss += beta * _neg_cosine(*_cosine_parts(_reference_layers(model, spans), reference))
+        runs, reference = ref
+        loss += beta * _neg_cosine(*_cosine_parts(model._values_at(runs), reference))
     return loss
 
 

@@ -43,14 +43,10 @@ class ExperimentConfig:
     aggregator: str = "sgca"
     rounds: int = 100
     seed: int = 0
-    # Parsed, validated and hashed, but clients always run one after another.
-    workers: int = 1
 
     def validate(self) -> None:
         if self.rounds < 1:
             raise ConfigError("run.rounds must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("run.workers must be >= 1")
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"run.aggregator must be one of {AGGREGATORS}")
         self.model.validate()
@@ -72,7 +68,6 @@ class ExperimentConfig:
                 "rounds": self.rounds,
                 "seed": self.seed,
                 "aggregator": self.aggregator,
-                "workers": self.workers,
             },
             "model": {
                 "num_blocks": self.model.num_blocks,
@@ -121,7 +116,7 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {
-    "run": {"rounds", "seed", "aggregator", "workers"},
+    "run": {"rounds", "seed", "aggregator"},
     "model": {"num_blocks", "feature_dim", "bottleneck_dim"},
     "client": {"learning_rate", "batch_size", "local_epochs", "beta", "low_layers"},
     "sgca": {"alpha", "metric", "normalization", "m_mode"},
@@ -259,7 +254,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         aggregator=str(get("run", "aggregator", "sgca")),
         rounds=_parse_scalar("run", "rounds", str(get("run", "rounds", 100)), int),
         seed=run_seed,
-        workers=_parse_scalar("run", "workers", str(get("run", "workers", 1)), int),
     )
     cfg.validate()
     return cfg

@@ -1,4 +1,4 @@
-"""Client-side runtime: install the broadcast adapters, train locally, package the upload."""
+"""Client-side runtime: install the broadcast adapters, train locally, report metrics."""
 
 from __future__ import annotations
 
@@ -44,15 +44,10 @@ class ClientConfig:
 
 @dataclass
 class ClientUpdate:
-    """Per-round upload: the low-level adapters plus local metrics.
-
-    The round loop sets low_params to None once the server has decoded the
-    upload into its round matrix.
-    """
+    """Per-round client report; the upload itself is layers 1..L of model.flat, on the wire."""
 
     client_id: int
     round_index: int
-    low_params: FlatParams | None
     n_i: int
     train_loss: float
     test_iou: float
@@ -84,6 +79,11 @@ class ClientState:
     def low_layer_list(self) -> list[int]:
         return list(range(1, self.config.low_layers + 1))
 
+    @property
+    def low_span(self) -> slice:
+        """Where layers 1..L sit in model.flat."""
+        return slice(0, self.config.low_layers * self.model.layer_size)
+
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     if not arrays:
@@ -108,7 +108,7 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     Batches are drawn in a seeded shuffle keyed by (client, round); only
     adapter parameters move. Each step writes the gradient into one buffer
     and updates model.flat and the Adam moments in place. Returns the
-    post-training low-level adapters.
+    round's metrics; the trained adapters stay in model.flat.
     """
     if state._train_images.size == 0:
         raise InvalidStateError(f"client {state.client_id} has an empty train set")
@@ -141,7 +141,6 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     return ClientUpdate(
         client_id=state.client_id,
         round_index=round_index,
-        low_params=model.adapter_params(state.low_layer_list),
         n_i=state.dataset.n_i,
         train_loss=float(np.mean(losses)),
         test_iou=iou,
@@ -177,21 +176,14 @@ def evaluate(state: ClientState) -> tuple[float, float]:
 
 
 def measure_param_shift(
-    before: FlatParams | np.ndarray,
-    after: FlatParams | np.ndarray,
-    manifest: tuple[tuple[int, int], ...] | None = None,
+    before: np.ndarray, after: np.ndarray, manifest: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
     """Per-layer relative L2 shift ||after - before|| / ||before|| (0/0 -> 0).
 
-    Takes two FlatParams with one manifest, or, with `manifest`, two flat
-    vectors laid out by it (such as a copy of a model's flat buffer and the
-    buffer itself).
+    before and after are flat vectors laid out by the manifest, such as a
+    copy of a model's flat buffer and the buffer itself.
     """
-    if manifest is None:
-        if not before.same_manifest(after):
-            raise InvalidArgumentError("param shift requires identical manifests")
-        manifest, before, after = before.manifest, before.values, after.values
-    elif not before.shape == after.shape == (sum(length for _, length in manifest),):
+    if not before.shape == after.shape == (sum(length for _, length in manifest),):
         raise InvalidArgumentError("param shift requires two vectors laid out by the manifest")
     shifts = []
     offset = 0

@@ -189,7 +189,3 @@ def check_gradients(h: float = 1e-5, num_fixtures: int = 20) -> OracleResult:
         worst = max(worst, gradient_rel_error(fx, h))
     passed = worst < 1e-4
     return OracleResult("adapter-gradient-vs-finite-diff", passed, f"max rel err = {worst:.3e}")
-
-
-def run_all() -> list[OracleResult]:
-    return [check_projection(), check_row_solver(), check_gradients()]

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter_net import AdamState, build_model
+from .adapter_net import AdamState, build_model, draw_adapters
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, FedsimError, NumericError
 from .fed_client import ClientState, install_low_adapters, local_train_round, measure_param_shift
-from .numerics import FlatParams, RngStream, derive_stream_id
+from .numerics import RngStream, derive_stream_id
 from .server import CollaborationMatrix, aggregate, fedavg_aggregate, update_matrix
 from .transport import (
     CommLedger,
@@ -130,17 +130,6 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _client_adapter_init(cfg: ExperimentConfig, client_id: int) -> FlatParams:
-    """Per-client adapter draw: random down projections, zero up projections."""
-    stream = RngStream(cfg.seed, derive_stream_id("adapter", client_id))
-    d, b = cfg.model.feature_dim, cfg.model.bottleneck_dim
-    parts = []
-    for k in range(1, cfg.model.num_blocks + 1):
-        down = stream.draw_gaussian(b * d) / np.sqrt(d)
-        parts.append((k, np.concatenate([down, np.zeros(d * b)])))
-    return FlatParams.from_layers(parts)
-
-
 def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
     # One frozen backbone shared by every client; adapters are per-client.
     base = build_model(
@@ -153,7 +142,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
     states = []
     for i in range(cfg.federation.num_clients):
         model = base.clone()
-        model.install_adapter_params(_client_adapter_init(cfg, i))
+        draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
         states.append(
             ClientState(
                 client_id=i,
@@ -168,6 +157,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
 
 
 def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int):
+    """Install the broadcast, train, and return the update, the per-layer shift and the upload."""
     install_low_adapters(state, deserialize_params(broadcast_payload))
     model = state.model
     before = model.flat.copy()
@@ -175,7 +165,8 @@ def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int
     shift = measure_param_shift(before, model.flat, model.manifest())
     # The broadcast served as this round's regularizer reference only.
     state.theta_ref = None
-    return update, shift
+    upload = serialize_params(model.flat[state.low_span], model.manifest(state.low_layer_list))
+    return update, shift, upload
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
@@ -186,7 +177,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     once it has been mixed, the mixes once they have been serialized, and a
     client's broadcast payload once its round ends, so at most two such
     buffers are alive at a time. Clients run one after another, in id
-    order; run.workers has no effect.
+    order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
@@ -196,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = states[0].model.manifest(states[0].low_layer_list)
     ledger = CommLedger()
 
-    x = np.stack([state.model.adapter_params(state.low_layer_list).values for state in states])
+    x = np.stack([state.model.flat[state.low_span] for state in states])
     shape = x.shape
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
@@ -212,25 +203,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             broadcasts = [serialize_params(fedavg_aggregate(x, sizes), manifest)] * n
             del x
-        for i, payload in enumerate(broadcasts):
-            ledger.record(WireMessage("broadcast", i, round_index, payload))
+        # Indexed, not iterated: a loop variable would keep the last payload
+        # alive after its client's round (see the del below).
+        for i in range(n):
+            ledger.record(WireMessage("broadcast", i, round_index, broadcasts[i]))
 
         x = np.empty(shape)
         updates = []
         shifts = []
         for i, state in enumerate(states):
             try:
-                update, shift = _client_round(state, broadcasts[i], round_index)
+                update, shift, upload = _client_round(state, broadcasts[i], round_index)
             except NumericError as exc:
                 raise NumericError(f"round {round_index}: {exc}") from exc
             broadcasts[i] = None
-            msg = WireMessage(
-                "upload", update.client_id, round_index, serialize_params(update.low_params)
-            )
-            ledger.record(msg)
-            deserialize_params(msg.payload, manifest=manifest, out=x[i])
-            # Row i of x is now the server's only copy of this upload.
-            update.low_params = None
+            ledger.record(WireMessage("upload", update.client_id, round_index, upload))
+            deserialize_params(upload, manifest=manifest, out=x[i])
+            # A payload left alive here can sit in the heap gap the next (N, P)
+            # buffer would reuse; on many_clients that costs ~12 MB of peak RSS.
+            del upload
             updates.append(update)
             shifts.append(shift)
 

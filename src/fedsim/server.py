@@ -29,7 +29,8 @@ SIMILARITY_METRICS = ("inner", "cosine", "l1_based", "l2_based")
 # rounds, seeds 5, 7 and 13), so every pair there takes the Gram path.
 GRAM_CANCELLATION_LIMIT = 1e4
 NORMALIZATIONS = ("none", "max_abs_row")
-M_MODES = ("row_constant_mi", "column_mj")
+# One size prior; the m_mode key stays because config_hash covers it.
+M_MODES = ("row_constant_mi",)
 
 
 @dataclass
@@ -169,12 +170,7 @@ def update_matrix(
     if sizes.sum() <= 0:
         raise ProtocolError("total dataset size must be positive")
     m = sizes / sizes.sum()
-    rows = []
-    for i in range(n):
-        if cfg.m_mode == "row_constant_mi":
-            rows.append(solve_row(float(m[i]), s[i], cfg.alpha))
-        else:
-            rows.append(simplex_project(m + (cfg.alpha / 2.0) * s[i]))
+    rows = [solve_row(float(m[i]), s[i], cfg.alpha) for i in range(n)]
     return CollaborationMatrix(np.vstack(rows), rounds.pop())
 
 

@@ -5,7 +5,6 @@ SMALL_CONFIG = """
 rounds = 3
 seed = 0
 aggregator = sgca
-workers = 1
 
 [model]
 num_blocks = 3

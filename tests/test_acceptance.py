@@ -302,9 +302,9 @@ def test_criterion_07_parameter_shift_ordering():
             seed=seed,
         )
         install_low_adapters(state, model.adapter_params([1]))
-        before = model.adapter_params()
+        before = model.flat.copy()
         local_train_round(state, 1)
-        shift = measure_param_shift(before, model.adapter_params())
+        shift = measure_param_shift(before, model.flat, model.manifest())
         outcomes.append((float(shift[0]), float(shift[-1])))
     elapsed = time.perf_counter() - start
     passed = all(low < high for low, high in outcomes) and elapsed < 60.0

@@ -7,7 +7,6 @@ import pytest
 from fedsim.adapter_net import (
     PROB_CLAMP,
     AdamState,
-    AdapterParams,
     FrozenBlock,
     ToyFM,
     adam_step,
@@ -55,31 +54,34 @@ def golden_model():
 
 class TestAdapterForward:
     def test_zero_up_projection_is_identity(self):
-        adapter = AdapterParams(np.ones((2, 5)), np.zeros((5, 2)))
         f = np.array([1.0, -2.0, 0.5, 3.0, -0.1])
-        assert np.array_equal(adapter_forward(f, adapter), f)
+        assert np.array_equal(adapter_forward(f, np.ones((2, 5)), np.zeros((5, 2))), f)
 
     def test_zero_input_gives_zero_output(self):
-        adapter = AdapterParams(np.ones((2, 5)), np.ones((5, 2)))
-        assert np.array_equal(adapter_forward(np.zeros(5), adapter), np.zeros(5))
+        out = adapter_forward(np.zeros(5), np.ones((2, 5)), np.ones((5, 2)))
+        assert np.array_equal(out, np.zeros(5))
 
     def test_hand_computed_case(self):
-        adapter = AdapterParams(np.array([[1.0, -1.0]]), np.array([[2.0], [0.0]]))
-        out = adapter_forward(np.array([3.0, 1.0]), adapter)
+        down, up = np.array([[1.0, -1.0]]), np.array([[2.0], [0.0]])
+        out = adapter_forward(np.array([3.0, 1.0]), down, up)
         assert np.array_equal(out, [7.0, 1.0])
 
     def test_dimension_mismatch_raises(self):
-        adapter = AdapterParams(np.ones((2, 5)), np.zeros((5, 2)))
         with pytest.raises(InvalidArgumentError):
-            adapter_forward(np.zeros(4), adapter)
+            adapter_forward(np.zeros(4), np.ones((2, 5)), np.zeros((5, 2)))
+
+
+def identity_adapters(num_blocks, feature_dim):
+    """flat for bottleneck-1 adapters with all-ones down and zero up projections."""
+    layer = np.concatenate([np.ones(feature_dim), np.zeros(feature_dim)])
+    return np.tile(layer, num_blocks)
 
 
 class TestModelForward:
     def test_identity_blocks_reduce_to_relu(self):
         # Identity frozen blocks, zero bias, zero up projections: logits == relu(x).
         eye = FrozenBlock(np.eye(4), np.zeros(4))
-        adapter = lambda: AdapterParams(np.ones((1, 4)), np.zeros((4, 1)))
-        model = ToyFM([(eye, adapter()), (eye, adapter())], eye, 4, 1)
+        model = ToyFM([eye, eye], eye, 4, 1, identity_adapters(2, 4))
         x = np.array([1.0, -2.0, 0.0, 3.0])
         assert np.array_equal(model_forward(x, model), np.maximum(x, 0.0))
 
@@ -105,13 +107,25 @@ class TestModelForward:
 class TestFlatBuffer:
     def test_adapters_are_views_of_the_flat_buffer(self):
         model = small_model(num_blocks=3)
-        _, adapter = model.blocks[1]
+        down, up = model.adapters[1]
         span = slice(model.layer_size, 2 * model.layer_size)
-        assert np.shares_memory(adapter.down_proj, model.flat)
+        assert (down.shape, up.shape) == ((2, 8), (8, 2))
+        assert np.shares_memory(down, model.flat)
         model.flat[span] = np.arange(model.layer_size, dtype=float)
-        assert np.array_equal(adapter.down_proj.ravel(), np.arange(16.0))
-        adapter.up_proj = np.full((8, 2), 7.0)
+        assert np.array_equal(down.ravel(), np.arange(16.0))
+        up[...] = np.full((8, 2), 7.0)
         assert np.array_equal(model.flat[span][16:], np.full(16, 7.0))
+
+    def test_constructor_copies_and_validates_flat(self):
+        eye = FrozenBlock(np.eye(4), np.zeros(4))
+        flat = identity_adapters(2, 4)
+        model = ToyFM([eye, eye], eye, 4, 1, flat)
+        assert not np.shares_memory(model.flat, flat)
+        for bad in (flat[:-1], np.where(np.arange(flat.size) == 3, np.nan, flat)):
+            with pytest.raises(InvalidArgumentError):
+                ToyFM([eye, eye], eye, 4, 1, bad)
+        with pytest.raises(InvalidArgumentError):
+            ToyFM([eye, eye], eye, 4, 4, np.zeros(64))
 
     def test_clone_has_its_own_buffer(self):
         model = golden_model()
@@ -120,10 +134,10 @@ class TestFlatBuffer:
         assert np.array_equal(twin.flat, before)
         assert not np.shares_memory(twin.flat, model.flat)
         twin.flat += 1.0
-        twin.blocks[0][1].up_proj = np.zeros((8, 2))
+        twin.adapters[0][1][...] = np.zeros((8, 2))
         assert np.array_equal(model.flat, before)
         model.flat -= 1.0
-        assert np.array_equal(twin.blocks[1][1].down_proj.ravel(), before[32:48] + 1.0)
+        assert np.array_equal(twin.adapters[1][0].ravel(), before[32:48] + 1.0)
 
     @pytest.mark.parametrize("layers", [None, [1], [2, 3], [1, 2, 3], [1, 3], []])
     def test_adapter_params_equals_the_per_layer_concatenation(self, layers):
@@ -369,9 +383,9 @@ class TestGradAdapters:
         stream = RngStream(13, 0)
         # Strictly negative down rows keep the bottleneck pre-activation <= 0
         # for the non-negative post-ReLU features, so relu kills that path.
-        for _, adapter in model.blocks:
-            adapter.down_proj = -np.abs(stream.draw_gaussian(12).reshape(2, 6)) - 0.1
-            adapter.up_proj = stream.draw_gaussian(12).reshape(6, 2)
+        for down, up in model.adapters:
+            down[...] = -np.abs(stream.draw_gaussian(12).reshape(2, 6)) - 0.1
+            up[...] = stream.draw_gaussian(12).reshape(6, 2)
         images = stream.draw_uniform(4 * 6).reshape(4, 6)
         masks = (stream.draw_uniform(4 * 6).reshape(4, 6) < 0.5).astype(float)
         grads = objective_and_grad(images, masks, model, None, 0.0)[1]
@@ -458,11 +472,11 @@ def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
     """
     batch, pixels = images.shape
     h, cache = images, []
-    for block, adapter in model.blocks:
+    for block, (down, up) in zip(model.blocks, model.adapters):
         r = np.maximum(h @ block.weight.T + block.bias, 0.0)
-        u = r @ adapter.down_proj.T
+        u = r @ down.T
         s = np.maximum(u, 0.0)
-        h = s @ adapter.up_proj.T + r
+        h = s @ up.T + r
         cache.append((r, u, s))
     p = masked_sigmoid(h @ model.head.weight.T + model.head.bias)
     clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -472,12 +486,12 @@ def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
     g = g @ model.head.weight
     layers = {}
     for k in range(model.num_blocks, 0, -1):
-        block, adapter = model.blocks[k - 1]
+        block, (down, up) = model.blocks[k - 1], model.adapters[k - 1]
         r, u, s = cache[k - 1]
         d_up = g.T @ s
-        d_hidden = (g @ adapter.up_proj) * (u > 0)
+        d_hidden = (g @ up) * (u > 0)
         d_down = d_hidden.T @ r
-        g = ((d_hidden @ adapter.down_proj + g) * (r > 0)) @ block.weight
+        g = ((d_hidden @ down + g) * (r > 0)) @ block.weight
         layers[k] = np.concatenate([d_down.ravel(), d_up.ravel()])
     if beta > 0:
         theta_low = model.adapter_params(list(theta_ref.layer_indices))
@@ -632,10 +646,9 @@ class TestFrozenImmutability:
     def test_frozen_arrays_reject_writes(self):
         model = small_model()
         with pytest.raises(ValueError):
-            model.blocks[0][0].weight[0, 0] = 99.0
+            model.blocks[0].weight[0, 0] = 99.0
 
     def test_model_requires_two_blocks(self):
         eye = FrozenBlock(np.eye(4), np.zeros(4))
-        adapter = AdapterParams(np.ones((1, 4)), np.zeros((4, 1)))
         with pytest.raises(InvalidArgumentError):
-            ToyFM([(eye, adapter)], eye, 4, 1)
+            ToyFM([eye], eye, 4, 1, identity_adapters(1, 4))

@@ -41,6 +41,24 @@ def test_fedsim_is_this_checkout():
     assert Path(fedsim.__file__).resolve().parent == REPO / "src" / "fedsim"
 
 
+# Names bench/worker.py, bench/tests and this file read off the package itself.
+PACKAGE_NAMES = (
+    "load_config",
+    "parse_config_text",
+    "generate_federation",
+    "build_model",
+    "RngStream",
+    "derive_stream_id",
+    "run_experiment",
+    "objective",
+)
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_package_name_resolves(name):
+    assert callable(getattr(fedsim, name))
+
+
 @pytest.mark.parametrize("target", tracer.TARGETS, ids=lambda t: t.name)
 def test_tracer_target_resolves(target):
     owner = importlib.import_module(target.module)

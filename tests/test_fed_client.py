@@ -22,7 +22,7 @@ from fedsim.fed_client import (
     local_train_round,
     measure_param_shift,
 )
-from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.orchestrator import _client_round
 from fedsim.transport import deserialize_params, serialize_params
 
@@ -110,20 +110,19 @@ class TestLocalTraining:
         def run():
             state = make_state(seed=3)
             install_low_adapters(state, state.model.adapter_params([1]))
-            return local_train_round(state, 1)
+            return state, local_train_round(state, 1)
 
-        a, b = run(), run()
-        assert a.low_params.equals(b.low_params)
+        (sa, a), (sb, b) = run(), run()
+        assert sa.model.flat[sa.low_span].tobytes() == sb.model.flat[sb.low_span].tobytes()
         assert (a.train_loss, a.test_iou, a.test_dice) == (b.train_loss, b.test_iou, b.test_dice)
 
     def test_upload_covers_exactly_the_low_layers(self):
         for low_layers in range(1, 7):
             state = make_state(low_layers=low_layers, n=20)
-            install_low_adapters(
-                state, state.model.adapter_params(list(range(1, low_layers + 1)))
-            )
-            update = local_train_round(state, 1)
-            assert update.low_params.layer_indices == tuple(range(1, low_layers + 1))
+            layers = list(range(1, low_layers + 1))
+            broadcast = serialize_params(state.model.adapter_params(layers))
+            update, _, upload = _client_round(state, broadcast, 1)
+            assert deserialize_params(upload).equals(state.model.adapter_params(layers))
             assert update.n_i == state.dataset.n_i
 
     def test_theta_ref_snapshot_survives_training(self):
@@ -193,7 +192,8 @@ class TestReferenceEquivalence:
             assert fast.adam.first_moment.tobytes() == slow.adam.first_moment.tobytes()
             assert fast.adam.second_moment.tobytes() == slow.adam.second_moment.tobytes()
             assert fast.adam.step_count == slow.adam.step_count == 4 * round_index
-        assert update.low_params.equals(slow.model.adapter_params(update.low_params.layer_indices))
+        low = slow.model.adapter_params(fast.low_layer_list)
+        assert fast.model.flat[fast.low_span].tobytes() == low.values.tobytes()
 
 
 def row_iou_dice(pred, truth):
@@ -264,38 +264,31 @@ class TestEvaluate:
 
 
 class TestParamShift:
-    def _params(self, layers):
-        return FlatParams.from_layers(layers)
+    TWO_LAYERS = ((1, 2), (2, 2))
 
     def test_no_change_means_zero_shift(self):
-        p = self._params([(1, np.array([1.0, 2.0])), (2, np.array([3.0, 4.0]))])
-        assert np.array_equal(measure_param_shift(p, p), np.zeros(2))
+        p = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(measure_param_shift(p, p, self.TWO_LAYERS), np.zeros(2))
 
     def test_ten_percent_scaling_is_point_one(self):
-        before = self._params([(1, np.array([1.0, 2.0])), (2, np.array([3.0, 4.0]))])
-        after = self._params([(1, np.array([1.0, 2.0]) * 1.1), (2, np.array([3.0, 4.0]))])
-        shift = measure_param_shift(before, after)
+        before = np.array([1.0, 2.0, 3.0, 4.0])
+        after = np.array([1.1, 2.2, 3.0, 4.0])
+        shift = measure_param_shift(before, after, self.TWO_LAYERS)
         assert abs(shift[0] - 0.1) < 1e-12
         assert shift[1] == 0.0
 
     def test_zero_over_zero_is_zero(self):
-        before = self._params([(1, np.zeros(3))])
-        assert measure_param_shift(before, before)[0] == 0.0
+        before = np.zeros(3)
+        assert measure_param_shift(before, before, ((1, 3),))[0] == 0.0
 
     def test_low_layer_shifts_less_than_top_layer(self):
         # Fixed fixture: 10 local epochs with the transmitted layer regularized.
         state = make_state(seed=0, lr=1e-2, beta=0.1, epochs=10, n=100)
         install_low_adapters(state, state.model.adapter_params([1]))
-        before = state.model.adapter_params()
+        before = state.model.flat.copy()
         local_train_round(state, 1)
-        shift = measure_param_shift(before, state.model.adapter_params())
+        shift = measure_param_shift(before, state.model.flat, state.model.manifest())
         assert shift[0] < shift[-1]
-
-    def test_manifest_mismatch_raises(self):
-        a = self._params([(1, np.ones(2))])
-        b = self._params([(2, np.ones(2))])
-        with pytest.raises(InvalidArgumentError):
-            measure_param_shift(a, b)
 
     def test_flat_vectors_must_match_the_manifest(self):
         with pytest.raises(InvalidArgumentError):
@@ -321,9 +314,10 @@ class TestParamShift:
         ref_update = local_train_round(ref_state, 1)
         expected = flatparams_shift(before, ref_state.model.adapter_params())
 
-        update, shift = _client_round(state, broadcast, 1)
+        update, shift, upload = _client_round(state, broadcast, 1)
         assert shift.tobytes() == expected.tobytes()
-        assert update.low_params.equals(ref_update.low_params)
+        assert upload == serialize_params(ref_state.model.adapter_params([1, 2]))
+        assert update == ref_update
         assert np.array_equal(state.model.flat, ref_state.model.flat)
 
     def test_round_releases_the_reference_once_training_is_done(self, monkeypatch):

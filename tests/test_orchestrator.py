@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,12 +10,18 @@ import fedsim.orchestrator as orchestrator
 from fedsim import cli
 from fedsim.adapter_net import AdamState, build_model
 from fedsim.config import apply_sweep_value, parse_config_text
-from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
+from fedsim.datagen import (
+    ClusterParams,
+    FederationSpec,
+    generate_client_dataset,
+    generate_federation,
+)
 from fedsim.errors import ConfigError, NumericError, ProtocolError
 from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
+from fedsim.transport import serialize_params
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -38,18 +45,6 @@ class TestRunExperiment:
         export_store(ResultsStore.load(tmp_path / "a"), tmp_path / "a", "csv")
         export_store(ResultsStore.load(tmp_path / "b"), tmp_path / "b", "csv")
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
-
-    def test_worker_pool_matches_sequential_run(self, small_config_text, tmp_path):
-        cfg = parse_config_text(small_config_text)
-        run_experiment(cfg, tmp_path / "seq")
-        cfg_pool = parse_config_text(small_config_text.replace("workers = 1", "workers = 4"))
-        run_experiment(cfg_pool, tmp_path / "pool")
-        seq = read_tree(tmp_path / "seq")
-        pool = read_tree(tmp_path / "pool")
-        # manifests differ in the recorded worker count only
-        seq.pop("manifest.json")
-        pool.pop("manifest.json")
-        assert seq == pool
 
     def test_cumulative_comm_matches_closed_form(self, small_config_text):
         cfg = parse_config_text(small_config_text)
@@ -219,13 +214,15 @@ class TestServerMatrix:
         assert got == expected
 
     def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
-        def wrong_layers(state, round_index):
-            update = local_train_round(state, round_index)
-            if state.client_id == 2:
-                update.low_params = state.model.adapter_params([2])
-            return update
+        real = orchestrator._client_round
 
-        monkeypatch.setattr(orchestrator, "local_train_round", wrong_layers)
+        def wrong_layers(state, payload, round_index):
+            update, shift, upload = real(state, payload, round_index)
+            if state.client_id == 2:
+                upload = serialize_params(state.model.adapter_params([2]))
+            return update, shift, upload
+
+        monkeypatch.setattr(orchestrator, "_client_round", wrong_layers)
         with pytest.raises(ProtocolError, match="manifest"):
             run_experiment(parse_config_text(small_config_text))
 
@@ -236,25 +233,37 @@ class TestServerMatrix:
         real = orchestrator.update_matrix
 
         def spy(updates, x, cfg):
-            seen.append((x.copy(), [u.low_params for u in updates]))
+            seen.append(x.copy())
             return real(updates, x, cfg)
 
         trained = []
-        real_train = orchestrator.local_train_round
+        real_round = orchestrator._client_round
 
-        def record(state, round_index):
-            update = real_train(state, round_index)
-            trained.append(update.low_params.values.copy())
-            return update
+        def record(state, payload, round_index):
+            result = real_round(state, payload, round_index)
+            trained.append(state.model.flat[state.low_span].copy())
+            return result
 
         monkeypatch.setattr(orchestrator, "update_matrix", spy)
-        monkeypatch.setattr(orchestrator, "local_train_round", record)
+        monkeypatch.setattr(orchestrator, "_client_round", record)
         run_experiment(parse_config_text(small_config_text))
         assert len(seen) == 3
-        for round_index, (x, lows) in enumerate(seen):
+        for round_index, x in enumerate(seen):
             assert x.tobytes() == np.stack(trained[4 * round_index : 4 * round_index + 4]).tobytes()
-            # The server's row is the only copy kept of an upload once decoded.
-            assert lows == [None] * 4
+
+    def test_no_payload_outlives_its_client_round(self, small_config_text, monkeypatch):
+        held = []
+        real = orchestrator.update_matrix
+
+        def spy(updates, x, cfg):
+            loop = sys._getframe(1).f_locals
+            held.append([name for name, value in loop.items() if isinstance(value, bytes)])
+            held.append([b for b in loop["broadcasts"] if b is not None])
+            return real(updates, x, cfg)
+
+        monkeypatch.setattr(orchestrator, "update_matrix", spy)
+        run_experiment(parse_config_text(small_config_text))
+        assert held == [[]] * 6
 
     def test_traced_peak_grows_by_at_most_five_and_a_half_uploads_per_client(self):
         # Per client the run keeps model.flat and two Adam moments (3 P); a
@@ -272,6 +281,26 @@ class TestServerMatrix:
         upload_bytes = 8 * 6 * 2 * 256 * 16
         per_client = (traced_peak(16) - traced_peak(8)) / 8
         assert per_client <= 5.5 * upload_bytes, per_client / upload_bytes
+
+
+def client_adapter_init(cfg, client_id):
+    """Reference per-client adapter draw: random down projections, zero up projections."""
+    stream = RngStream(cfg.seed, derive_stream_id("adapter", client_id))
+    d, b = cfg.model.feature_dim, cfg.model.bottleneck_dim
+    parts = []
+    for k in range(1, cfg.model.num_blocks + 1):
+        down = stream.draw_gaussian(b * d) / np.sqrt(d)
+        parts.append((k, np.concatenate([down, np.zeros(d * b)])))
+    return FlatParams.from_layers(parts)
+
+
+class TestInitStates:
+    def test_client_adapters_are_the_per_client_draw(self, small_config_text):
+        cfg = parse_config_text(small_config_text)
+        states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
+        for i, state in enumerate(states):
+            assert state.model.flat.tobytes() == client_adapter_init(cfg, i).values.tobytes()
+        assert len({state.model.frozen_digest() for state in states}) == 1
 
 
 class TestFedavgSymmetry:
@@ -403,9 +432,18 @@ class TestExport:
 
 
 class TestConfigParsing:
-    def test_unknown_key_is_an_error(self, small_config_text):
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("alpha = 1.0", "alpha = 1.0\nalphaa = 2"),
+            # run.workers selected a thread pool that no longer exists.
+            ("aggregator = sgca", "aggregator = sgca\nworkers = 1"),
+        ],
+        ids=["misspelled", "workers"],
+    )
+    def test_unknown_key_is_an_error(self, small_config_text, old, new):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text(small_config_text.replace("alpha = 1.0", "alpha = 1.0\nalphaa = 2"))
+            parse_config_text(small_config_text.replace(old, new))
 
     def test_unknown_section_is_an_error(self, small_config_text):
         with pytest.raises(ConfigError, match="unknown section"):

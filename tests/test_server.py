@@ -35,20 +35,22 @@ def uploads(params):
     return x
 
 
-def update_uploads(updates):
-    return uploads([u.low_params for u in updates])
-
-
 def make_update(client_id, values, n_i=10, round_index=1):
-    return ClientUpdate(
+    """A client's round report and its upload: the wire bytes of a one-layer vector."""
+    update = ClientUpdate(
         client_id=client_id,
         round_index=round_index,
-        low_params=flat(values),
         n_i=n_i,
         train_loss=0.0,
         test_iou=0.0,
         test_dice=0.0,
     )
+    return update, serialize_params(flat(values))
+
+
+def round_inputs(sent):
+    """update_matrix's reports and upload matrix for (report, upload) pairs."""
+    return [update for update, _ in sent], uploads([deserialize_params(p) for _, p in sent])
 
 
 def pair_loop_similarity(params, metric, normalization):
@@ -250,19 +252,19 @@ class TestSolveRow:
 
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
-        updates = [make_update(i, [float(i), 0.0], n_i=10 + i) for i in range(4)]
-        matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=0.0))
+        sent = [make_update(i, [float(i), 0.0], n_i=10 + i) for i in range(4)]
+        matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
             assert len(set(row.tolist())) == 1
 
     def test_identical_pair_attracts_weight(self):
-        updates = [
+        sent = [
             make_update(0, [1.0, 1.0]),
             make_update(1, [1.0, 1.0]),
             make_update(2, [4.0, -3.0]),
         ]
-        matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=1.0))
+        matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=1.0))
         assert matrix.w[0, 1] >= matrix.w[0, 2]
         assert matrix.w[1, 0] >= matrix.w[1, 2]
 
@@ -270,11 +272,11 @@ class TestUpdateMatrix:
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
         sizes = [10, 20, 30]
-        updates = [make_update(i, vectors[i], n_i=sizes[i]) for i in range(3)]
-        base = update_matrix(updates, update_uploads(updates), SgcaConfig())
+        sent = [make_update(i, vectors[i], n_i=sizes[i]) for i in range(3)]
+        base = update_matrix(*round_inputs(sent), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
-        updates = [make_update(i, vectors[perm[i]], n_i=sizes[perm[i]]) for i in range(3)]
-        permuted = update_matrix(updates, update_uploads(updates), SgcaConfig())
+        sent = [make_update(i, vectors[perm[i]], n_i=sizes[perm[i]]) for i in range(3)]
+        permuted = update_matrix(*round_inputs(sent), SgcaConfig())
         for i in range(3):
             for j in range(3):
                 assert permuted.w[i, j] == pytest.approx(base.w[perm[i], perm[j]], abs=1e-12)
@@ -282,31 +284,27 @@ class TestUpdateMatrix:
     def test_rows_are_stochastic_for_random_inputs(self):
         stream = RngStream(37, 0)
         for alpha in (0.0, 0.5, 2.0, 50.0):
-            updates = [
+            sent = [
                 make_update(i, stream.draw_gaussian(6), n_i=stream.draw_integer(5, 50))
                 for i in range(5)
             ]
-            matrix = update_matrix(updates, update_uploads(updates), SgcaConfig(alpha=alpha))
+            matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)
 
     def test_duplicate_ids_rejected(self):
-        updates = [make_update(0, [1.0]), make_update(0, [2.0])]
+        sent = [make_update(0, [1.0]), make_update(0, [2.0])]
         with pytest.raises(ProtocolError):
-            update_matrix(updates, update_uploads(updates), SgcaConfig())
+            update_matrix(*round_inputs(sent), SgcaConfig())
 
     def test_inconsistent_rounds_rejected(self):
-        updates = [make_update(0, [1.0]), make_update(1, [2.0], round_index=2)]
+        sent = [make_update(0, [1.0]), make_update(1, [2.0], round_index=2)]
         with pytest.raises(ProtocolError):
-            update_matrix(updates, update_uploads(updates), SgcaConfig())
+            update_matrix(*round_inputs(sent), SgcaConfig())
 
-    def test_column_mode_reflects_dataset_sizes(self):
-        # With zero similarities, column mode projects the size prior itself.
-        updates = [make_update(i, [1.0, 1.0], n_i=n) for i, n in enumerate((10, 20, 70))]
-        matrix = update_matrix(
-            updates, update_uploads(updates), SgcaConfig(alpha=0.0, m_mode="column_mj")
-        )
-        assert np.allclose(matrix.w[0], [0.1, 0.2, 0.7], atol=1e-12)
+    def test_column_size_prior_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="m_mode"):
+            SgcaConfig(m_mode="column_mj").validate()
 
 
 class TestAggregate:
