@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # The names scripts outside the package use; everything else is imported
 # from its submodule.
-from .adapter_net import build_model, objective
+from .adapter_net import build_model
 from .config import load_config, parse_config_text
 from .datagen import generate_federation
 from .numerics import RngStream, derive_stream_id

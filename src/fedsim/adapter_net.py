@@ -128,11 +128,15 @@ class ToyFM:
             return self.flat[runs[0]]
         return np.concatenate([self.flat[run] for run in runs]) if runs else np.zeros(0)
 
+    def layer_values(self, layers: list[int]) -> np.ndarray:
+        """flat at the given 1-based layers: a view when they are adjacent, else a copy."""
+        return self._values_at(self._runs(layers))
+
     def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
         """A copy of the adapter weights for the given 1-based layers (default: all)."""
         manifest = self.manifest(layers)
         # Consecutive layers are one slice of flat, which FlatParams copies once.
-        return FlatParams(self._values_at(self._runs(k for k, _ in manifest)), manifest)
+        return FlatParams(self.layer_values([k for k, _ in manifest]), manifest)
 
     def install_adapter_params(self, params: FlatParams) -> None:
         """Overwrite the adapters named in the manifest, in place; others stay untouched."""

@@ -85,7 +85,6 @@ class ExperimentConfig:
                 "alpha": self.sgca.alpha,
                 "metric": self.sgca.metric,
                 "normalization": self.sgca.normalization,
-                "m_mode": self.sgca.m_mode,
             },
             "federation": {
                 "client_sizes": list(self.federation.client_sizes),
@@ -119,7 +118,7 @@ _KNOWN_KEYS = {
     "run": {"rounds", "seed", "aggregator"},
     "model": {"num_blocks", "feature_dim", "bottleneck_dim"},
     "client": {"learning_rate", "batch_size", "local_epochs", "beta", "low_layers"},
-    "sgca": {"alpha", "metric", "normalization", "m_mode"},
+    "sgca": {"alpha", "metric", "normalization"},
     "federation": {"client_sizes", "clusters", "mask_side", "seed"},
 }
 _CLUSTER_KEYS = {"blob_count", "radius", "gain", "noise", "offset"}
@@ -244,7 +243,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         alpha=_parse_scalar("sgca", "alpha", str(get("sgca", "alpha", 1.0)), float),
         metric=str(get("sgca", "metric", "l2_based")),
         normalization=str(get("sgca", "normalization", "max_abs_row")),
-        m_mode=str(get("sgca", "m_mode", "row_constant_mi")),
     )
     cfg = ExperimentConfig(
         federation=federation,

@@ -79,11 +79,6 @@ class ClientState:
     def low_layer_list(self) -> list[int]:
         return list(range(1, self.config.low_layers + 1))
 
-    @property
-    def low_span(self) -> slice:
-        """Where layers 1..L sit in model.flat."""
-        return slice(0, self.config.low_layers * self.model.layer_size)
-
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     if not arrays:

@@ -165,7 +165,8 @@ def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int
     shift = measure_param_shift(before, model.flat, model.manifest())
     # The broadcast served as this round's regularizer reference only.
     state.theta_ref = None
-    upload = serialize_params(model.flat[state.low_span], model.manifest(state.low_layer_list))
+    low = state.low_layer_list
+    upload = serialize_params(model.layer_values(low), model.manifest(low))
     return update, shift, upload
 
 
@@ -187,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = states[0].model.manifest(states[0].low_layer_list)
     ledger = CommLedger()
 
-    x = np.stack([state.model.flat[state.low_span] for state in states])
+    x = np.stack([state.model.layer_values(state.low_layer_list) for state in states])
     shape = x.shape
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))

@@ -29,8 +29,6 @@ SIMILARITY_METRICS = ("inner", "cosine", "l1_based", "l2_based")
 # rounds, seeds 5, 7 and 13), so every pair there takes the Gram path.
 GRAM_CANCELLATION_LIMIT = 1e4
 NORMALIZATIONS = ("none", "max_abs_row")
-# One size prior; the m_mode key stays because config_hash covers it.
-M_MODES = ("row_constant_mi",)
 
 
 @dataclass
@@ -40,7 +38,6 @@ class SgcaConfig:
     alpha: float = 1.0
     metric: str = "l2_based"
     normalization: str = "max_abs_row"
-    m_mode: str = "row_constant_mi"
 
     def validate(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha < 0:
@@ -53,8 +50,6 @@ class SgcaConfig:
             raise InvalidArgumentError(
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
             )
-        if self.m_mode not in M_MODES:
-            raise InvalidArgumentError(f"m_mode must be one of {M_MODES}, got {self.m_mode!r}")
 
 
 @dataclass

@@ -116,6 +116,17 @@ class TestFlatBuffer:
         up[...] = np.full((8, 2), 7.0)
         assert np.array_equal(model.flat[span][16:], np.full(16, 7.0))
 
+    def test_layer_values_views_adjacent_layers_and_copies_others(self):
+        model = small_model(num_blocks=3)
+        model.flat[:] = np.arange(model.flat.size, dtype=float)
+        low = model.layer_values([1, 2])
+        assert np.shares_memory(low, model.flat)
+        assert np.array_equal(low, model.flat[: 2 * model.layer_size])
+        gapped = model.layer_values([1, 3])
+        assert not np.shares_memory(gapped, model.flat)
+        size = model.layer_size
+        assert np.array_equal(gapped, np.concatenate([model.flat[:size], model.flat[2 * size :]]))
+
     def test_constructor_copies_and_validates_flat(self):
         eye = FrozenBlock(np.eye(4), np.zeros(4))
         flat = identity_adapters(2, 4)

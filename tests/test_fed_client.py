@@ -113,7 +113,8 @@ class TestLocalTraining:
             return state, local_train_round(state, 1)
 
         (sa, a), (sb, b) = run(), run()
-        assert sa.model.flat[sa.low_span].tobytes() == sb.model.flat[sb.low_span].tobytes()
+        low_a, low_b = (s.model.layer_values(s.low_layer_list) for s in (sa, sb))
+        assert low_a.tobytes() == low_b.tobytes()
         assert (a.train_loss, a.test_iou, a.test_dice) == (b.train_loss, b.test_iou, b.test_dice)
 
     def test_upload_covers_exactly_the_low_layers(self):
@@ -193,7 +194,7 @@ class TestReferenceEquivalence:
             assert fast.adam.second_moment.tobytes() == slow.adam.second_moment.tobytes()
             assert fast.adam.step_count == slow.adam.step_count == 4 * round_index
         low = slow.model.adapter_params(fast.low_layer_list)
-        assert fast.model.flat[fast.low_span].tobytes() == low.values.tobytes()
+        assert fast.model.layer_values(fast.low_layer_list).tobytes() == low.values.tobytes()
 
 
 def row_iou_dice(pred, truth):

@@ -302,10 +302,6 @@ class TestUpdateMatrix:
         with pytest.raises(ProtocolError):
             update_matrix(*round_inputs(sent), SgcaConfig())
 
-    def test_column_size_prior_is_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="m_mode"):
-            SgcaConfig(m_mode="column_mj").validate()
-
 
 class TestAggregate:
     def _params(self, values):
