@@ -475,11 +475,9 @@ class AdamState:
     eps: float = ADAM_EPS
 
     @classmethod
-    def for_params(cls, params: FlatParams) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(params.total_size),
-            second_moment=np.zeros(params.total_size),
-        )
+    def zeros(cls, size: int) -> "AdamState":
+        """Fresh accumulators for a parameter vector of `size` entries."""
+        return cls(first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 
 def adam_update(values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:

@@ -147,7 +147,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
             ClientState(
                 client_id=i,
                 model=model,
-                adam=AdamState.for_params(model.adapter_params()),
+                adam=AdamState.zeros(model.flat.size),
                 dataset=datasets[i],
                 config=cfg.client,
                 seed=cfg.seed,

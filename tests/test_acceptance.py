@@ -296,7 +296,7 @@ def test_criterion_07_parameter_shift_ordering():
         state = ClientState(
             client_id=0,
             model=model,
-            adam=AdamState.for_params(model.adapter_params()),
+            adam=AdamState.zeros(model.flat.size),
             dataset=dataset,
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,

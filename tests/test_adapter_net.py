@@ -192,7 +192,7 @@ class TestFlatBuffer:
         stream = RngStream(19, 0)
         images = stream.draw_uniform(4 * 8).reshape(4, 8)
         masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
-        state = AdamState.for_params(whole)
+        state = AdamState.zeros(whole.total_size)
         for _ in range(3):
             _, grads = objective_and_grad(images, masks, model, None, 0.0)
             params, state = adam_step(model.adapter_params(), grads, state, 1e-2)
@@ -571,7 +571,7 @@ class TestAdamStep:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params = self._params([1.0, -2.0, 3.0])
-        state = AdamState.for_params(params)
+        state = AdamState.zeros(params.total_size)
         new_params, new_state = adam_step(params, self._params([0.0, 0.0, 0.0]), state, 1e-3)
         assert np.array_equal(new_params.values, params.values)
         assert new_state.step_count == 1
@@ -580,7 +580,7 @@ class TestAdamStep:
         lr = 1e-3
         params = self._params([0.0, 0.0])
         grads = self._params([0.5, -2.0])
-        state = AdamState.for_params(params)
+        state = AdamState.zeros(params.total_size)
         prev = params
         for _ in range(1000):
             prev = params
@@ -595,7 +595,7 @@ class TestAdamStep:
 
         def run():
             params = self._params(values)
-            state = AdamState.for_params(params)
+            state = AdamState.zeros(params.total_size)
             for _ in range(10):
                 params, state = adam_step(params, self._params(grad_values), state, 1e-2)
             return params.values
@@ -614,7 +614,7 @@ class TestAdamStep:
         stream = RngStream(22, 0)
         values = stream.draw_gaussian(257)
         params = self._params(values)
-        state = AdamState.for_params(params)
+        state = AdamState.zeros(params.total_size)
         m = v = np.zeros(257)
         for t in range(1, 31):
             grad_values = stream.draw_gaussian(257) * 10.0 ** stream.draw_integer(-6, 2)
@@ -627,7 +627,7 @@ class TestAdamStep:
 
     def test_inputs_are_left_unchanged(self):
         params = self._params([1.0, -2.0])
-        state = AdamState.for_params(params)
+        state = AdamState.zeros(params.total_size)
         adam_step(params, self._params([0.5, 0.5]), state, 1e-2)
         assert np.array_equal(params.values, [1.0, -2.0])
         assert state.step_count == 0 and not np.any(state.first_moment)
@@ -636,7 +636,7 @@ class TestAdamStep:
         params = self._params([1.0, 2.0])
         grads = FlatParams(np.ones(3), ((1, 3),))
         with pytest.raises(InvalidArgumentError):
-            adam_step(params, grads, AdamState.for_params(params), 1e-3)
+            adam_step(params, grads, AdamState.zeros(params.total_size), 1e-3)
 
 
 class TestFrozenImmutability:
@@ -647,7 +647,7 @@ class TestFrozenImmutability:
         images = stream.draw_uniform(4 * 8).reshape(4, 8)
         masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
         params = model.adapter_params()
-        state = AdamState.for_params(params)
+        state = AdamState.zeros(params.total_size)
         for _ in range(5):
             _, grads = objective_and_grad(images, masks, model, None, 0.0)
             params, state = adam_step(model.adapter_params(), grads, state, 1e-2)

@@ -50,7 +50,7 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
     return ClientState(
         client_id=0,
         model=model,
-        adam=AdamState.for_params(model.adapter_params()),
+        adam=AdamState.zeros(model.flat.size),
         dataset=dataset,
         config=config,
         seed=seed,

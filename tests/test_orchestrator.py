@@ -332,7 +332,7 @@ class TestFedavgSymmetry:
                 ClientState(
                     client_id=client_id,
                     model=model,
-                    adam=AdamState.for_params(model.adapter_params()),
+                    adam=AdamState.zeros(model.flat.size),
                     dataset=dataset,
                     config=ClientConfig(learning_rate=1e-2, batch_size=8, low_layers=1),
                     seed=11,
