@@ -8,7 +8,6 @@ hand-derived reverse mode and updates use Adam.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ class ToyFM:
     """K frozen blocks, each followed by a bottleneck adapter, plus a frozen head.
 
     The model owns every adapter weight in one contiguous float64 vector,
-    `flat`, in FlatParams order: layers ascending, down_proj before up_proj,
+    `flat`: layers ascending, down_proj before up_proj,
     row-major within each. down_proj is (bottleneck_dim, feature_dim) and
     up_proj is (feature_dim, bottleneck_dim); there are no bias terms.
     `adapters[k - 1]` is layer k's (down_proj, up_proj) as reshaped views of
@@ -104,15 +103,15 @@ class ToyFM:
         return slice((k - 1) * self.layer_size, k * self.layer_size)
 
     def manifest(self, layers: list[int] | None = None) -> tuple[tuple[int, int], ...]:
-        """FlatParams manifest of the given 1-based layers (default: all)."""
+        """Wire manifest, (layer, length) pairs, of the given 1-based layers (default: all)."""
         if layers is None:
             layers = range(1, self.num_blocks + 1)
         for k in layers:
             self._span(k)
         return tuple((int(k), self.layer_size) for k in layers)
 
-    def _runs(self, layers) -> list[slice]:
-        """Where the given 1-based layers sit in flat, adjacent layers merged into one slice."""
+    def layer_values(self, layers: list[int]) -> np.ndarray:
+        """flat at the given 1-based layers: a view when they are adjacent, else a copy."""
         runs: list[slice] = []
         for k in layers:
             span = self._span(k)
@@ -120,17 +119,9 @@ class ToyFM:
                 runs[-1] = slice(runs[-1].start, span.stop)
             else:
                 runs.append(span)
-        return runs
-
-    def _values_at(self, runs: list[slice]) -> np.ndarray:
-        """flat at runs, in order: a view of flat for one run, else a concatenated copy."""
         if len(runs) == 1:
             return self.flat[runs[0]]
         return np.concatenate([self.flat[run] for run in runs]) if runs else np.zeros(0)
-
-    def layer_values(self, layers: list[int]) -> np.ndarray:
-        """flat at the given 1-based layers: a view when they are adjacent, else a copy."""
-        return self._values_at(self._runs(layers))
 
     def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
         """A copy of the adapter weights for the given 1-based layers (default: all)."""
@@ -150,16 +141,6 @@ class ToyFM:
             writes.append((span, values))
         for span, values in writes:
             self.flat[span] = values
-
-    def frozen_digest(self) -> str:
-        """SHA-256 over every frozen weight and bias, in block order."""
-        h = hashlib.sha256()
-        for block in self.blocks:
-            h.update(block.weight.tobytes())
-            h.update(block.bias.tobytes())
-        h.update(self.head.weight.tobytes())
-        h.update(self.head.bias.tobytes())
-        return h.hexdigest()
 
     def clone(self) -> "ToyFM":
         """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
@@ -257,16 +238,6 @@ def _bce(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
 
 
-def seg_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy over pixels (and batch), with clamped probabilities."""
-    logits = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if logits.shape != y.shape:
-        raise InvalidArgumentError(f"shape mismatch: logits {logits.shape} vs mask {y.shape}")
-    _check_mask(y)
-    return _bce(sigmoid(logits), y)
-
-
 def _cosine_parts(theta_low: np.ndarray, theta_ref: np.ndarray) -> tuple[float, float, float]:
     """||theta_low||, ||theta_ref|| and their dot: all the regularizer and its gradient need."""
     return (
@@ -283,22 +254,8 @@ def _neg_cosine(na: float, nb: float, dot: float) -> float:
     return -(dot / (na * nb))
 
 
-def reg_loss(theta_low: FlatParams, theta_ref: FlatParams) -> float:
-    """Negated cosine between the current and reference low-level adapters.
-
-    Defined as 0 when theta_low is the zero vector (cosine undefined there,
-    and 0 applies no pull).
-    """
-    if not theta_low.same_manifest(theta_ref):
-        raise InvalidArgumentError("reg_loss requires identical manifests")
-    if not np.any(theta_ref.values):
-        raise InvalidArgumentError("reference parameters must be non-zero")
-    return _neg_cosine(*_cosine_parts(theta_low.values, theta_ref.values))
-
-
 def _add_reg_grad(
     grads: np.ndarray,
-    runs: list[slice],
     theta_low: np.ndarray,
     theta_ref: np.ndarray,
     beta: float,
@@ -306,12 +263,12 @@ def _add_reg_grad(
     nb: float,
     dot: float,
 ) -> None:
-    """Add beta times the gradient of -cos(theta_low, theta_ref) into grads at runs, in place.
+    """Add beta times the gradient of -cos(theta_low, theta_ref) into grads, in place.
 
-    theta_low and theta_ref are laid out like the runs, concatenated. Each
-    entry gets -beta * (ref / (na * nb) - theta * dot / (na**3 * nb)) in that
-    arithmetic order. Nothing is added when theta_low is the zero vector,
-    where the regularizer is constant 0.
+    theta_low and theta_ref are layers 1..L, the first theta_ref.size entries
+    of grads. Each entry gets -beta * (ref / (na * nb) - theta * dot /
+    (na**3 * nb)) in that arithmetic order. Nothing is added when theta_low
+    is the zero vector, where the regularizer is constant 0.
     """
     if na == 0.0:
         return
@@ -320,30 +277,22 @@ def _add_reg_grad(
     pull /= na**3 * nb
     term -= pull
     term *= beta
-    offset = 0
-    for run in runs:
-        width = run.stop - run.start
-        # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
-        grads[run] -= term[offset : offset + width]
-        offset += width
-
-
-Reference = tuple[list[slice], np.ndarray]
+    # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
+    grads[: term.size] -= term
 
 
 def _check_objective_args(
     images: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
-    theta_ref: FlatParams | None,
+    theta_ref: np.ndarray | None,
     beta: float,
-) -> tuple[np.ndarray, np.ndarray, Reference | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Validate an objective's arguments.
 
     Returns images and masks as float64 matrices, and the regularizer's
-    reference: None when it is off, else where the layers theta_ref names
-    sit in model.flat (adjacent layers merged into one slice) and
-    theta_ref's values.
+    reference: None when it is off, else theta_ref as a float64 vector over
+    layers 1..L, laid out like the start of model.flat.
     """
     if beta < 0:
         raise InvalidArgumentError("beta must be >= 0")
@@ -356,12 +305,15 @@ def _check_objective_args(
     _check_mask(masks)
     if theta_ref is None or beta == 0:
         return images, masks, None
-    runs = model._runs(k for k, _ in theta_ref.manifest)
-    if any(length != model.layer_size for _, length in theta_ref.manifest):
-        raise InvalidArgumentError("theta_ref manifest does not match the model's layers")
-    if not np.any(theta_ref.values):
+    theta_ref = np.asarray(theta_ref, dtype=np.float64)
+    layers, rest = divmod(theta_ref.size, model.layer_size)
+    if theta_ref.ndim != 1 or rest or not 1 <= layers <= model.num_blocks:
+        raise InvalidArgumentError(
+            f"theta_ref must be a vector over layers 1..L, {model.layer_size} values per layer"
+        )
+    if not np.any(theta_ref):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    return images, masks, (runs, theta_ref.values)
+    return images, masks, theta_ref
 
 
 def _forward_cached(x: np.ndarray, model: ToyFM):
@@ -385,19 +337,19 @@ def objective_and_grad(
     images: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
-    theta_ref: FlatParams | None,
+    theta_ref: np.ndarray | None,
     beta: float,
     *,
     out: np.ndarray | None = None,
-) -> tuple[float, FlatParams | np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Objective value and its exact gradient w.r.t. all adapter parameters.
 
     The segmentation term is averaged over the batch; the regularizer pulls
-    the layers named in theta_ref's manifest toward theta_ref, scaled by beta.
-    Frozen blocks receive no gradient, so backpropagation stops at the
-    layer-1 adapter. The gradient is returned as a FlatParams over all
-    layers; with `out` (a float64 vector shaped like model.flat) it is
-    written into `out` instead, which is returned.
+    layers 1..L toward theta_ref, a vector over those layers laid out like
+    the start of model.flat, scaled by beta. Frozen blocks receive no
+    gradient, so backpropagation stops at the layer-1 adapter. The gradient
+    is a new vector laid out like model.flat; with `out` (a float64 vector
+    of that shape) it is written into `out` instead, which is returned.
     """
     images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     if out is None:
@@ -430,36 +382,32 @@ def objective_and_grad(
             g = d_input @ model.blocks[k - 1].weight
 
     if ref is not None:
-        runs, reference = ref
-        theta_low = model._values_at(runs)
-        parts = _cosine_parts(theta_low, reference)
+        theta_low = model.flat[: ref.size]
+        parts = _cosine_parts(theta_low, ref)
         loss += beta * _neg_cosine(*parts)
-        _add_reg_grad(grads, runs, theta_low, reference, beta, *parts)
-    if out is not None:
-        return loss, out
-    return loss, FlatParams(grads, model.manifest())
+        _add_reg_grad(grads, theta_low, ref, beta, *parts)
+    return loss, grads
 
 
 def objective(
     images: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
-    theta_ref: FlatParams | None,
+    theta_ref: np.ndarray | None,
     beta: float,
 ) -> float:
     """Forward-only objective: the same float objective_and_grad returns as its loss.
 
     Runs model_forward, the segmentation loss and the beta-scaled
-    regularizer on the layers named in theta_ref, with no backward pass and
-    no gradient built. It makes objective_and_grad's argument checks and
-    computes the loss with the same operations in the same order, so the
-    two agree bit for bit.
+    regularizer on layers 1..L, with no backward pass and no gradient
+    built. It makes objective_and_grad's argument checks and computes the
+    loss with the same operations in the same order, so the two agree bit
+    for bit.
     """
     images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     loss = _bce(sigmoid(model_forward(images, model)), masks)
     if ref is not None:
-        runs, reference = ref
-        loss += beta * _neg_cosine(*_cosine_parts(model._values_at(runs), reference))
+        loss += beta * _neg_cosine(*_cosine_parts(model.flat[: ref.size], ref))
     return loss
 
 

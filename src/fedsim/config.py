@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .datagen import ClusterParams, FederationSpec
@@ -131,9 +132,12 @@ def _parse_scalar(section: str, key: str, raw: str, kind: type):
     try:
         if kind is bool:
             raise TypeError
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_tuple(section: str, key: str, raw: str, kind: type, arity: int | None = None):

@@ -1,4 +1,4 @@
-"""Client-side runtime: install the broadcast adapters, train locally, report metrics."""
+"""Client-side runtime: decode the broadcast into the adapters, train locally, report metrics."""
 
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from .adapter_net import (
     sigmoid,
 )
 from .datagen import ClientDataset
-from .errors import InvalidArgumentError, InvalidStateError, NumericError, ProtocolError
-from .numerics import FlatParams, RngStream, derive_stream_id
+from .errors import InvalidArgumentError, InvalidStateError, NumericError
+from .numerics import RngStream, derive_stream_id
+from .transport import deserialize_params
 
 
 @dataclass
@@ -62,7 +63,8 @@ class ClientState:
     dataset: ClientDataset
     config: ClientConfig
     seed: int
-    theta_ref: FlatParams | None = None
+    # During a round, a copy of the broadcast: layers 1..L, laid out like the start of model.flat.
+    theta_ref: np.ndarray | None = None
     _train_images: np.ndarray = field(init=False, repr=False)
     _train_masks: np.ndarray = field(init=False, repr=False)
     _test_images: np.ndarray = field(init=False, repr=False)
@@ -86,15 +88,16 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return np.stack(arrays)
 
 
-def install_low_adapters(state: ClientState, received: FlatParams) -> None:
-    """Overwrite adapter layers 1..L with the broadcast and snapshot it as theta_ref."""
-    expected = state.model.manifest(state.low_layer_list)
-    if received.manifest != expected:
-        raise ProtocolError(
-            f"broadcast manifest {received.manifest} does not cover layers 1..{state.config.low_layers}"
-        )
-    state.model.install_adapter_params(received)
-    state.theta_ref = received
+def install_low_adapters(state: ClientState, payload: bytes) -> None:
+    """Decode the broadcast straight into adapter layers 1..L of model.flat; copy it to theta_ref.
+
+    The payload is checked in full before anything is written: one that is
+    malformed or non-finite (DecodeError) or not exactly layers 1..L
+    (ProtocolError) leaves model.flat and theta_ref as they were.
+    """
+    model, low = state.model, state.low_layer_list
+    values = deserialize_params(payload, manifest=model.manifest(low), out=model.layer_values(low))
+    state.theta_ref = values.copy()
 
 
 def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -18,11 +18,12 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True, eq=False)
 class FlatParams:
-    """A flat float64 vector with a (layer_index, length) manifest.
+    """A flat float64 vector with a (layer_index, length) manifest: a checkpoint's parameter set.
 
     The manifest records which adapter layer each contiguous slice belongs
     to; layer indices are 1-based and strictly increasing. Values are kept
-    read-only so a FlatParams can be shared safely.
+    read-only so a FlatParams can be shared safely. The round itself moves
+    plain vectors laid out by a manifest, not FlatParams.
     """
 
     values: np.ndarray
@@ -49,23 +50,6 @@ class FlatParams:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "manifest", manifest)
 
-    @property
-    def total_size(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def layer_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.manifest)
-
-    def layer(self, layer_index: int) -> np.ndarray:
-        """Read-only view of one layer's slice."""
-        offset = 0
-        for idx, length in self.manifest:
-            if idx == layer_index:
-                return self.values[offset : offset + length]
-            offset += length
-        raise InvalidArgumentError(f"layer {layer_index} not in manifest {self.manifest}")
-
     def split(self) -> list[tuple[int, np.ndarray]]:
         """Per-layer (index, slice) pairs, in manifest order."""
         out = []
@@ -75,25 +59,11 @@ class FlatParams:
             offset += length
         return out
 
-    @classmethod
-    def from_layers(cls, parts: Iterable[tuple[int, np.ndarray]]) -> "FlatParams":
-        parts = list(parts)
-        manifest = tuple((int(i), int(np.asarray(v).size)) for i, v in parts)
-        if parts:
-            values = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for _, v in parts])
-        else:
-            values = np.zeros(0)
-        return cls(values, manifest)
-
     def with_values(self, values: np.ndarray) -> "FlatParams":
         return FlatParams(values, self.manifest)
 
     def same_manifest(self, other: "FlatParams") -> bool:
         return self.manifest == other.manifest
-
-    def equals(self, other: "FlatParams") -> bool:
-        """Bit-exact equality of manifest and values."""
-        return self.same_manifest(other) and np.array_equal(self.values, other.values)
 
 
 @dataclass

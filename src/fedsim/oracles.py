@@ -160,18 +160,13 @@ def _build_fixture(fx: dict):
     )
     data = RngStream(fx["seed"], derive_stream_id("grad-fixture", "data"))
     # Random non-zero up projections so gradients flow through both projections.
-    template = model.adapter_params()
-    model.install_adapter_params(
-        template.with_values(0.3 * data.draw_gaussian(template.total_size))
-    )
+    model.flat[...] = 0.3 * data.draw_gaussian(model.flat.size)
     images = data.draw_uniform(fx["batch"] * fx["feature_dim"]).reshape(
         fx["batch"], fx["feature_dim"]
     )
     masks = (data.draw_uniform(fx["batch"] * fx["feature_dim"]) < 0.3).astype(np.float64)
     masks = masks.reshape(fx["batch"], fx["feature_dim"])
-    theta_ref = model.adapter_params([1]).with_values(
-        data.draw_gaussian(2 * fx["feature_dim"] * fx["bottleneck_dim"])
-    )
+    theta_ref = data.draw_gaussian(model.layer_size)  # the reference for layer 1
     return model, images, masks, theta_ref
 
 
@@ -229,14 +224,13 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
         out = _relu(u) @ up.T + r
         acts.append((r, u, out))
 
-    # The regularizer -cos(theta, ref) over the layers theta_ref names, from
-    # ||theta||^2 and theta . ref, which one entry's step moves in closed form.
+    # The regularizer -cos(theta, ref) over layers 1..L, from ||theta||^2 and
+    # theta . ref, which one entry's step moves in closed form.
     ref = np.zeros_like(flat)
     pulled = np.zeros(flat.size, dtype=bool)
     if beta > 0:
-        for k, values in theta_ref.split():
-            ref[(k - 1) * size : k * size] = values
-            pulled[(k - 1) * size : k * size] = True
+        ref[: theta_ref.size] = theta_ref
+        pulled[: theta_ref.size] = True
     sq, dot = float(flat[pulled] @ flat[pulled]), float(flat @ ref)
     ref_norm = float(np.linalg.norm(ref))
     reg = -(dot / (np.sqrt(sq) * ref_norm)) if beta > 0 else 0.0
@@ -311,7 +305,7 @@ def _gradient_check(fx: dict, h: float, recheck: bool) -> tuple[float, int]:
     if recheck and flagged.size:
         numeric[flagged] = _central_differences(*args, h / 10.0, flagged)[0]
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
-    return float(np.max(np.abs(analytic.values - numeric))) / scale, int(flagged.size)
+    return float(np.max(np.abs(analytic - numeric))) / scale, int(flagged.size)
 
 
 def gradient_rel_error(fx: dict, h: float = 1e-5) -> float:
@@ -319,7 +313,7 @@ def gradient_rel_error(fx: dict, h: float = 1e-5) -> float:
 
     The analytic side is one objective_and_grad call. The numeric side is
     the central difference (f(x + h) - f(x - h)) / 2h of every entry of the
-    model's flat adapter buffer (FlatParams order), each moved on its own to
+    model's flat adapter buffer (model.flat order), each moved on its own to
     the floats x + h and x - h, all taken in one batched pass of this
     module's own forward. No coordinate is rechecked: near a ReLU kink the
     error at h is returned as it is (check_gradients rechecks those).

@@ -158,7 +158,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
 
 def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int):
     """Install the broadcast, train, and return the update, the per-layer shift and the upload."""
-    install_low_adapters(state, deserialize_params(broadcast_payload))
+    install_low_adapters(state, broadcast_payload)
     model = state.model
     before = model.flat.copy()
     update = local_train_round(state, round_index)

@@ -1,8 +1,11 @@
-"""Wire messages, low-level adapter selection, binary serialization, and the comm ledger.
+"""Wire messages, binary serialization, checkpoint files, and the comm ledger.
 
 Payloads are little-endian float64 with a fixed header, so byte output is
-identical across runs and platforms. The ledger counts parameter scalars,
-one upload and one broadcast per client per round.
+identical across runs and platforms. A round encodes plain vectors laid out
+by a manifest and decodes them straight into a client's model.flat or a
+row of the server's matrix; FlatParams is only the .fsca checkpoint form.
+The ledger counts parameter scalars, one upload and one broadcast per
+client per round.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter_net import ToyFM
 from .errors import DecodeError, InvalidArgumentError, ProtocolError
 from .numerics import FlatParams
 
@@ -28,20 +30,11 @@ _LAYER_ENTRY = struct.Struct("<II")  # layer index, length
 MESSAGE_KINDS = ("upload", "broadcast")
 
 
-def select_for_transmission(model: ToyFM, num_layers: int) -> FlatParams:
-    """Adapter layers 1..num_layers, concatenated in layer order."""
-    if not 1 <= num_layers <= model.num_blocks:
-        raise InvalidArgumentError(
-            f"num_layers must be in 1..{model.num_blocks}, got {num_layers}"
-        )
-    return model.adapter_params(list(range(1, num_layers + 1)))
-
-
 def serialize_params(params: FlatParams | np.ndarray, manifest: Manifest | None = None) -> bytes:
-    """Wire bytes of a FlatParams, or, with `manifest`, of a flat float64 vector laid out by it.
+    """Wire bytes of a float64 vector laid out by `manifest`, or, with no manifest, of a FlatParams.
 
-    The second form serializes a row of the server's mixing output with no
-    FlatParams built for it.
+    The round uses the first form (model.flat's low layers, a row of the
+    server's mixing output); checkpoints use the second.
     """
     if manifest is None:
         manifest, values = params.manifest, params.values
@@ -89,13 +82,14 @@ def payload_scalar_count(data: bytes) -> int:
 def deserialize_params(
     data: bytes, *, manifest: Manifest | None = None, out: np.ndarray | None = None
 ) -> FlatParams | np.ndarray:
-    """Decode a payload into a FlatParams.
+    """Decode a payload into `out`, or, with no `out`, into a FlatParams (the checkpoint form).
 
-    With `out`, a float64 vector laid out by `manifest` (such as row i of the
-    server's round matrix), the values are written into `out`, which is
-    returned, and no FlatParams is built. The payload must then carry exactly
-    `manifest`; any other is a ProtocolError, since it is not what the round
-    expects.
+    `out` is a float64 vector laid out by `manifest`, such as a client's
+    model.flat low layers or row i of the server's round matrix; the values
+    are written into it and it is returned. The payload must then carry
+    exactly `manifest`; any other is a ProtocolError, since it is not what
+    the round expects. Every check runs before `out` is written, so a
+    rejected payload leaves it unchanged.
     """
     found, offset, total = _parse_frame(data)
     # A read-only view of data; the decoded values are copied once out of it.

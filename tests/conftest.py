@@ -1,4 +1,9 @@
+import hashlib
+
+import numpy as np
 import pytest
+
+from fedsim.numerics import FlatParams
 
 SMALL_CONFIG = """
 [run]
@@ -44,3 +49,39 @@ blob_count = 1, 2
 @pytest.fixture
 def small_config_text():
     return SMALL_CONFIG
+
+
+# Test-only FlatParams helpers. They are fixtures because a second conftest
+# module (bench/tests) shadows `import conftest` during a tier-1 run.
+
+
+@pytest.fixture
+def from_layers():
+    """Build a FlatParams from (layer index, values) pairs, concatenated in order."""
+
+    def build(parts):
+        parts = [(int(k), np.asarray(v, dtype=np.float64).ravel()) for k, v in parts]
+        values = np.concatenate([v for _, v in parts]) if parts else np.zeros(0)
+        return FlatParams(values, tuple((k, v.size) for k, v in parts))
+
+    return build
+
+
+@pytest.fixture
+def same_params():
+    """Equality of two FlatParams: the same manifest and equal values."""
+    return lambda a, b: a.manifest == b.manifest and np.array_equal(a.values, b.values)
+
+
+@pytest.fixture
+def frozen_digest():
+    """SHA-256 over a model's frozen weights and biases, blocks then head."""
+
+    def digest(model):
+        h = hashlib.sha256()
+        for block in [*model.blocks, model.head]:
+            h.update(block.weight.tobytes())
+            h.update(block.bias.tobytes())
+        return h.hexdigest()
+
+    return digest

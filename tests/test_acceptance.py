@@ -20,14 +20,13 @@ from fedsim.fed_client import (
     local_train_round,
     measure_param_shift,
 )
-from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.oracles import check_gradients, check_row_solver
 from fedsim.orchestrator import export_store, run_experiment
 from fedsim.transport import (
     CommLedger,
     WireMessage,
     deserialize_params,
-    select_for_transmission,
     serialize_params,
 )
 
@@ -212,7 +211,8 @@ def test_criterion_04_communication_cost_exactness():
     rounds, clients = 100, 4
 
     def total_for(depth):
-        payload = serialize_params(select_for_transmission(model, depth))
+        layers = list(range(1, depth + 1))
+        payload = serialize_params(model.layer_values(layers), model.manifest(layers))
         ledger = CommLedger()
         for round_index in range(1, rounds + 1):
             for client in range(clients):
@@ -301,7 +301,7 @@ def test_criterion_07_parameter_shift_ordering():
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,
         )
-        install_low_adapters(state, model.adapter_params([1]))
+        install_low_adapters(state, serialize_params(model.layer_values([1]), model.manifest([1])))
         before = model.flat.copy()
         local_train_round(state, 1)
         shift = measure_param_shift(before, model.flat, model.manifest())
@@ -359,7 +359,7 @@ def test_criterion_09_metric_unit_suite():
     )
 
 
-def test_criterion_10_serialization_robustness():
+def test_criterion_10_serialization_robustness(from_layers, same_params):
     start = time.perf_counter()
     stream = RngStream(99, 0)
     failures = 0
@@ -371,11 +371,11 @@ def test_criterion_10_serialization_robustness():
         for _ in range(num_layers):
             parts.append((idx, stream.draw_gaussian(stream.draw_integer(1, 40))))
             idx += stream.draw_integer(1, 5)
-        params = FlatParams.from_layers(parts)
-        if not deserialize_params(serialize_params(params)).equals(params):
+        params = from_layers(parts)
+        if not same_params(deserialize_params(serialize_params(params)), params):
             failures += 1
     rejected = 0
-    good = serialize_params(FlatParams.from_layers([(1, np.arange(8.0))]))
+    good = serialize_params(np.arange(8.0), ((1, 8),))
     for bad in (b"YYYY" + good[4:], good[:4] + b"\x09" + good[5:], good[:-2]):
         try:
             deserialize_params(bad)

@@ -1,13 +1,15 @@
+import os
 import subprocess
 import sys
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "fedsim", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -41,6 +43,28 @@ class TestRunCommand:
         proc = run_cli("run", "--config", str(cfg))
         assert proc.returncode == 2
         assert "validation error" in proc.stderr
+
+    def test_non_finite_config_float_exits_with_validation_code(self, tmp_path, small_config_text):
+        text = small_config_text.replace("radius = 1.5, 2.5", "radius = nan, 1", 1)
+        cfg = write_config(tmp_path, text)
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "results"))
+        assert proc.returncode == 2, proc.stderr
+        assert "validation error: [cluster.0] radius: 'nan' is not a finite number" in proc.stderr
+        assert not (tmp_path / "results").exists()
+
+    def test_run_directory_is_identical_at_one_and_two_blas_threads(
+        self, tmp_path, small_config_text
+    ):
+        cfg = write_config(tmp_path, small_config_text)
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = run_cli("run", "--config", str(cfg), "--out", str(out), env=env)
+            assert proc.returncode == 0, proc.stderr
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+        assert len(trees[0]) > 4 and trees[0] == trees[1]
 
     def test_missing_config_exits_with_io_code(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.ini"))

@@ -8,11 +8,10 @@ from fedsim.adapter_net import (
     build_model,
     model_forward,
     objective_and_grad,
-    reg_loss,
     sigmoid,
 )
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
-from fedsim.errors import InvalidArgumentError, InvalidStateError, ProtocolError
+from fedsim.errors import DecodeError, InvalidArgumentError, InvalidStateError, ProtocolError
 from fedsim.fed_client import (
     ClientConfig,
     ClientState,
@@ -57,59 +56,114 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
     )
 
 
+def broadcast(state, values=None, layers=None):
+    """Wire bytes of `values` (default: the model's own) as adapter layers 1..L, or `layers`."""
+    layers = state.low_layer_list if layers is None else layers
+    if values is None:
+        values = state.model.layer_values(layers)
+    return serialize_params(values, state.model.manifest(layers))
+
+
 class TestInstall:
     def test_reinstalling_current_params_is_idempotent(self):
         state = make_state()
-        current = state.model.adapter_params()
-        received = state.model.adapter_params([1])
-        install_low_adapters(state, received)
-        assert state.model.adapter_params().equals(current)
-        assert state.theta_ref.equals(received)
+        current = state.model.flat.copy()
+        received = state.model.layer_values([1]).copy()
+        install_low_adapters(state, broadcast(state))
+        assert np.array_equal(state.model.flat, current)
+        assert np.array_equal(state.theta_ref, received)
 
     def test_higher_layers_untouched_by_install(self):
         state = make_state(low_layers=2)
-        high_before = state.model.adapter_params([3, 4, 5, 6])
-        received = state.model.adapter_params([1, 2]).with_values(
-            RngStream(1, 1).draw_gaussian(2 * state.model.layer_size)
-        )
-        install_low_adapters(state, received)
-        assert state.model.adapter_params([3, 4, 5, 6]).equals(high_before)
+        high_before = state.model.layer_values([3, 4, 5, 6]).copy()
+        received = RngStream(1, 1).draw_gaussian(2 * state.model.layer_size)
+        install_low_adapters(state, broadcast(state, received))
+        assert np.array_equal(state.model.layer_values([3, 4, 5, 6]), high_before)
+        assert state.model.layer_values([1, 2]).tobytes() == received.tobytes()
 
     def test_reg_loss_is_minus_one_right_after_install(self):
         state = make_state()
-        install_low_adapters(state, state.model.adapter_params([1]))
-        value = reg_loss(state.model.adapter_params([1]), state.theta_ref)
+        install_low_adapters(state, broadcast(state))
+        a, b = state.model.layer_values([1]), state.theta_ref
+        value = -(float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_manifest_mismatch_is_a_protocol_error(self):
         state = make_state(low_layers=1)
-        wrong = state.model.adapter_params([1, 2])
         with pytest.raises(ProtocolError):
-            install_low_adapters(state, wrong)
+            install_low_adapters(state, broadcast(state, layers=[1, 2]))
+
+    def test_theta_ref_is_a_copy_not_a_view_of_the_model(self):
+        state = make_state(low_layers=2)
+        install_low_adapters(state, broadcast(state))
+        assert state.theta_ref.shape == (2 * state.model.layer_size,)
+        assert not np.shares_memory(state.theta_ref, state.model.flat)
+
+
+class TestBadBroadcast:
+    """A rejected broadcast leaves model.flat and theta_ref bit for bit as they were."""
+
+    def _bad_payloads(self, state):
+        size = state.model.layer_size
+        values = RngStream(2, 2).draw_gaussian(size)
+        non_finite = []
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = values.copy()
+            poisoned[-1] = bad
+            non_finite.append((DecodeError, broadcast(state, poisoned)))
+        return [
+            (ProtocolError, broadcast(state, layers=[1, 2])),
+            (ProtocolError, serialize_params(values, ((2, size),))),
+            (ProtocolError, serialize_params(values[:-1], ((1, size - 1),))),
+            *non_finite,
+            (DecodeError, broadcast(state, values)[:-1]),
+            (DecodeError, broadcast(state, values)[:10]),
+            (DecodeError, b"XSCA" + broadcast(state, values)[4:]),
+        ]
+
+    def test_rejected_broadcast_changes_nothing(self):
+        state = make_state()
+        install_low_adapters(state, broadcast(state))
+        local_train_round(state, 1)  # model.flat now differs from theta_ref
+        flat, ref = state.model.flat.tobytes(), state.theta_ref.tobytes()
+        for error, payload in self._bad_payloads(state):
+            with pytest.raises(error):
+                install_low_adapters(state, payload)
+            assert state.model.flat.tobytes() == flat
+            assert state.theta_ref.tobytes() == ref
+
+    def test_rejected_first_broadcast_leaves_no_reference(self):
+        state = make_state()
+        flat = state.model.flat.tobytes()
+        for error, payload in self._bad_payloads(state):
+            with pytest.raises(error):
+                install_low_adapters(state, payload)
+            assert state.model.flat.tobytes() == flat
+            assert state.theta_ref is None
 
 
 class TestLocalTraining:
     def test_loss_drops_between_round_one_and_round_twenty(self):
         # Single bright blob, no regularizer: the task is comfortably learnable.
         state = make_state(beta=0.0, gain=1.5, noise=0.03, n=64)
-        install_low_adapters(state, state.model.adapter_params([1]))
+        install_low_adapters(state, broadcast(state))
         first = local_train_round(state, 1)
         last = None
         for round_index in range(2, 21):
             last = local_train_round(state, round_index)
         assert last.train_loss < first.train_loss
 
-    def test_frozen_blocks_unchanged_by_training(self):
+    def test_frozen_blocks_unchanged_by_training(self, frozen_digest):
         state = make_state()
-        digest = state.model.frozen_digest()
-        install_low_adapters(state, state.model.adapter_params([1]))
+        digest = frozen_digest(state.model)
+        install_low_adapters(state, broadcast(state))
         local_train_round(state, 1)
-        assert state.model.frozen_digest() == digest
+        assert frozen_digest(state.model) == digest
 
     def test_identical_clients_produce_identical_updates(self):
         def run():
             state = make_state(seed=3)
-            install_low_adapters(state, state.model.adapter_params([1]))
+            install_low_adapters(state, broadcast(state))
             return state, local_train_round(state, 1)
 
         (sa, a), (sb, b) = run(), run()
@@ -117,24 +171,23 @@ class TestLocalTraining:
         assert low_a.tobytes() == low_b.tobytes()
         assert (a.train_loss, a.test_iou, a.test_dice) == (b.train_loss, b.test_iou, b.test_dice)
 
-    def test_upload_covers_exactly_the_low_layers(self):
+    def test_upload_covers_exactly_the_low_layers(self, same_params):
         for low_layers in range(1, 7):
             state = make_state(low_layers=low_layers, n=20)
             layers = list(range(1, low_layers + 1))
             broadcast = serialize_params(state.model.adapter_params(layers))
             update, _, upload = _client_round(state, broadcast, 1)
-            assert deserialize_params(upload).equals(state.model.adapter_params(layers))
+            assert same_params(deserialize_params(upload), state.model.adapter_params(layers))
             assert update.n_i == state.dataset.n_i
 
     def test_theta_ref_snapshot_survives_training(self):
         state = make_state()
-        received = state.model.adapter_params([1])
-        install_low_adapters(state, received)
-        snapshot = state.theta_ref.values.tobytes()
+        install_low_adapters(state, broadcast(state))
+        snapshot = state.theta_ref.tobytes()
         local_train_round(state, 1)
-        assert state.theta_ref.values.tobytes() == snapshot
+        assert state.theta_ref.tobytes() == snapshot
         # and training actually moved the live layer away from the snapshot
-        assert not state.model.adapter_params([1]).equals(state.theta_ref)
+        assert not np.array_equal(state.model.layer_values([1]), state.theta_ref)
 
     def test_empty_train_set_is_invalid_state(self):
         state = make_state(n=10)
@@ -162,7 +215,9 @@ def reference_round(state, round_index):
                 images[idx], masks[idx], state.model, state.theta_ref, cfg.beta
             )
             params = state.model.adapter_params()
-            new_params, state.adam = adam_step(params, grads, state.adam, cfg.learning_rate)
+            new_params, state.adam = adam_step(
+                params, params.with_values(grads), state.adam, cfg.learning_rate
+            )
             state.model.install_adapter_params(new_params)
             losses.append(loss)
     return float(np.mean(losses))
@@ -181,9 +236,7 @@ class TestReferenceEquivalence:
         ]
         if low_layers is not None:
             for state in states:
-                install_low_adapters(
-                    state, state.model.adapter_params(list(range(1, low_layers + 1)))
-                )
+                install_low_adapters(state, broadcast(state))
         fast, slow = states
         assert (fast.theta_ref is None) == (low_layers is None)
         for round_index in range(1, 4):
@@ -285,7 +338,7 @@ class TestParamShift:
     def test_low_layer_shifts_less_than_top_layer(self):
         # Fixed fixture: 10 local epochs with the transmitted layer regularized.
         state = make_state(seed=0, lr=1e-2, beta=0.1, epochs=10, n=100)
-        install_low_adapters(state, state.model.adapter_params([1]))
+        install_low_adapters(state, broadcast(state))
         before = state.model.flat.copy()
         local_train_round(state, 1)
         shift = measure_param_shift(before, state.model.flat, state.model.manifest())
@@ -309,13 +362,13 @@ class TestParamShift:
             return np.array(shifts)
 
         ref_state, state = make_state(beta=0.1, low_layers=2), make_state(beta=0.1, low_layers=2)
-        broadcast = serialize_params(state.model.adapter_params([1, 2]))
-        install_low_adapters(ref_state, deserialize_params(broadcast))
+        payload = serialize_params(state.model.adapter_params([1, 2]))
+        install_low_adapters(ref_state, payload)
         before = ref_state.model.adapter_params()
         ref_update = local_train_round(ref_state, 1)
         expected = flatparams_shift(before, ref_state.model.adapter_params())
 
-        update, shift, upload = _client_round(state, broadcast, 1)
+        update, shift, upload = _client_round(state, payload, 1)
         assert shift.tobytes() == expected.tobytes()
         assert upload == serialize_params(ref_state.model.adapter_params([1, 2]))
         assert update == ref_update
@@ -331,5 +384,5 @@ class TestParamShift:
 
         monkeypatch.setattr(orchestrator, "local_train_round", spy)
         _client_round(state, serialize_params(state.model.adapter_params([1, 2])), 1)
-        assert seen[0] is not None and seen[0].layer_indices == (1, 2)
+        assert seen[0] is not None and seen[0].shape == (2 * state.model.layer_size,)
         assert state.theta_ref is None

@@ -117,18 +117,12 @@ class TestRngStream:
 
 
 class TestFlatParams:
-    def test_split_concat_round_trip_is_identity(self):
+    def test_split_concat_round_trip_is_identity(self, from_layers, same_params):
         stream = RngStream(5, 0)
         parts = [(1, stream.draw_gaussian(4)), (3, stream.draw_gaussian(2)), (7, stream.draw_gaussian(5))]
-        params = FlatParams.from_layers(parts)
-        rebuilt = FlatParams.from_layers(params.split())
-        assert rebuilt.equals(params)
-
-    def test_layer_lookup(self):
-        params = FlatParams.from_layers([(1, np.array([1.0, 2.0])), (2, np.array([3.0]))])
-        assert np.array_equal(params.layer(2), [3.0])
-        with pytest.raises(InvalidArgumentError):
-            params.layer(5)
+        params = from_layers(parts)
+        rebuilt = from_layers(params.split())
+        assert same_params(rebuilt, params)
 
     def test_rejects_bad_manifests(self):
         with pytest.raises(InvalidArgumentError):

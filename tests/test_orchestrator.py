@@ -1,4 +1,7 @@
+import configparser
+import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from fedsim.datagen import (
 )
 from fedsim.errors import ConfigError, NumericError, ProtocolError
 from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
-from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
 from fedsim.transport import serialize_params
@@ -67,7 +70,7 @@ class TestRunExperiment:
         run_experiment(cfg, tmp_path)
         for client_id in range(4):
             params = read_params_file(str(tmp_path / "checkpoints" / f"client_{client_id}.fsca"))
-            assert params.layer_indices == (1, 2, 3)
+            assert [k for k, _ in params.manifest] == [1, 2, 3]
 
     def test_sgca_alpha_zero_broadcast_is_plain_mean(self, small_config_text, monkeypatch):
         # Equal sizes so every row of the mixing matrix is built from the same m.
@@ -294,19 +297,18 @@ def client_adapter_init(cfg, client_id):
     stream = RngStream(cfg.seed, derive_stream_id("adapter", client_id))
     d, b = cfg.model.feature_dim, cfg.model.bottleneck_dim
     parts = []
-    for k in range(1, cfg.model.num_blocks + 1):
-        down = stream.draw_gaussian(b * d) / np.sqrt(d)
-        parts.append((k, np.concatenate([down, np.zeros(d * b)])))
-    return FlatParams.from_layers(parts)
+    for _ in range(cfg.model.num_blocks):
+        parts += [stream.draw_gaussian(b * d) / np.sqrt(d), np.zeros(d * b)]
+    return np.concatenate(parts)
 
 
 class TestInitStates:
-    def test_client_adapters_are_the_per_client_draw(self, small_config_text):
+    def test_client_adapters_are_the_per_client_draw(self, small_config_text, frozen_digest):
         cfg = parse_config_text(small_config_text)
         states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
         for i, state in enumerate(states):
-            assert state.model.flat.tobytes() == client_adapter_init(cfg, i).values.tobytes()
-        assert len({state.model.frozen_digest() for state in states}) == 1
+            assert state.model.flat.tobytes() == client_adapter_init(cfg, i).tobytes()
+        assert len({frozen_digest(state.model) for state in states}) == 1
 
 
 class TestFedavgSymmetry:
@@ -341,13 +343,13 @@ class TestFedavgSymmetry:
         # Identical shuffle streams as well: both clients must act as clones.
         states[1].client_id = 0
         for round_index in range(1, 4):
-            lows = np.stack([s.model.adapter_params([1]).values for s in states])
-            shared = FlatParams(fedavg_aggregate(lows, [20, 20]), states[0].model.manifest([1]))
+            lows = np.stack([s.model.layer_values([1]) for s in states])
+            mean = fedavg_aggregate(lows, [20, 20])
+            shared = serialize_params(mean, states[0].model.manifest([1]))
             for state in states:
                 install_low_adapters(state, shared)
                 local_train_round(state, round_index)
-            a, b = (s.model.adapter_params() for s in states)
-            assert a.equals(b)
+            assert states[0].model.flat.tobytes() == states[1].model.flat.tobytes()
 
 
 class TestSweeps:
@@ -464,6 +466,33 @@ class TestConfigParsing:
     def test_missing_cluster_section_is_an_error(self, small_config_text):
         with pytest.raises(ConfigError, match="cluster 2"):
             parse_config_text(small_config_text.replace("clusters = 0, 0, 1, 1", "clusters = 0, 0, 1, 2"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "section, key, template",
+        [
+            ("client", "learning_rate", "{}"),
+            ("client", "beta", "{}"),
+            ("sgca", "alpha", "{}"),
+            ("cluster.0", "gain", "{}"),
+            ("cluster.0", "noise", "{}"),
+            ("cluster.0", "radius", "{}, 1"),
+            ("cluster.0", "offset", "{}, 1"),
+        ],
+        ids=["learning_rate", "beta", "alpha", "gain", "noise", "radius", "offset"],
+    )
+    def test_non_finite_float_is_a_config_error(
+        self, small_config_text, section, key, template, bad
+    ):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(small_config_text)
+        parser[section][key] = template.format(bad)
+        text = io.StringIO()
+        parser.write(text)
+        named = rf"^\[{re.escape(section)}\] {key}: '{re.escape(bad)}' is not a finite number"
+        with pytest.raises(ConfigError, match=named):
+            parse_config_text(text.getvalue())
 
     def test_round_trip_through_dict_is_stable(self, small_config_text):
         cfg = parse_config_text(small_config_text)

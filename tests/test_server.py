@@ -29,7 +29,7 @@ def uploads(params):
     round loop checks them against the round's low layers.
     """
     manifest = params[0].manifest
-    x = np.zeros((len(params), params[0].total_size))
+    x = np.zeros((len(params), params[0].values.size))
     for row, p in zip(x, params):
         deserialize_params(serialize_params(p), manifest=manifest, out=row)
     return x

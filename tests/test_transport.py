@@ -12,7 +12,6 @@ from fedsim.transport import (
     deserialize_params,
     payload_scalar_count,
     read_params_file,
-    select_for_transmission,
     serialize_params,
     write_params_file,
 )
@@ -26,7 +25,7 @@ def random_params(stream, max_layers=5, max_len=64):
         ).tolist()
     )
     parts = [(int(i), stream.draw_gaussian(stream.draw_integer(1, max_len))) for i in indices]
-    return FlatParams.from_layers(parts)
+    return FlatParams(np.concatenate([v for _, v in parts]), tuple((i, v.size) for i, v in parts))
 
 
 def small_model(num_blocks=6, feature_dim=16, bottleneck_dim=4, seed=0):
@@ -39,38 +38,37 @@ def small_model(num_blocks=6, feature_dim=16, bottleneck_dim=4, seed=0):
     )
 
 
+def low_payload(model, depth):
+    """Wire bytes of adapter layers 1..depth, encoded as the round encodes an upload."""
+    layers = list(range(1, depth + 1))
+    return serialize_params(model.layer_values(layers), model.manifest(layers))
+
+
 class TestSelection:
-    def test_full_depth_selection_equals_all_adapters(self):
+    def test_full_depth_selection_equals_all_adapters(self, same_params):
         model = small_model()
-        assert select_for_transmission(model, 6).equals(model.adapter_params())
+        assert same_params(deserialize_params(low_payload(model, 6)), model.adapter_params())
 
     def test_single_layer_size_arithmetic(self):
         model = small_model()
-        payload = select_for_transmission(model, 1)
-        assert payload.total_size == 2 * 16 * 4
-        assert payload.layer_indices == (1,)
+        payload = deserialize_params(low_payload(model, 1))
+        assert payload.values.size == 2 * 16 * 4
+        assert payload.manifest == ((1, 2 * 16 * 4),)
 
     def test_payload_size_is_monotone_in_depth(self):
         model = small_model()
-        sizes = [select_for_transmission(model, k).total_size for k in range(1, 7)]
+        sizes = [payload_scalar_count(low_payload(model, k)) for k in range(1, 7)]
         assert sizes == sorted(sizes)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
-    def test_out_of_range_depth_rejected(self):
-        model = small_model()
-        with pytest.raises(InvalidArgumentError):
-            select_for_transmission(model, 0)
-        with pytest.raises(InvalidArgumentError):
-            select_for_transmission(model, 7)
-
 
 class TestSerialization:
-    def test_many_random_round_trips_are_bit_exact(self):
+    def test_many_random_round_trips_are_bit_exact(self, same_params):
         stream = RngStream(50, 0)
         for _ in range(2000):
             params = random_params(stream)
             recovered = deserialize_params(serialize_params(params))
-            assert recovered.equals(params)
+            assert same_params(recovered, params)
             assert np.all(np.isfinite(recovered.values))
 
     def test_byte_length_matches_header_plus_payload(self):
@@ -78,10 +76,10 @@ class TestSerialization:
         params = random_params(stream)
         data = serialize_params(params)
         header = 12 + 8 * len(params.manifest)
-        assert len(data) == header + 8 * params.total_size
+        assert len(data) == header + 8 * params.values.size
 
     def test_payload_is_header_manifest_then_little_endian_values(self):
-        params = FlatParams.from_layers([(1, [1.5, -2.0]), (4, [np.pi])])
+        params = FlatParams(np.array([1.5, -2.0, np.pi]), ((1, 2), (4, 1)))
         expected = (
             struct.pack("<4sII", b"FSCA", 1, 2)
             + struct.pack("<II", 1, 2)
@@ -93,37 +91,37 @@ class TestSerialization:
         assert data == expected
 
     def test_serialization_is_stable_across_calls(self):
-        params = FlatParams.from_layers([(1, np.array([1.5, -2.25])), (3, np.array([0.0]))])
+        params = FlatParams(np.array([1.5, -2.25, 0.0]), ((1, 2), (3, 1)))
         assert serialize_params(params) == serialize_params(params)
 
     def test_truncated_payload_rejected(self):
-        data = serialize_params(FlatParams.from_layers([(1, np.arange(4.0))]))
+        data = serialize_params(FlatParams(np.arange(4.0), ((1, 4),)))
         with pytest.raises(DecodeError, match="payload"):
             deserialize_params(data[:-1])
 
     def test_corrupted_magic_rejected(self):
-        data = serialize_params(FlatParams.from_layers([(1, np.arange(4.0))]))
+        data = serialize_params(FlatParams(np.arange(4.0), ((1, 4),)))
         with pytest.raises(DecodeError, match="magic"):
             deserialize_params(b"XSCA" + data[4:])
 
     def test_unsupported_version_rejected(self):
-        data = bytearray(serialize_params(FlatParams.from_layers([(1, np.arange(4.0))])))
+        data = bytearray(serialize_params(FlatParams(np.arange(4.0), ((1, 4),))))
         data[4] = 9
         with pytest.raises(DecodeError, match="version"):
             deserialize_params(bytes(data))
 
     def test_non_finite_payload_rejected(self):
-        data = bytearray(serialize_params(FlatParams.from_layers([(1, np.arange(4.0))])))
+        data = bytearray(serialize_params(FlatParams(np.arange(4.0), ((1, 4),))))
         data[-8:] = np.array([np.nan]).tobytes()
         with pytest.raises(DecodeError, match="payload"):
             deserialize_params(bytes(data))
 
-    def test_checkpoint_file_round_trip(self, tmp_path):
+    def test_checkpoint_file_round_trip(self, tmp_path, same_params):
         stream = RngStream(53, 0)
         params = random_params(stream)
         path = tmp_path / "adapters.fsca"
         write_params_file(params, str(path))
-        assert read_params_file(str(path)).equals(params)
+        assert same_params(read_params_file(str(path)), params)
 
 
 class TestDecodeIntoRow:
@@ -176,7 +174,7 @@ class TestDecodeIntoRow:
 
 class TestLedger:
     def _message(self, kind, client_id, round_index, scalars):
-        params = FlatParams.from_layers([(1, np.zeros(scalars))])
+        params = FlatParams(np.zeros(scalars), ((1, scalars),))
         return WireMessage(kind, client_id, round_index, serialize_params(params))
 
     def test_two_rounds_three_clients_layer_of_100(self):
@@ -192,7 +190,7 @@ class TestLedger:
 
         def total_for(depth):
             ledger = CommLedger()
-            payload = serialize_params(select_for_transmission(model, depth))
+            payload = low_payload(model, depth)
             for round_index in range(1, 3):
                 for client in range(4):
                     ledger.record(WireMessage("broadcast", client, round_index, payload))
@@ -219,9 +217,7 @@ class TestLedger:
         stream = RngStream(52, 0)
         for _ in range(50):
             depth = stream.draw_integer(1, 7)
-            msg = WireMessage(
-                "upload", 0, 1, serialize_params(select_for_transmission(model, depth))
-            )
+            msg = WireMessage("upload", 0, 1, low_payload(model, depth))
             manifest = deserialize_params(msg.payload).manifest
             assert all(idx <= depth for idx, _ in manifest)
             assert payload_scalar_count(msg.payload) == depth * model.layer_size
