@@ -254,43 +254,40 @@ def _neg_cosine(na: float, nb: float, dot: float) -> float:
     return -(dot / (na * nb))
 
 
-def _add_reg_grad(
-    grads: np.ndarray,
+def _reg_grad(
     theta_low: np.ndarray,
     theta_ref: np.ndarray,
     beta: float,
     na: float,
     nb: float,
     dot: float,
+    term: np.ndarray,
+    pull: np.ndarray,
 ) -> None:
-    """Add beta times the gradient of -cos(theta_low, theta_ref) into grads, in place.
+    """Write beta times the gradient of +cos(theta_low, theta_ref) into term.
 
-    theta_low and theta_ref are layers 1..L, the first theta_ref.size entries
-    of grads. Each entry gets -beta * (ref / (na * nb) - theta * dot /
-    (na**3 * nb)) in that arithmetic order. Nothing is added when theta_low
-    is the zero vector, where the regularizer is constant 0.
+    Each entry is beta * (ref / (na * nb) - theta * dot / (na**3 * nb)), in
+    that arithmetic order; pull, as long as term, is overwritten on the way.
+    Subtracting term from the gradient adds beta times the gradient of the
+    regularizer -cos.
     """
-    if na == 0.0:
-        return
-    term = theta_ref / (na * nb)
-    pull = theta_low * dot
+    np.divide(theta_ref, na * nb, out=term)
+    np.multiply(theta_low, dot, out=pull)
     pull /= na**3 * nb
     term -= pull
     term *= beta
-    # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
-    grads[: term.size] -= term
 
 
 def _check_objective_args(
-    images: np.ndarray,
+    rows: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
     theta_ref: np.ndarray | None,
     beta: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Validate an objective's arguments.
+    """Validate an objective's arguments; rows are the batch's images or their block-1 features.
 
-    Returns images and masks as float64 matrices, and the regularizer's
+    Returns rows and masks as float64 matrices, and the regularizer's
     reference: None when it is off, else theta_ref as a float64 vector over
     layers 1..L, laid out like the start of model.flat.
     """
@@ -298,13 +295,13 @@ def _check_objective_args(
         raise InvalidArgumentError("beta must be >= 0")
     if beta > 0 and theta_ref is None:
         raise InvalidArgumentError("theta_ref is required when beta > 0")
-    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if images.shape != masks.shape:
-        raise InvalidArgumentError("images and masks must have matching shapes")
+    if rows.shape != masks.shape:
+        raise InvalidArgumentError("inputs and masks must have matching shapes")
     _check_mask(masks)
     if theta_ref is None or beta == 0:
-        return images, masks, None
+        return rows, masks, None
     theta_ref = np.asarray(theta_ref, dtype=np.float64)
     layers, rest = divmod(theta_ref.size, model.layer_size)
     if theta_ref.ndim != 1 or rest or not 1 <= layers <= model.num_blocks:
@@ -313,17 +310,38 @@ def _check_objective_args(
         )
     if not np.any(theta_ref):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    return images, masks, theta_ref
+    return rows, masks, theta_ref
 
 
-def _forward_cached(x: np.ndarray, model: ToyFM):
-    """model_forward's arithmetic, in place where it can be, keeping what backprop needs."""
-    h = x
+def _frozen_block(h: np.ndarray, block: FrozenBlock) -> np.ndarray:
+    """relu(h @ weight.T + bias), as a new matrix."""
+    r = h @ block.weight.T
+    r += block.bias
+    np.maximum(r, 0.0, out=r)
+    return r
+
+
+def block1_features(images: np.ndarray, model: ToyFM) -> np.ndarray:
+    """The frozen block 1's output for a (batch, feature_dim) matrix of inputs.
+
+    Adapters never change it, so a training set's rows can be computed once
+    and gathered per batch (objective_and_grad's `first`).
+    """
+    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
+    if images.ndim != 2 or images.shape[1] != model.feature_dim:
+        raise InvalidArgumentError(
+            f"images must be a (batch, {model.feature_dim}) matrix, got shape {images.shape}"
+        )
+    return _frozen_block(images, model.blocks[0])
+
+
+def _forward_cached(first: np.ndarray, model: ToyFM):
+    """model_forward's arithmetic from block 1's output on, keeping what backprop needs."""
+    r = first
     cache = []
-    for block, (down, up) in zip(model.blocks, model.adapters):
-        r = h @ block.weight.T
-        r += block.bias
-        np.maximum(r, 0.0, out=r)
+    for k, (down, up) in enumerate(model.adapters):
+        if k:
+            r = _frozen_block(h, model.blocks[k])
         u = r @ down.T
         s = _relu(u)
         h = s @ up.T
@@ -333,14 +351,21 @@ def _forward_cached(x: np.ndarray, model: ToyFM):
     return logits, cache
 
 
+def _check_buffer(name: str, buffer: np.ndarray, model: ToyFM) -> None:
+    if buffer.shape != model.flat.shape or buffer.dtype != np.float64:
+        raise InvalidArgumentError(f"{name} must be a float64 vector of {model.flat.size} entries")
+
+
 def objective_and_grad(
-    images: np.ndarray,
+    images: np.ndarray | None,
     masks: np.ndarray,
     model: ToyFM,
     theta_ref: np.ndarray | None,
     beta: float,
     *,
+    first: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Objective value and its exact gradient w.r.t. all adapter parameters.
 
@@ -350,18 +375,47 @@ def objective_and_grad(
     gradient, so backpropagation stops at the layer-1 adapter. The gradient
     is a new vector laid out like model.flat; with `out` (a float64 vector
     of that shape) it is written into `out` instead, which is returned.
+
+    The forward pass starts from `first`, the batch's frozen block-1
+    features (block1_features) as a float64 matrix; without it they are
+    computed from images. A caller that passes `first` may pass None for
+    images, which are not read then. `scratch`, a float64 vector like `out`
+    that does not overlap it, receives the regularizer's temporaries; they
+    are allocated when it is not given.
     """
-    images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
+    if first is None:
+        if images is None:
+            raise InvalidArgumentError("objective_and_grad needs images or their block-1 features")
+        images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
+        first = block1_features(images, model)
+    elif first.dtype != np.float64 or first.ndim != 2 or first.shape[1] != model.feature_dim:
+        raise InvalidArgumentError(f"first must be a float64 (batch, {model.feature_dim}) matrix")
+    else:
+        first, masks, ref = _check_objective_args(first, masks, model, theta_ref, beta)
     if out is None:
         grads = np.empty_like(model.flat)
-    elif out.shape != model.flat.shape or out.dtype != np.float64:
-        raise InvalidArgumentError(f"out must be a float64 vector of {model.flat.size} entries")
     else:
+        _check_buffer("out", out, model)
         grads = out
-    batch, pixels = images.shape
-    logits, cache = _forward_cached(images, model)
+    if scratch is not None:
+        _check_buffer("scratch", scratch, model)
+        if np.may_share_memory(scratch, grads):
+            raise InvalidArgumentError("scratch must not overlap out")
+    batch, pixels = masks.shape
+    logits, cache = _forward_cached(first, model)
     p = sigmoid(logits)
     loss = _bce(p, masks)
+
+    reg = None
+    if ref is not None:
+        theta_low = model.flat[: ref.size]
+        parts = _cosine_parts(theta_low, ref)
+        loss += beta * _neg_cosine(*parts)
+        # Nothing is added when theta_low is the zero vector, where -cos is constant 0.
+        if parts[0] != 0.0:
+            reg = np.empty_like(ref) if scratch is None else scratch[: ref.size]
+            # The backward pass below has not written grads yet, so its head can hold pull.
+            _reg_grad(theta_low, ref, beta, *parts, term=reg, pull=grads[: ref.size])
 
     # d(loss)/d(logit) = (p - y) where the clamp is inactive, else 0.
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
@@ -381,11 +435,9 @@ def objective_and_grad(
             d_input *= r > 0
             g = d_input @ model.blocks[k - 1].weight
 
-    if ref is not None:
-        theta_low = model.flat[: ref.size]
-        parts = _cosine_parts(theta_low, ref)
-        loss += beta * _neg_cosine(*parts)
-        _add_reg_grad(grads, theta_low, ref, beta, *parts)
+    if reg is not None:
+        # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
+        grads[: reg.size] -= reg
     return loss, grads
 
 
@@ -428,26 +480,38 @@ class AdamState:
         return cls(first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 
-def adam_update(values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step, in place on values and state.
+def adam_update(
+    values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, scratch: np.ndarray
+) -> None:
+    """One bias-corrected Adam step, in place on values and state, allocating no float vector.
 
+    scratch, a vector as long as values, holds the step on its way; grads
+    is overwritten too, with the denominator, once the second moment has
+    taken it in. Neither may overlap values, the moments or each other.
     Raises NumericError if the updated values are not all finite; values
     and state then hold that failed step.
     """
     if lr <= 0:
         raise InvalidArgumentError("learning rate must be > 0")
-    if not values.size == grads.size == state.first_moment.size == state.second_moment.size:
+    if not (
+        values.size
+        == grads.size
+        == scratch.size
+        == state.first_moment.size
+        == state.second_moment.size
+    ):
         raise InvalidArgumentError("Adam state does not match parameter size")
     t = state.step_count + 1
     m, v = state.first_moment, state.second_moment
-    step = (1.0 - state.beta1) * grads
+    step, denom = scratch, grads
+    np.multiply(1.0 - state.beta1, grads, out=step)
     m *= state.beta1
     m += step
     np.square(grads, out=step)
     step *= 1.0 - state.beta2
     v *= state.beta2
     v += step
-    denom = v / (1.0 - state.beta2**t)
+    np.divide(v, 1.0 - state.beta2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     np.divide(m, 1.0 - state.beta1**t, out=step)
@@ -474,5 +538,5 @@ def adam_step(
         state.beta2,
         state.eps,
     )
-    adam_update(values, grads.values, new_state, lr)
+    adam_update(values, grads.values.copy(), new_state, lr, np.empty_like(values))
     return params.with_values(values), new_state

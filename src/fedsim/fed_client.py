@@ -10,6 +10,7 @@ from .adapter_net import (
     AdamState,
     ToyFM,
     adam_update,
+    block1_features,
     model_forward,
     objective_and_grad,
     sigmoid,
@@ -55,8 +56,28 @@ class ClientUpdate:
     test_dice: float
 
 
+def step_workspace(size: int) -> np.ndarray:
+    """Scratch rows for local training on a model of `size` adapter values.
+
+    Row 0 receives each step's gradient; row 1 holds Adam's and the
+    regularizer's temporaries; row 2 is left to the caller of
+    local_train_round (run_experiment keeps the pre-round copy of
+    model.flat there). Every row is written before it is read, so clients
+    that train one after another can share one workspace.
+    """
+    return np.empty((3, size))
+
+
 @dataclass
 class ClientState:
+    """One client's model, optimizer, data and round state.
+
+    The train set is kept as its frozen block-1 features (block1_features),
+    which adapters never change, and its masks, each stacked once.
+    `workspace` is a step_workspace for model.flat; one is made when none
+    is given.
+    """
+
     client_id: int
     model: ToyFM
     adam: AdamState
@@ -65,14 +86,21 @@ class ClientState:
     seed: int
     # During a round, a copy of the broadcast: layers 1..L, laid out like the start of model.flat.
     theta_ref: np.ndarray | None = None
-    _train_images: np.ndarray = field(init=False, repr=False)
+    workspace: np.ndarray | None = field(default=None, repr=False)
+    _train_first: np.ndarray = field(init=False, repr=False)
     _train_masks: np.ndarray = field(init=False, repr=False)
     _test_images: np.ndarray = field(init=False, repr=False)
     _test_masks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.config.validate(self.model.num_blocks)
-        self._train_images = _stack([s.image for s in self.dataset.train])
+        size = self.model.flat.size
+        if self.workspace is None:
+            self.workspace = step_workspace(size)
+        elif self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
+            raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
+        images = _stack([s.image for s in self.dataset.train])
+        self._train_first = block1_features(images, self.model) if images.size else images
         self._train_masks = _stack([s.mask for s in self.dataset.train])
         self._test_images = _stack([s.image for s in self.dataset.test])
         self._test_masks = _stack([s.mask for s in self.dataset.test])
@@ -104,34 +132,38 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     """One local training pass (config.local_epochs epochs) plus evaluation.
 
     Batches are drawn in a seeded shuffle keyed by (client, round); only
-    adapter parameters move. Each step writes the gradient into one buffer
-    and updates model.flat and the Adam moments in place. Returns the
-    round's metrics; the trained adapters stay in model.flat.
+    adapter parameters move. Each step gathers the batch's stored block-1
+    features, writes the gradient into workspace row 0 and updates
+    model.flat and the Adam moments in place, with row 1 as scratch; row 2
+    is not touched. Returns the round's metrics; the trained adapters stay
+    in model.flat.
     """
-    if state._train_images.size == 0:
+    if state._train_first.size == 0:
         raise InvalidStateError(f"client {state.client_id} has an empty train set")
     cfg = state.config
     model = state.model
-    n = state._train_images.shape[0]
+    n = state._train_first.shape[0]
     shuffle = RngStream(
         state.seed, derive_stream_id("shuffle", state.client_id, round_index)
     )
-    grads = np.empty_like(model.flat)
+    grads, scratch = state.workspace[0], state.workspace[1]
     losses = []
     for _ in range(cfg.local_epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, _ = objective_and_grad(
-                state._train_images[idx],
+                None,
                 state._train_masks[idx],
                 model,
                 state.theta_ref,
                 cfg.beta,
+                first=state._train_first[idx],
                 out=grads,
+                scratch=scratch,
             )
             try:
-                adam_update(model.flat, grads, state.adam, cfg.learning_rate)
+                adam_update(model.flat, grads, state.adam, cfg.learning_rate, scratch)
             except NumericError as exc:
                 raise NumericError(f"client {state.client_id}: {exc}") from exc
             losses.append(loss)

@@ -22,7 +22,13 @@ from .adapter_net import AdamState, build_model, draw_adapters
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, FedsimError, NumericError
-from .fed_client import ClientState, install_low_adapters, local_train_round, measure_param_shift
+from .fed_client import (
+    ClientState,
+    install_low_adapters,
+    local_train_round,
+    measure_param_shift,
+    step_workspace,
+)
 from .numerics import RngStream, derive_stream_id
 from .server import CollaborationMatrix, aggregate, fedavg_aggregate, update_matrix
 from .transport import (
@@ -139,6 +145,8 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
         RngStream(cfg.seed, derive_stream_id("backbone")),
         RngStream(cfg.seed, derive_stream_id("adapter", "base")),
     )
+    # Clients train one after another, so they share one step workspace.
+    workspace = step_workspace(base.flat.size)
     states = []
     for i in range(cfg.federation.num_clients):
         model = base.clone()
@@ -151,6 +159,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
                 dataset=datasets[i],
                 config=cfg.client,
                 seed=cfg.seed,
+                workspace=workspace,
             )
         )
     return states
@@ -160,7 +169,8 @@ def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int
     """Install the broadcast, train, and return the update, the per-layer shift and the upload."""
     install_low_adapters(state, broadcast_payload)
     model = state.model
-    before = model.flat.copy()
+    before = state.workspace[2]
+    np.copyto(before, model.flat)
     update = local_train_round(state, round_index)
     shift = measure_param_shift(before, model.flat, model.manifest())
     # The broadcast served as this round's regularizer reference only.

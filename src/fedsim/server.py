@@ -63,6 +63,8 @@ class CollaborationMatrix:
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidArgumentError("collaboration matrix must be square")
+        if not np.all(np.isfinite(w)):
+            raise InvalidArgumentError("collaboration matrix entries must be finite")
         if np.any(w < 0):
             raise InvalidArgumentError("collaboration matrix entries must be >= 0")
         if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):

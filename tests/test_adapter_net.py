@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from fedsim.adapter_net import (
     _cosine_parts,
     _neg_cosine,
     adam_step,
+    adam_update,
     adapter_forward,
+    block1_features,
     build_model,
     model_forward,
     objective,
@@ -412,6 +415,11 @@ class TestObjective:
             ref = np.zeros(model.layer_size)
         with pytest.raises(InvalidArgumentError):
             objective(images, masks, model, ref, beta)
+        with pytest.raises(InvalidArgumentError):
+            objective_and_grad(images, masks, model, ref, beta)
+        first = block1_features(images, model)
+        with pytest.raises(InvalidArgumentError):
+            objective_and_grad(None, masks, model, ref, beta, first=first)
 
 
 class TestGradAdapters:
@@ -536,6 +544,10 @@ def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
     return loss, np.concatenate([layers[k] for k in sorted(layers)])
 
 
+# One buffer that two overlapping 96-entry views are cut from.
+OVERLAPPING = np.zeros(192)
+
+
 class TestGradientKernel:
     """objective_and_grad is bitwise equal to the allocating backward it replaced."""
 
@@ -575,13 +587,132 @@ class TestGradientKernel:
         assert written is out
         assert float.hex(loss_out) == float.hex(want_loss)
         assert out.tobytes() == want.tobytes()
+        # The training step's form: stored block-1 rows, workspace rows holding garbage.
+        rows = np.full((2, model.flat.size), np.nan)
+        out, scratch = rows
+        loss_ws, written = objective_and_grad(
+            None,
+            masks,
+            model,
+            theta_ref,
+            beta,
+            first=block1_features(images, model),
+            out=out,
+            scratch=scratch,
+        )
+        assert written is out
+        assert float.hex(loss_ws) == float.hex(want_loss)
+        assert out.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(96, dtype=np.float32)])
-    def test_rejects_out_that_is_not_a_flat_float64_buffer(self, bad):
-        images, masks, model, _, _ = self._case((8, 2, 3, 5), None, 0.0, seed=32)
-        assert model.flat.size == 96
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"out": np.zeros(3)},
+            {"out": np.zeros(96, dtype=np.float32)},
+            {"scratch": np.zeros(3)},
+            {"scratch": np.zeros(96, dtype=np.float32)},
+            {"first": np.zeros((4, 8))},
+            {"first": np.zeros((5, 9))},
+            {"first": np.zeros((5, 8), dtype=np.float32)},
+            {"out": OVERLAPPING[:96], "scratch": OVERLAPPING[48:144]},
+        ],
+        ids=[
+            "out-length",
+            "out-float32",
+            "scratch-length",
+            "scratch-float32",
+            "first-rows",
+            "first-width",
+            "first-float32",
+            "scratch-overlaps-out",
+        ],
+    )
+    def test_rejects_buffers_that_do_not_fit(self, bad):
+        images, masks, model, theta_ref, _ = self._case((8, 2, 3, 5), 1, 0.5, seed=32)
+        assert model.flat.size == 96 and images.shape == (5, 8)
         with pytest.raises(InvalidArgumentError):
-            objective_and_grad(images, masks, model, None, 0.0, out=bad)
+            objective_and_grad(images, masks, model, theta_ref, 0.5, **bad)
+        if "first" in bad:
+            with pytest.raises(InvalidArgumentError):
+                objective_and_grad(None, masks, model, theta_ref, 0.5, **bad)
+
+    def test_needs_images_or_their_block1_features(self):
+        _, masks, model, _, _ = self._case((8, 2, 3, 5), None, 0.0, seed=32)
+        with pytest.raises(InvalidArgumentError):
+            objective_and_grad(None, masks, model, None, 0.0)
+
+
+def _training_shapes():
+    """(feature_dim, train rows, batch rows) of the training steps fedsim's configs take.
+
+    configs/*.ini, the benchmark workloads and criteria 05-08 train at
+    feature_dim 256 on 8-128-row train sets, in batches of 32 and their
+    tails; the small test config and criterion 02 train at feature_dim 64
+    on one batch of the whole 8-12-row train set.
+    """
+    shapes = []
+    for rows in (8, 9, 10, 11, 12, 32, 40, 64, 80, 96, 128):
+        batches = {b for b in (8, 16, 32) if b <= rows} | {rows % 32}
+        shapes += [(256, rows, b) for b in sorted(batches) if b >= 5]
+    shapes += [(64, rows, rows) for rows in (8, 9, 10, 11, 12)]
+    return shapes
+
+
+class TestBlock1Features:
+    """Block 1 over a whole train set, gathered per batch, equals block 1 of the batch.
+
+    local_train_round stores the train set's block-1 rows once and gathers
+    them per step. Its results equal those of computing block 1 on each
+    batch only where the BLAS gives a GEMM row the same bits at both
+    heights.
+    """
+
+    @staticmethod
+    def _train_set(feature_dim, rows, seed):
+        model = build_model(
+            feature_dim,
+            feature_dim // 16,
+            2,
+            RngStream(seed, derive_stream_id("backbone")),
+            RngStream(seed, derive_stream_id("adapter", 0)),
+        )
+        images = RngStream(seed, 1).draw_uniform(rows * feature_dim).reshape(rows, feature_dim)
+        order = RngStream(seed, 2).permutation(rows)
+        return model, images, block1_features(images, model), order
+
+    @pytest.mark.parametrize("feature_dim, rows, batch", _training_shapes())
+    def test_gathered_rows_equal_the_batch_bit_for_bit(self, feature_dim, rows, batch):
+        model, images, features, order = self._train_set(feature_dim, rows, seed=rows + batch)
+        idx = order[:batch]
+        want = block1_features(images[idx], model)
+        assert features[idx].tobytes() == want.tobytes(), (
+            f"block 1 of {rows} train rows, gathered to {batch} rows, differs from block 1 "
+            f"of the {batch}-row batch by up to {np.max(np.abs(features[idx] - want)):.1e}: "
+            "the BLAS GEMM took a different kernel at the two heights (its small-M kernel, "
+            "most likely), so local_train_round's stored block-1 features now change "
+            "training results against computing block 1 per batch"
+        )
+
+    @pytest.mark.parametrize(
+        "feature_dim, rows, batch",
+        [(256, 80, 1), (256, 80, 2), (256, 80, 3), (256, 80, 4), (64, 32, 8), (64, 128, 16)],
+    )
+    def test_other_heights_agree_to_1e_12(self, feature_dim, rows, batch):
+        # With OpenBLAS 0.3.31 these take another kernel at one of the two heights,
+        # which sums in another order: 1-4-row batches at feature_dim 256, and
+        # batches of up to 18 rows from train sets of 24 or more at feature_dim 64.
+        model, images, features, order = self._train_set(feature_dim, rows, seed=batch)
+        idx = order[:batch]
+        np.testing.assert_allclose(
+            features[idx], block1_features(images[idx], model), rtol=1e-12, atol=1e-12
+        )
+
+    def test_equals_the_first_step_of_model_forward(self):
+        model, images, features, _ = self._train_set(64, 12, seed=3)
+        block = model.blocks[0]
+        assert features.tobytes() == np.maximum(images @ block.weight.T + block.bias, 0.0).tobytes()
+        with pytest.raises(InvalidArgumentError):
+            block1_features(images[:, :63], model)
 
 
 class TestAdamStep:
@@ -635,14 +766,34 @@ class TestAdamStep:
         params = self._params(values)
         state = AdamState.zeros(params.values.size)
         m = v = np.zeros(257)
+        in_place, in_place_state = values.copy(), AdamState.zeros(257)
+        scratch = np.full(257, np.nan)
         for t in range(1, 31):
             grad_values = stream.draw_gaussian(257) * 10.0 ** stream.draw_integer(-6, 2)
             params, state = adam_step(params, self._params(grad_values), state, 3e-3)
+            adam_update(in_place, grad_values.copy(), in_place_state, 3e-3, scratch)
             values, m, v = reference(values, grad_values, m, v, t, 3e-3)
-            assert params.values.tobytes() == values.tobytes()
-            assert state.first_moment.tobytes() == m.tobytes()
-            assert state.second_moment.tobytes() == v.tobytes()
-            assert state.step_count == t
+            for got, got_state in [(params.values, state), (in_place, in_place_state)]:
+                assert got.tobytes() == values.tobytes()
+                assert got_state.first_moment.tobytes() == m.tobytes()
+                assert got_state.second_moment.tobytes() == v.tobytes()
+                assert got_state.step_count == t
+
+    def test_in_place_update_allocates_no_parameter_sized_buffer(self):
+        size = 49_152  # P of configs/default.ini
+        stream = RngStream(24, 0)
+        values, grads = stream.draw_gaussian(size), stream.draw_gaussian(size)
+        state, scratch = AdamState.zeros(size), np.empty(size)
+        adam_update(values, grads.copy(), state, 1e-3, scratch)
+        grads_again = grads.copy()
+        tracemalloc.start()
+        try:
+            adam_update(values, grads_again, state, 1e-3, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Only the isfinite mask, one byte per value, may be allocated.
+        assert peak < size * 8
 
     def test_inputs_are_left_unchanged(self):
         params = self._params([1.0, -2.0])
@@ -656,6 +807,8 @@ class TestAdamStep:
         grads = FlatParams(np.ones(3), ((1, 3),))
         with pytest.raises(InvalidArgumentError):
             adam_step(params, grads, AdamState.zeros(params.values.size), 1e-3)
+        with pytest.raises(InvalidArgumentError):
+            adam_update(np.ones(2), np.ones(2), AdamState.zeros(2), 1e-3, np.empty(3))
 
 
 class TestFrozenImmutability:

@@ -191,7 +191,7 @@ class TestLocalTraining:
 
     def test_empty_train_set_is_invalid_state(self):
         state = make_state(n=10)
-        state._train_images = np.zeros((0, 0))
+        state._train_first = np.zeros((0, 0))
         with pytest.raises(InvalidStateError):
             local_train_round(state, 1)
 
@@ -203,7 +203,8 @@ def reference_round(state, round_index):
     a FlatParams copy of the adapters, adam_step, and an install.
     """
     cfg = state.config
-    images, masks = state._train_images, state._train_masks
+    images = np.stack([s.image for s in state.dataset.train])
+    masks = np.stack([s.mask for s in state.dataset.train])
     n = images.shape[0]
     shuffle = RngStream(state.seed, derive_stream_id("shuffle", state.client_id, round_index))
     losses = []

@@ -310,6 +310,38 @@ class TestInitStates:
             assert state.model.flat.tobytes() == client_adapter_init(cfg, i).tobytes()
         assert len({frozen_digest(state.model) for state in states}) == 1
 
+    def test_clients_share_one_workspace_and_a_round_does_not_depend_on_it(
+        self, small_config_text
+    ):
+        cfg = parse_config_text(small_config_text)
+        datasets = generate_federation(cfg.federation)
+
+        def fresh_states():
+            states = orchestrator._init_states(cfg, datasets)
+            low = states[0].low_layer_list
+            payloads = [
+                serialize_params(s.model.layer_values(low), s.model.manifest(low)) for s in states
+            ]
+            return states, payloads
+
+        shared, payloads = fresh_states()
+        assert all(state.workspace is shared[0].workspace for state in shared)
+        # Client 1's round right after client 0's, which leaves its rows in the workspace.
+        orchestrator._client_round(shared[0], payloads[0], 1)
+        after_other = orchestrator._client_round(shared[1], payloads[1], 1)
+        alone_states, alone_payloads = fresh_states()
+        alone = orchestrator._client_round(alone_states[1], alone_payloads[1], 1)
+
+        (update, shift, upload), (want_update, want_shift, want_upload) = after_other, alone
+        assert update == want_update
+        assert shift.tobytes() == want_shift.tobytes()
+        assert upload == want_upload
+        got, want = shared[1], alone_states[1]
+        assert got.model.flat.tobytes() == want.model.flat.tobytes()
+        assert got.adam.first_moment.tobytes() == want.adam.first_moment.tobytes()
+        assert got.adam.second_moment.tobytes() == want.adam.second_moment.tobytes()
+        assert got.adam.step_count == want.adam.step_count == 1
+
 
 class TestFedavgSymmetry:
     def test_equal_clients_stay_identical_every_round(self):

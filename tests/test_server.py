@@ -337,11 +337,22 @@ class TestAggregate:
             assert np.all(mixed >= lo - 1e-12)
             assert np.all(mixed <= hi + 1e-12)
 
-    def test_matrix_validation_rejects_bad_rows(self):
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 0.6], [0.5, 0.5]],
+            [[-0.1, 1.1], [0.5, 0.5]],
+            # Every comparison with nan is False, so only a finiteness check catches these.
+            [[np.nan, np.nan], [0.5, 0.5]],
+            [[np.nan, 1.0], [0.5, 0.5]],
+            [[np.inf, 0.0], [0.5, 0.5]],
+            [[1.0, 0.0], [-np.inf, np.inf]],
+        ],
+        ids=["row-sum", "negative", "nan-row", "nan-entry", "inf", "-inf-and-inf"],
+    )
+    def test_matrix_validation_rejects_bad_rows(self, rows):
         with pytest.raises(InvalidArgumentError):
-            CollaborationMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]), 0)
-        with pytest.raises(InvalidArgumentError):
-            CollaborationMatrix(np.array([[-0.1, 1.1], [0.5, 0.5]]), 0)
+            CollaborationMatrix(np.array(rows), 0)
 
 
 class TestFedavg:
