@@ -200,31 +200,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def adapter_forward(f: np.ndarray, down_proj: np.ndarray, up_proj: np.ndarray) -> np.ndarray:
-    """Residual bottleneck: up_proj @ relu(down_proj @ f) + f.
-
-    Accepts a single feature vector or a (batch, feature_dim) matrix.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] != down_proj.shape[1]:
-        raise InvalidArgumentError(
-            f"feature length {f.shape[-1]} does not match adapter dim {down_proj.shape[1]}"
-        )
-    hidden = _relu(f @ down_proj.T)
-    return hidden @ up_proj.T + f
-
-
 def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
-    """Logits for one input vector or a (batch, feature_dim) matrix."""
+    """Logits for one input vector or a (batch, feature_dim) matrix.
+
+    Frozen block 1, then _forward_cached: the one forward arithmetic.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.feature_dim:
         raise InvalidArgumentError(
             f"input length {x.shape[-1]} does not match feature_dim {model.feature_dim}"
         )
-    h = x
-    for block, (down, up) in zip(model.blocks, model.adapters):
-        h = adapter_forward(_relu(h @ block.weight.T + block.bias), down, up)
-    return h @ model.head.weight.T + model.head.bias
+    return _forward_cached(_frozen_block(x, model.blocks[0]), model)[0]
 
 
 def _check_mask(y: np.ndarray) -> None:
@@ -336,7 +322,11 @@ def block1_features(images: np.ndarray, model: ToyFM) -> np.ndarray:
 
 
 def _forward_cached(first: np.ndarray, model: ToyFM):
-    """model_forward's arithmetic from block 1's output on, keeping what backprop needs."""
+    """Logits from block 1's output, one row or a matrix of rows, with what backprop needs.
+
+    The cache holds each layer's adapter input r, bottleneck pre-activation
+    u and activation s. Every forward pass of the model runs through here.
+    """
     r = first
     cache = []
     for k, (down, up) in enumerate(model.adapters):

@@ -3,6 +3,9 @@
 The file format is flat key = value pairs under sections mirroring the
 config structure ([run], [model], [client], [sgca], [federation], and one
 [cluster.<id>] section per cluster). Unknown sections or keys are errors.
+The keys of [run], [model], [client], [sgca] and [cluster.<id>] are the
+fields of their dataclasses; each field's default gives its value type,
+and a tuple default also the number of comma-separated values.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .datagen import ClusterParams, FederationSpec
 from .errors import ConfigError, InvalidArgumentError
@@ -19,7 +22,6 @@ from .fed_client import ClientConfig
 from .server import SgcaConfig
 
 AGGREGATORS = ("sgca", "fedavg")
-SWEEP_AXES = ("L", "beta", "alpha", "metric", "aggregator")
 
 
 @dataclass
@@ -64,45 +66,19 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
+        fed = self.federation
         return {
-            "run": {
-                "rounds": self.rounds,
-                "seed": self.seed,
-                "aggregator": self.aggregator,
-            },
-            "model": {
-                "num_blocks": self.model.num_blocks,
-                "feature_dim": self.model.feature_dim,
-                "bottleneck_dim": self.model.bottleneck_dim,
-            },
-            "client": {
-                "learning_rate": self.client.learning_rate,
-                "batch_size": self.client.batch_size,
-                "local_epochs": self.client.local_epochs,
-                "beta": self.client.beta,
-                "low_layers": self.client.low_layers,
-            },
-            "sgca": {
-                "alpha": self.sgca.alpha,
-                "metric": self.sgca.metric,
-                "normalization": self.sgca.normalization,
-            },
+            "run": {name: getattr(self, name) for name in _defaults(ExperimentConfig)},
+            "model": asdict(self.model),
+            "client": asdict(self.client),
+            "sgca": asdict(self.sgca),
             "federation": {
-                "client_sizes": list(self.federation.client_sizes),
-                "clusters": list(self.federation.cluster_of),
-                "mask_side": self.federation.mask_side,
-                "seed": self.federation.seed,
+                "client_sizes": list(fed.client_sizes),
+                "clusters": list(fed.cluster_of),
+                "mask_side": fed.mask_side,
+                "seed": fed.seed,
             },
-            "cluster_params": {
-                str(cid): {
-                    "blob_count": list(params.blob_count),
-                    "radius": list(params.radius),
-                    "gain": params.gain,
-                    "noise": params.noise,
-                    "offset": list(params.offset),
-                }
-                for cid, params in sorted(self.federation.clusters.items())
-            },
+            "cluster_params": {str(cid): asdict(p) for cid, p in sorted(fed.clusters.items())},
         }
 
     def config_hash(self) -> str:
@@ -115,17 +91,13 @@ class ExperimentConfig:
         return cfg
 
 
-_KNOWN_KEYS = {
-    "run": {"rounds", "seed", "aggregator"},
-    "model": {"num_blocks", "feature_dim", "bottleneck_dim"},
-    "client": {"learning_rate", "batch_size", "local_epochs", "beta", "low_layers"},
-    "sgca": {"alpha", "metric", "normalization"},
-    "federation": {"client_sizes", "clusters", "mask_side", "seed"},
-}
-_CLUSTER_KEYS = {"blob_count", "radius", "gain", "noise", "offset"}
-
 DEFAULT_CLIENT_SIZES = (100, 40, 80, 120)
 DEFAULT_CLUSTER_OF = (0, 0, 1, 1)
+
+
+def _defaults(cls) -> dict:
+    """Each field of cls that has a plain default, mapped to that default."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _parse_scalar(section: str, key: str, raw: str, kind: type):
@@ -147,6 +119,50 @@ def _parse_tuple(section: str, key: str, raw: str, kind: type, arity: int | None
     return tuple(_parse_scalar(section, key, p, kind) for p in parts)
 
 
+# [run] holds ExperimentConfig's own fields, the ones with a plain default.
+_SECTIONS = {
+    "run": ExperimentConfig,
+    "model": ModelConfig,
+    "client": ClientConfig,
+    "sgca": SgcaConfig,
+}
+# [federation] keys and their parsers; all values are ints. clusters sets cluster_of.
+_FEDERATION_KEYS = {
+    "client_sizes": _parse_tuple,
+    "clusters": _parse_tuple,
+    "mask_side": _parse_scalar,
+    "seed": _parse_scalar,
+}
+_SWEEP_FIELDS = {
+    "L": ("client", "low_layers"),
+    "beta": ("client", "beta"),
+    "alpha": ("sgca", "alpha"),
+    "metric": ("sgca", "metric"),
+    "aggregator": ("run", "aggregator"),
+}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
+
+
+def _parse_like(section: str, key: str, raw: str, default):
+    """raw parsed to the type of default: a tuple default gives element type and arity."""
+    if isinstance(default, tuple):
+        return _parse_tuple(section, key, raw, type(default[0]), len(default))
+    return _parse_scalar(section, key, raw, type(default))
+
+
+def _check_keys(section: str, items: list[tuple[str, str]], known) -> None:
+    for key, _ in items:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+
+
+def _parse_section(section: str, items: list[tuple[str, str]], cls) -> dict:
+    """The section's values keyed by field of cls, parsed to the types of its defaults."""
+    defaults = _defaults(cls)
+    _check_keys(section, items, defaults)
+    return {key: _parse_like(section, key, raw, defaults[key]) for key, raw in items}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keep keys case-sensitive
@@ -154,108 +170,47 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    # configparser would merge [DEFAULT] into every other section.
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
 
     cluster_params: dict[int, ClusterParams] = {}
-    plain: dict[str, dict[str, str]] = {}
+    given: dict[str, dict] = {}
+    fed: dict = {}
     for section in parser.sections():
+        items = parser.items(section)
         if section.startswith("cluster."):
             try:
                 cid = int(section.split(".", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad cluster section name [{section}]") from exc
-            params = ClusterParams()
-            for key, raw in parser.items(section):
-                if key not in _CLUSTER_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-                if key == "blob_count":
-                    params = replace(params, blob_count=_parse_tuple(section, key, raw, int, 2))
-                elif key == "radius":
-                    params = replace(params, radius=_parse_tuple(section, key, raw, float, 2))
-                elif key == "gain":
-                    params = replace(params, gain=_parse_scalar(section, key, raw, float))
-                elif key == "noise":
-                    params = replace(params, noise=_parse_scalar(section, key, raw, float))
-                elif key == "offset":
-                    params = replace(params, offset=_parse_tuple(section, key, raw, float, 2))
-            cluster_params[cid] = params
-        elif section in _KNOWN_KEYS:
-            for key in parser.options(section):
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-            plain[section] = dict(parser.items(section))
+            cluster_params[cid] = ClusterParams(**_parse_section(section, items, ClusterParams))
+        elif section == "federation":
+            _check_keys(section, items, _FEDERATION_KEYS)
+            fed = {key: _FEDERATION_KEYS[key](section, key, raw, int) for key, raw in items}
+        elif section in _SECTIONS:
+            given[section] = _parse_section(section, items, _SECTIONS[section])
         else:
             raise ConfigError(f"unknown section [{section}]")
 
-    def get(section: str, key: str, default):
-        return plain.get(section, {}).get(key, default)
-
-    run_seed = _parse_scalar("run", "seed", str(get("run", "seed", 0)), int)
-
-    sizes_raw = get("federation", "client_sizes", None)
-    client_sizes = (
-        _parse_tuple("federation", "client_sizes", sizes_raw, int)
-        if sizes_raw is not None
-        else DEFAULT_CLIENT_SIZES
-    )
-    clusters_raw = get("federation", "clusters", None)
-    cluster_of = (
-        _parse_tuple("federation", "clusters", clusters_raw, int)
-        if clusters_raw is not None
-        else DEFAULT_CLUSTER_OF[: len(client_sizes)]
-    )
+    run = {**_defaults(ExperimentConfig), **given.get("run", {})}
+    client_sizes = fed.pop("client_sizes", DEFAULT_CLIENT_SIZES)
+    cluster_of = fed.pop("clusters", DEFAULT_CLUSTER_OF[: len(client_sizes)])
     if not cluster_params:
         cluster_params = {cid: ClusterParams() for cid in set(cluster_of)}
     for cid in set(cluster_of):
         if cid not in cluster_params:
             raise ConfigError(f"cluster {cid} referenced but no [cluster.{cid}] section given")
-
-    mask_side = _parse_scalar(
-        "federation", "mask_side", str(get("federation", "mask_side", 16)), int
-    )
-    fed_seed_raw = get("federation", "seed", None)
+    # The federation seed falls back to the run seed.
     federation = FederationSpec(
-        client_sizes=client_sizes,
-        cluster_of=cluster_of,
-        clusters=cluster_params,
-        mask_side=mask_side,
-        seed=_parse_scalar("federation", "seed", fed_seed_raw, int)
-        if fed_seed_raw is not None
-        else run_seed,
-    )
-
-    model = ModelConfig(
-        num_blocks=_parse_scalar("model", "num_blocks", str(get("model", "num_blocks", 6)), int),
-        feature_dim=_parse_scalar(
-            "model", "feature_dim", str(get("model", "feature_dim", mask_side**2)), int
-        ),
-        bottleneck_dim=_parse_scalar(
-            "model", "bottleneck_dim", str(get("model", "bottleneck_dim", 16)), int
-        ),
-    )
-    client = ClientConfig(
-        learning_rate=_parse_scalar(
-            "client", "learning_rate", str(get("client", "learning_rate", 1e-4)), float
-        ),
-        batch_size=_parse_scalar("client", "batch_size", str(get("client", "batch_size", 32)), int),
-        local_epochs=_parse_scalar(
-            "client", "local_epochs", str(get("client", "local_epochs", 1)), int
-        ),
-        beta=_parse_scalar("client", "beta", str(get("client", "beta", 0.01)), float),
-        low_layers=_parse_scalar("client", "low_layers", str(get("client", "low_layers", 1)), int),
-    )
-    sgca = SgcaConfig(
-        alpha=_parse_scalar("sgca", "alpha", str(get("sgca", "alpha", 1.0)), float),
-        metric=str(get("sgca", "metric", "l2_based")),
-        normalization=str(get("sgca", "normalization", "max_abs_row")),
+        client_sizes, cluster_of, cluster_params, **{"seed": run["seed"], **fed}
     )
     cfg = ExperimentConfig(
         federation=federation,
-        client=client,
-        sgca=sgca,
-        model=model,
-        aggregator=str(get("run", "aggregator", "sgca")),
-        rounds=_parse_scalar("run", "rounds", str(get("run", "rounds", 100)), int),
-        seed=run_seed,
+        client=ClientConfig(**given.get("client", {})),
+        sgca=SgcaConfig(**given.get("sgca", {})),
+        model=ModelConfig(**{"feature_dim": federation.mask_side**2, **given.get("model", {})}),
+        **run,
     )
     cfg.validate()
     return cfg
@@ -270,16 +225,11 @@ def apply_sweep_value(cfg: ExperimentConfig, axis: str, value: str) -> Experimen
     """A copy of cfg with one sweep axis overridden."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    cfg = replace(cfg)
-    if axis == "L":
-        cfg.client = replace(cfg.client, low_layers=_parse_scalar("sweep", "L", value, int))
-    elif axis == "beta":
-        cfg.client = replace(cfg.client, beta=_parse_scalar("sweep", "beta", value, float))
-    elif axis == "alpha":
-        cfg.sgca = replace(cfg.sgca, alpha=_parse_scalar("sweep", "alpha", value, float))
-    elif axis == "metric":
-        cfg.sgca = replace(cfg.sgca, metric=value)
-    elif axis == "aggregator":
-        cfg.aggregator = value
+    section, name = _SWEEP_FIELDS[axis]
+    parsed = _parse_scalar("sweep", axis, value, type(_defaults(_SECTIONS[section])[name]))
+    if section == "run":
+        cfg = replace(cfg, **{name: parsed})
+    else:
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: parsed})})
     cfg.validate()
     return cfg

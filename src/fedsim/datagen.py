@@ -179,6 +179,11 @@ def save_federation(datasets: list[ClientDataset], path: str) -> None:
 
 
 def load_federation(path: str) -> list[ClientDataset]:
+    """Read a save_federation snapshot; raises DecodeError naming the field that is wrong.
+
+    Every client must declare the same non-zero pixel count, no more samples
+    than the bytes left hold, finite images and masks of 0s and 1s.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     view = memoryview(data)
@@ -191,20 +196,30 @@ def load_federation(path: str) -> list[ClientDataset]:
         raise DecodeError(f"version: unsupported {version}")
     offset = 12
     datasets = []
-    for _ in range(num_clients):
+    for i in range(num_clients):
         if offset + 12 > len(view):
             raise DecodeError("client header: truncated")
         n_train, n_test, pixels = struct.unpack_from("<III", view, offset)
         offset += 12
-        samples = []
-        for _ in range(n_train + n_test):
-            end = offset + 16 * pixels
-            if end > len(view):
-                raise DecodeError("payload: truncated")
-            image = np.frombuffer(view, dtype="<f8", count=pixels, offset=offset).copy()
-            mask = np.frombuffer(view, dtype="<f8", count=pixels, offset=offset + 8 * pixels).copy()
-            samples.append(Sample(image, mask))
-            offset = end
+        if pixels == 0:
+            raise DecodeError(f"pixels: client {i} declares 0")
+        if i == 0:
+            first_pixels = pixels
+        elif pixels != first_pixels:
+            raise DecodeError(f"pixels: client {i} declares {pixels}, client 0 {first_pixels}")
+        count = 2 * (n_train + n_test) * pixels
+        if 8 * count > len(view) - offset:
+            raise DecodeError(
+                f"payload: client {i} declares {n_train + n_test} samples of {pixels} pixels, "
+                f"more than the {len(view) - offset} bytes left"
+            )
+        rows = np.frombuffer(view, dtype="<f8", count=count, offset=offset).reshape(-1, 2, pixels)
+        offset += 8 * count
+        if not np.all(np.isfinite(rows[:, 0])):
+            raise DecodeError(f"image: client {i} has a non-finite pixel")
+        if not np.all((rows[:, 1] == 0.0) | (rows[:, 1] == 1.0)):
+            raise DecodeError(f"mask: client {i} has a value other than 0 or 1")
+        samples = [Sample(image, mask) for image, mask in rows.copy()]
         datasets.append(ClientDataset(samples[:n_train], samples[n_train:]))
     if offset != len(view):
         raise DecodeError("payload: trailing bytes")

@@ -10,8 +10,8 @@ from .adapter_net import (
     AdamState,
     ToyFM,
     adam_update,
+    _forward_cached,
     block1_features,
-    model_forward,
     objective_and_grad,
     sigmoid,
 )
@@ -72,8 +72,9 @@ def step_workspace(size: int) -> np.ndarray:
 class ClientState:
     """One client's model, optimizer, data and round state.
 
-    The train set is kept as its frozen block-1 features (block1_features),
-    which adapters never change, and its masks, each stacked once.
+    The train and test sets are kept as their frozen block-1 features
+    (block1_features), which adapters never change, and their masks, each
+    stacked once.
     `workspace` is a step_workspace for model.flat; one is made when none
     is given.
     """
@@ -89,7 +90,7 @@ class ClientState:
     workspace: np.ndarray | None = field(default=None, repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
     _train_masks: np.ndarray = field(init=False, repr=False)
-    _test_images: np.ndarray = field(init=False, repr=False)
+    _test_first: np.ndarray = field(init=False, repr=False)
     _test_masks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,7 +103,8 @@ class ClientState:
         images = _stack([s.image for s in self.dataset.train])
         self._train_first = block1_features(images, self.model) if images.size else images
         self._train_masks = _stack([s.mask for s in self.dataset.train])
-        self._test_images = _stack([s.image for s in self.dataset.test])
+        images = _stack([s.image for s in self.dataset.test])
+        self._test_first = block1_features(images, self.model) if images.size else images
         self._test_masks = _stack([s.mask for s in self.dataset.test])
 
     @property
@@ -198,9 +200,9 @@ def iou_dice(pred: np.ndarray, truth: np.ndarray):
 
 def evaluate(state: ClientState) -> tuple[float, float]:
     """Mean test IoU and Dice with predictions thresholded at probability 0.5."""
-    if state._test_images.size == 0:
+    if state._test_first.size == 0:
         raise InvalidStateError(f"client {state.client_id} has an empty test set")
-    logits = model_forward(state._test_images, state.model)
+    logits, _ = _forward_cached(state._test_first, state.model)
     ious, dices = iou_dice(sigmoid(logits) > 0.5, state._test_masks)
     return float(np.mean(ious)), float(np.mean(dices))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .transport import (
     CommLedger,
     LedgerEntry,
     WireMessage,
+    column_name,
     deserialize_params,
     serialize_params,
     write_params_file,
@@ -54,31 +55,11 @@ class RoundRecord:
     comm_total: int
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "train_loss": self.train_loss,
-            "test_iou": self.test_iou,
-            "test_dice": self.test_dice,
-            "mean_iou": self.mean_iou,
-            "mean_dice": self.mean_dice,
-            "w": self.w,
-            "layer_shift": self.layer_shift,
-            "comm_total": self.comm_total,
-        }
+        return {column_name(k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoundRecord":
-        return cls(
-            round_index=data["round"],
-            train_loss=data["train_loss"],
-            test_iou=data["test_iou"],
-            test_dice=data["test_dice"],
-            mean_iou=data["mean_iou"],
-            mean_dice=data["mean_dice"],
-            w=data["w"],
-            layer_shift=data["layer_shift"],
-            comm_total=data["comm_total"],
-        )
+        return cls(**{f.name: data[column_name(f.name)] for f in fields(cls)})
 
 
 @dataclass
@@ -97,7 +78,7 @@ class ResultsStore:
             "".join(_json_line(r.to_dict()) for r in self.records),
         )
         _write_text(out / "summary.json", _json_pretty(self.summary))
-        _write_text(out / "ledger.csv", self.ledger.to_csv_text())
+        _write_text(out / "ledger.csv", _csv_text(self.ledger.to_rows()))
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "ResultsStore":
@@ -109,17 +90,9 @@ class ResultsStore:
             if line.strip()
         ]
         summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-        ledger = CommLedger()
-        reader = csv.DictReader(io.StringIO((run / "ledger.csv").read_text(encoding="utf-8")))
-        for row in reader:
-            entry = LedgerEntry(
-                round_index=int(row["round"]),
-                direction=row["direction"],
-                client_id=int(row["client_id"]),
-                scalar_count=int(row["scalar_count"]),
-            )
-            ledger.entries.append(entry)
-            ledger.total += entry.scalar_count
+        rows = csv.DictReader(io.StringIO((run / "ledger.csv").read_text(encoding="utf-8")))
+        entries = [LedgerEntry.from_row(row) for row in rows]
+        ledger = CommLedger(entries, sum(e.scalar_count for e in entries))
         return cls(manifest, records, summary, ledger)
 
 
@@ -137,20 +110,22 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
-    # One frozen backbone shared by every client; adapters are per-client.
-    base = build_model(
+    # One frozen backbone shared by every client; adapters are per-client draws.
+    first = build_model(
         cfg.model.feature_dim,
         cfg.model.bottleneck_dim,
         cfg.model.num_blocks,
         RngStream(cfg.seed, derive_stream_id("backbone")),
-        RngStream(cfg.seed, derive_stream_id("adapter", "base")),
+        RngStream(cfg.seed, derive_stream_id("adapter", 0)),
     )
     # Clients train one after another, so they share one step workspace.
-    workspace = step_workspace(base.flat.size)
+    workspace = step_workspace(first.flat.size)
     states = []
     for i in range(cfg.federation.num_clients):
-        model = base.clone()
-        draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
+        # build_model drew client 0's adapters; every other client redraws a clone.
+        model = first.clone() if i else first
+        if i:
+            draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
         states.append(
             ClientState(
                 client_id=i,

@@ -10,10 +10,8 @@ client per round.
 
 from __future__ import annotations
 
-import csv
-import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -121,12 +119,23 @@ class WireMessage:
             raise InvalidArgumentError(f"kind must be one of {MESSAGE_KINDS}")
 
 
+def column_name(name: str) -> str:
+    """A record field's name in stored rows: round_index is stored as "round"."""
+    return "round" if name == "round_index" else name
+
+
 @dataclass
 class LedgerEntry:
     round_index: int
     direction: str
     client_id: int
     scalar_count: int
+
+    @classmethod
+    def from_row(cls, row: dict[str, str]) -> "LedgerEntry":
+        """The entry of a ledger.csv row (to_rows' form, values as text)."""
+        cells = {f.name: row[column_name(f.name)] for f in fields(cls)}
+        return cls(**{k: v if k == "direction" else int(v) for k, v in cells.items()})
 
 
 @dataclass
@@ -147,24 +156,9 @@ class CommLedger:
         self.total += entry.scalar_count
         return entry
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["round", "direction", "client_id", "scalar_count"])
-        for e in self.entries:
-            writer.writerow([e.round_index, e.direction, e.client_id, e.scalar_count])
-        return buf.getvalue()
-
     def to_rows(self) -> list[dict]:
-        return [
-            {
-                "round": e.round_index,
-                "direction": e.direction,
-                "client_id": e.client_id,
-                "scalar_count": e.scalar_count,
-            }
-            for e in self.entries
-        ]
+        """One ledger.csv row per entry: its fields in order, as column_name names them."""
+        return [{column_name(k): v for k, v in asdict(e).items()} for e in self.entries]
 
 
 def write_params_file(params: FlatParams, path: str) -> None:

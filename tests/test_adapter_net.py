@@ -16,7 +16,6 @@ from fedsim.adapter_net import (
     _neg_cosine,
     adam_step,
     adam_update,
-    adapter_forward,
     block1_features,
     build_model,
     model_forward,
@@ -72,22 +71,36 @@ def layer_grad(grads, model, k):
 
 
 class TestAdapterForward:
+    """The residual bottleneck up_proj @ relu(down_proj @ f) + f, seen through model_forward.
+
+    Each model has identity frozen blocks with zero bias and an identity
+    head, so only relu and the adapters act on the input.
+    """
+
+    @staticmethod
+    def model(d, layers):
+        eye = FrozenBlock(np.eye(d), np.zeros(d))
+        flat = np.concatenate([np.ravel(m) for down, up in layers for m in (down, up)])
+        return ToyFM([eye] * len(layers), eye, d, layers[0][0].shape[0], flat)
+
     def test_zero_up_projection_is_identity(self):
-        f = np.array([1.0, -2.0, 0.5, 3.0, -0.1])
-        assert np.array_equal(adapter_forward(f, np.ones((2, 5)), np.zeros((5, 2))), f)
+        f = np.array([1.0, 2.0, 0.5, 3.0, 0.1])
+        model = self.model(5, [(np.ones((2, 5)), np.zeros((5, 2)))] * 2)
+        assert np.array_equal(model_forward(f, model), f)
 
     def test_zero_input_gives_zero_output(self):
-        out = adapter_forward(np.zeros(5), np.ones((2, 5)), np.ones((5, 2)))
-        assert np.array_equal(out, np.zeros(5))
+        model = self.model(5, [(np.ones((2, 5)), np.ones((5, 2)))] * 2)
+        assert np.array_equal(model_forward(np.zeros(5), model), np.zeros(5))
 
     def test_hand_computed_case(self):
         down, up = np.array([[1.0, -1.0]]), np.array([[2.0], [0.0]])
-        out = adapter_forward(np.array([3.0, 1.0]), down, up)
-        assert np.array_equal(out, [7.0, 1.0])
+        model = self.model(2, [(down, up), (down, np.zeros((2, 1)))])
+        assert np.array_equal(model_forward(np.array([3.0, 1.0]), model), [7.0, 1.0])
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(InvalidArgumentError):
-            adapter_forward(np.zeros(4), np.ones((2, 5)), np.zeros((5, 2)))
+        model = self.model(5, [(np.ones((2, 5)), np.zeros((5, 2)))] * 2)
+        with pytest.raises(InvalidArgumentError, match="feature_dim"):
+            model_forward(np.zeros(4), model)
 
 
 def identity_adapters(num_blocks, feature_dim):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,56 @@ class TestContainer:
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(DecodeError):
             load_federation(str(path))
+
+
+def container(*clients):
+    """Dataset file bytes: one (n_train, n_test, pixels, values) per client.
+
+    values are the client's samples back to back, each an image then a mask.
+    """
+    chunks = [struct.pack("<4sII", b"FSCD", 1, len(clients))]
+    for n_train, n_test, pixels, values in clients:
+        chunks.append(struct.pack("<III", n_train, n_test, pixels))
+        chunks.append(np.asarray(values, dtype="<f8").tobytes())
+    return b"".join(chunks)
+
+
+IMAGE = [0.0, 0.25, 0.5, 1.0]
+MASK = [0.0, 1.0, 1.0, 0.0]
+
+
+class TestContainerChecks:
+    def load(self, tmp_path, data):
+        path = tmp_path / "federation.fscd"
+        path.write_bytes(data)
+        return load_federation(str(path))
+
+    def test_small_valid_file_loads(self, tmp_path):
+        test_mask = [1.0, 0.0, 0.0, 1.0]
+        loaded = self.load(tmp_path, container((1, 1, 4, IMAGE + MASK + IMAGE + test_mask)))
+        assert loaded[0].train[0].image.tolist() == IMAGE
+        assert loaded[0].train[0].mask.tolist() == MASK
+        assert loaded[0].test[0].mask.tolist() == test_mask
+
+    def test_zero_pixels_rejected(self, tmp_path):
+        # 24 bytes asking for a million empty samples.
+        with pytest.raises(DecodeError, match=r"^pixels: client 0 declares 0"):
+            self.load(tmp_path, container((1_000_000, 0, 0, [])))
+
+    def test_declared_size_beyond_the_file_rejected_before_reading(self, tmp_path):
+        with pytest.raises(DecodeError, match=r"^payload: client 0 declares 1000 samples"):
+            self.load(tmp_path, container((999, 1, 4, IMAGE + MASK)))
+
+    def test_pixel_count_must_match_client_0(self, tmp_path):
+        data = container((1, 0, 4, IMAGE + MASK), (1, 0, 9, [0.0] * 18))
+        with pytest.raises(DecodeError, match=r"^pixels: client 1 declares 9, client 0 4"):
+            self.load(tmp_path, data)
+
+    def test_non_finite_image_rejected(self, tmp_path):
+        with pytest.raises(DecodeError, match=r"^image: "):
+            self.load(tmp_path, container((1, 0, 4, [0.0, np.nan, 0.5, 1.0] + MASK)))
+
+    @pytest.mark.parametrize("bad", [0.5, 7.0])
+    def test_non_binary_mask_rejected(self, tmp_path, bad):
+        with pytest.raises(DecodeError, match=r"^mask: "):
+            self.load(tmp_path, container((1, 0, 4, IMAGE + [0.0, bad, 1.0, 0.0])))

@@ -304,7 +304,9 @@ class TestEvaluate:
 
     def test_evaluate_means_the_per_row_scores(self):
         state = make_state(seed=2, num_blocks=2)
-        pred = sigmoid(model_forward(state._test_images, state.model)) > 0.5
+        # evaluate starts from the stored block-1 rows; model_forward from the images.
+        images = np.stack([s.image for s in state.dataset.test])
+        pred = sigmoid(model_forward(images, state.model)) > 0.5
         rows = [row_iou_dice(p, t.astype(bool)) for p, t in zip(pred, state._test_masks)]
         assert evaluate(state) == (
             float(np.mean([iou for iou, _ in rows])),
@@ -313,7 +315,7 @@ class TestEvaluate:
 
     def test_empty_test_set_is_invalid_state(self):
         state = make_state(n=10)
-        state._test_images = np.zeros((0, 0))
+        state._test_first = np.zeros((0, 0))
         with pytest.raises(InvalidStateError):
             evaluate(state)
 

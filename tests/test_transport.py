@@ -6,6 +6,7 @@ import pytest
 from fedsim.adapter_net import build_model
 from fedsim.errors import DecodeError, InvalidArgumentError, ProtocolError
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.orchestrator import ResultsStore
 from fedsim.transport import (
     CommLedger,
     WireMessage,
@@ -222,15 +223,15 @@ class TestLedger:
             assert all(idx <= depth for idx, _ in manifest)
             assert payload_scalar_count(msg.payload) == depth * model.layer_size
 
-    def test_csv_export_layout(self):
+    def test_csv_export_layout(self, tmp_path):
         ledger = CommLedger()
         ledger.record(self._message("broadcast", 1, 1, 3))
         ledger.record(self._message("upload", 1, 1, 3))
-        text = ledger.to_csv_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "round,direction,client_id,scalar_count"
-        assert lines[1] == "1,broadcast,1,3"
-        assert lines[2] == "1,upload,1,3"
+        ResultsStore({}, [], {}, ledger).save(tmp_path)
+        assert (tmp_path / "ledger.csv").read_bytes() == (
+            b"round,direction,client_id,scalar_count\n1,broadcast,1,3\n1,upload,1,3\n"
+        )
+        assert ResultsStore.load(tmp_path).ledger == ledger
 
     def test_bad_message_kind_rejected(self):
         with pytest.raises(InvalidArgumentError):
