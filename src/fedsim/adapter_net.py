@@ -102,32 +102,20 @@ class ToyFM:
             raise InvalidArgumentError(f"layer {k} out of range 1..{len(self.blocks)}")
         return slice((k - 1) * self.layer_size, k * self.layer_size)
 
-    def manifest(self, layers: list[int] | None = None) -> tuple[tuple[int, int], ...]:
-        """Wire manifest, (layer, length) pairs, of the given 1-based layers (default: all)."""
-        if layers is None:
-            layers = range(1, self.num_blocks + 1)
-        for k in layers:
-            self._span(k)
-        return tuple((int(k), self.layer_size) for k in layers)
+    def manifest(self, num_layers: int | None = None) -> tuple[tuple[int, int], ...]:
+        """Wire manifest, (layer, length) pairs, of adapter layers 1..num_layers (default: all)."""
+        if num_layers is None:
+            num_layers = self.num_blocks
+        self._span(num_layers)  # rejects a count outside 1..num_blocks
+        return tuple((k, self.layer_size) for k in range(1, num_layers + 1))
 
-    def layer_values(self, layers: list[int]) -> np.ndarray:
-        """flat at the given 1-based layers: a view when they are adjacent, else a copy."""
-        runs: list[slice] = []
-        for k in layers:
-            span = self._span(k)
-            if runs and runs[-1].stop == span.start:
-                runs[-1] = slice(runs[-1].start, span.stop)
-            else:
-                runs.append(span)
-        if len(runs) == 1:
-            return self.flat[runs[0]]
-        return np.concatenate([self.flat[run] for run in runs]) if runs else np.zeros(0)
+    def low(self, num_layers: int) -> np.ndarray:
+        """The shared adapter layers 1..num_layers: the view flat[: num_layers * layer_size]."""
+        return self.flat[: self._span(num_layers).stop]
 
-    def adapter_params(self, layers: list[int] | None = None) -> FlatParams:
-        """A copy of the adapter weights for the given 1-based layers (default: all)."""
-        manifest = self.manifest(layers)
-        # Consecutive layers are one slice of flat, which FlatParams copies once.
-        return FlatParams(self.layer_values([k for k, _ in manifest]), manifest)
+    def adapter_params(self) -> FlatParams:
+        """A copy of every adapter weight, as a checkpoint stores it."""
+        return FlatParams(self.flat, self.manifest())
 
     def install_adapter_params(self, params: FlatParams) -> None:
         """Overwrite the adapters named in the manifest, in place; others stay untouched."""
@@ -460,9 +448,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
@@ -494,17 +479,17 @@ def adam_update(
     t = state.step_count + 1
     m, v = state.first_moment, state.second_moment
     step, denom = scratch, grads
-    np.multiply(1.0 - state.beta1, grads, out=step)
-    m *= state.beta1
+    np.multiply(1.0 - ADAM_BETA1, grads, out=step)
+    m *= ADAM_BETA1
     m += step
     np.square(grads, out=step)
-    step *= 1.0 - state.beta2
-    v *= state.beta2
+    step *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += step
-    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
-    np.divide(m, 1.0 - state.beta1**t, out=step)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     step *= lr
     step /= denom
     values -= step
@@ -517,16 +502,9 @@ def adam_step(
     params: FlatParams, grads: FlatParams, state: AdamState, lr: float
 ) -> tuple[FlatParams, AdamState]:
     """One bias-corrected Adam update; returns new params and state."""
-    if not params.same_manifest(grads):
+    if params.manifest != grads.manifest:
         raise InvalidArgumentError("params and grads manifests must match")
     values = params.values.copy()
-    new_state = AdamState(
-        state.first_moment.copy(),
-        state.second_moment.copy(),
-        state.step_count,
-        state.beta1,
-        state.beta2,
-        state.eps,
-    )
+    new_state = AdamState(state.first_moment.copy(), state.second_moment.copy(), state.step_count)
     adam_update(values, grads.values.copy(), new_state, lr, np.empty_like(values))
-    return params.with_values(values), new_state
+    return FlatParams(values, params.manifest), new_state

@@ -182,7 +182,9 @@ def load_federation(path: str) -> list[ClientDataset]:
     """Read a save_federation snapshot; raises DecodeError naming the field that is wrong.
 
     Every client must declare the same non-zero pixel count, no more samples
-    than the bytes left hold, finite images and masks of 0s and 1s.
+    than the bytes left hold, finite images and masks of 0s and 1s. Once the
+    whole file parses, every client must also hold at least one train and
+    one test sample.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -223,4 +225,8 @@ def load_federation(path: str) -> list[ClientDataset]:
         datasets.append(ClientDataset(samples[:n_train], samples[n_train:]))
     if offset != len(view):
         raise DecodeError("payload: trailing bytes")
+    for i, ds in enumerate(datasets):
+        for split in ("train", "test"):
+            if not getattr(ds, split):
+                raise DecodeError(f"{split}: client {i} declares 0 samples")
     return datasets

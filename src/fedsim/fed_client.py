@@ -74,7 +74,7 @@ class ClientState:
 
     The train and test sets are kept as their frozen block-1 features
     (block1_features), which adapters never change, and their masks, each
-    stacked once.
+    stacked once; an empty split is an InvalidStateError.
     `workspace` is a step_workspace for model.flat; one is made when none
     is given.
     """
@@ -95,27 +95,19 @@ class ClientState:
 
     def __post_init__(self) -> None:
         self.config.validate(self.model.num_blocks)
+        for split in ("train", "test"):
+            if not getattr(self.dataset, split):
+                raise InvalidStateError(f"client {self.client_id} has an empty {split} set")
         size = self.model.flat.size
         if self.workspace is None:
             self.workspace = step_workspace(size)
         elif self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
             raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
-        images = _stack([s.image for s in self.dataset.train])
-        self._train_first = block1_features(images, self.model) if images.size else images
-        self._train_masks = _stack([s.mask for s in self.dataset.train])
-        images = _stack([s.image for s in self.dataset.test])
-        self._test_first = block1_features(images, self.model) if images.size else images
-        self._test_masks = _stack([s.mask for s in self.dataset.test])
-
-    @property
-    def low_layer_list(self) -> list[int]:
-        return list(range(1, self.config.low_layers + 1))
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.zeros((0, 0))
-    return np.stack(arrays)
+        train, test = self.dataset.train, self.dataset.test
+        self._train_first = block1_features(np.stack([s.image for s in train]), self.model)
+        self._train_masks = np.stack([s.mask for s in train])
+        self._test_first = block1_features(np.stack([s.image for s in test]), self.model)
+        self._test_masks = np.stack([s.mask for s in test])
 
 
 def install_low_adapters(state: ClientState, payload: bytes) -> None:
@@ -125,8 +117,8 @@ def install_low_adapters(state: ClientState, payload: bytes) -> None:
     malformed or non-finite (DecodeError) or not exactly layers 1..L
     (ProtocolError) leaves model.flat and theta_ref as they were.
     """
-    model, low = state.model, state.low_layer_list
-    values = deserialize_params(payload, manifest=model.manifest(low), out=model.layer_values(low))
+    model, layers = state.model, state.config.low_layers
+    values = deserialize_params(payload, manifest=model.manifest(layers), out=model.low(layers))
     state.theta_ref = values.copy()
 
 
@@ -140,8 +132,6 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     is not touched. Returns the round's metrics; the trained adapters stay
     in model.flat.
     """
-    if state._train_first.size == 0:
-        raise InvalidStateError(f"client {state.client_id} has an empty train set")
     cfg = state.config
     model = state.model
     n = state._train_first.shape[0]
@@ -167,7 +157,10 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
             try:
                 adam_update(model.flat, grads, state.adam, cfg.learning_rate, scratch)
             except NumericError as exc:
-                raise NumericError(f"client {state.client_id}: {exc}") from exc
+                layer = np.flatnonzero(~np.isfinite(model.flat))[0] // model.layer_size + 1
+                raise NumericError(
+                    f"client {state.client_id}: {exc}, first in adapter layer {layer}"
+                ) from exc
             losses.append(loss)
     iou, dice = evaluate(state)
     return ClientUpdate(
@@ -200,8 +193,6 @@ def iou_dice(pred: np.ndarray, truth: np.ndarray):
 
 def evaluate(state: ClientState) -> tuple[float, float]:
     """Mean test IoU and Dice with predictions thresholded at probability 0.5."""
-    if state._test_first.size == 0:
-        raise InvalidStateError(f"client {state.client_id} has an empty test set")
     logits, _ = _forward_cached(state._test_first, state.model)
     ious, dices = iou_dice(sigmoid(logits) > 0.5, state._test_masks)
     return float(np.mean(ious)), float(np.mean(dices))

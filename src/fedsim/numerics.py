@@ -59,12 +59,6 @@ class FlatParams:
             offset += length
         return out
 
-    def with_values(self, values: np.ndarray) -> "FlatParams":
-        return FlatParams(values, self.manifest)
-
-    def same_manifest(self, other: "FlatParams") -> bool:
-        return self.manifest == other.manifest
-
 
 @dataclass
 class RngStream:
@@ -127,8 +121,11 @@ def simplex_project(c: np.ndarray) -> np.ndarray:
     u = c[order]
     excess = np.cumsum(u) - 1.0
     counts = np.arange(1, c.size + 1)
-    # u_j > (cumsum_j - 1) / j holds at least for j = 1
     support = np.nonzero(u * counts > excess)[0]
+    if support.size == 0:
+        # u_1 > u_1 - 1 holds in exact arithmetic; in float64 it can fail once
+        # |u_1| reaches 2**53, where subtracting 1 may be lost to rounding.
+        raise InvalidArgumentError("input entries are too large to project in float64")
     rho = support[-1]
     tau = excess[rho] / (rho + 1.0)
     return np.maximum(c - tau, 0.0)

@@ -150,8 +150,8 @@ def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int
     shift = measure_param_shift(before, model.flat, model.manifest())
     # The broadcast served as this round's regularizer reference only.
     state.theta_ref = None
-    low = state.low_layer_list
-    upload = serialize_params(model.layer_values(low), model.manifest(low))
+    layers = state.config.low_layers
+    upload = serialize_params(model.low(layers), model.manifest(layers))
     return update, shift, upload
 
 
@@ -170,19 +170,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     states = _init_states(cfg, datasets)
     n = cfg.federation.num_clients
     sizes = [ds.n_i for ds in datasets]
-    manifest = states[0].model.manifest(states[0].low_layer_list)
+    manifest = states[0].model.manifest(cfg.client.low_layers)
     ledger = CommLedger()
 
-    x = np.stack([state.model.layer_values(state.low_layer_list) for state in states])
+    x = np.stack([state.model.low(cfg.client.low_layers) for state in states])
     shape = x.shape
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
-    w = np.tile(m_row, (n, 1))
+    matrix = CollaborationMatrix(np.tile(m_row, (n, 1)))
 
     records: list[RoundRecord] = []
     for round_index in range(1, cfg.rounds + 1):
         if cfg.aggregator == "sgca":
-            mixed = aggregate(CollaborationMatrix(w, round_index - 1), x)
+            mixed = aggregate(matrix, x)
             del x
             broadcasts = [serialize_params(row, manifest) for row in mixed]
             del mixed
@@ -220,8 +220,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         w_snapshot = None
         if cfg.aggregator == "sgca":
             matrix = update_matrix(updates, x, cfg.sgca)
-            w = matrix.w
-            w_snapshot = [[float(v) for v in row] for row in w]
+            w_snapshot = [[float(v) for v in row] for row in matrix.w]
 
         records.append(
             RoundRecord(

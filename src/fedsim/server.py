@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ProtocolError
+from .errors import InvalidArgumentError, NumericError, ProtocolError
 from .fed_client import ClientUpdate
 from .numerics import simplex_project
 
@@ -57,7 +57,6 @@ class CollaborationMatrix:
     """Row-stochastic N x N mixing matrix; row i builds client i's broadcast."""
 
     w: np.ndarray
-    round_index: int
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
@@ -130,7 +129,12 @@ def pairwise_similarity(
         off = np.abs(s)
         np.fill_diagonal(off, 0.0)
         scale = off.max(axis=1, keepdims=True)
-        np.divide(s, scale, out=s, where=scale > 0.0)
+        with np.errstate(over="ignore"):
+            np.divide(s, scale, out=s, where=scale > 0.0)
+    # Scaled off-diagonals stay in [-1, 1], but an inner or cosine
+    # self-similarity overflows when its row's largest off-diagonal is tiny.
+    if not np.all(np.isfinite(s)):
+        raise NumericError(f"{metric} similarity of the uploads is not finite")
     return s
 
 
@@ -168,7 +172,7 @@ def update_matrix(
         raise ProtocolError("total dataset size must be positive")
     m = sizes / sizes.sum()
     rows = [solve_row(float(m[i]), s[i], cfg.alpha) for i in range(n)]
-    return CollaborationMatrix(np.vstack(rows), rounds.pop())
+    return CollaborationMatrix(np.vstack(rows))
 
 
 def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:

@@ -211,8 +211,7 @@ def test_criterion_04_communication_cost_exactness():
     rounds, clients = 100, 4
 
     def total_for(depth):
-        layers = list(range(1, depth + 1))
-        payload = serialize_params(model.layer_values(layers), model.manifest(layers))
+        payload = serialize_params(model.low(depth), model.manifest(depth))
         ledger = CommLedger()
         for round_index in range(1, rounds + 1):
             for client in range(clients):
@@ -301,7 +300,7 @@ def test_criterion_07_parameter_shift_ordering():
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,
         )
-        install_low_adapters(state, serialize_params(model.layer_values([1]), model.manifest([1])))
+        install_low_adapters(state, serialize_params(model.low(1), model.manifest(1)))
         before = model.flat.copy()
         local_train_round(state, 1)
         shift = measure_param_shift(before, model.flat, model.manifest())

@@ -90,3 +90,24 @@ def test_beat_keys_read_real_arguments(small_config_text):
     key = worker.GRAD_BEAT[2]((images, masks, model, theta_ref, 0.05))
     assert key == (images.shape, model.num_blocks)
     assert np.isfinite(adapter_net.objective(images, masks, model, theta_ref, 0.05))
+
+
+def test_the_round_loop_calls_the_training_beat_once_per_client_per_round(
+    small_config_text, monkeypatch
+):
+    # A loop that bypassed this binding would leave the beat recorder counting
+    # nothing, and the benchmark's filtered run time would fall back to wall time.
+    module, attr, _, _ = worker.TRAINING_BEAT
+    owner = importlib.import_module(module)
+    real = getattr(owner, attr)
+    calls = []
+
+    def counted(state, round_index):
+        calls.append((round_index, state.client_id))
+        return real(state, round_index)
+
+    monkeypatch.setattr(owner, attr, counted)
+    cfg = parse_config_text(small_config_text)
+    fedsim.run_experiment(cfg)
+    clients = range(cfg.federation.num_clients)
+    assert calls == [(r, i) for r in range(1, cfg.rounds + 1) for i in clients]

@@ -254,3 +254,9 @@ class TestContainerChecks:
     def test_non_binary_mask_rejected(self, tmp_path, bad):
         with pytest.raises(DecodeError, match=r"^mask: "):
             self.load(tmp_path, container((1, 0, 4, IMAGE + [0.0, bad, 1.0, 0.0])))
+
+    @pytest.mark.parametrize("split, n_train, n_test", [("train", 0, 1), ("test", 1, 0)])
+    def test_empty_split_rejected(self, tmp_path, split, n_train, n_test):
+        data = container((1, 1, 4, IMAGE + MASK + IMAGE + MASK), (n_train, n_test, 4, IMAGE + MASK))
+        with pytest.raises(DecodeError, match=rf"^{split}: client 1 declares 0 samples$"):
+            self.load(tmp_path, data)

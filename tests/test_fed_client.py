@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fedsim.fed_client as fed_client
 import fedsim.orchestrator as orchestrator
 from fedsim.adapter_net import (
     AdamState,
@@ -10,8 +13,14 @@ from fedsim.adapter_net import (
     objective_and_grad,
     sigmoid,
 )
-from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
-from fedsim.errors import DecodeError, InvalidArgumentError, InvalidStateError, ProtocolError
+from fedsim.datagen import ClientDataset, ClusterParams, FederationSpec, generate_client_dataset
+from fedsim.errors import (
+    DecodeError,
+    InvalidArgumentError,
+    InvalidStateError,
+    NumericError,
+    ProtocolError,
+)
 from fedsim.fed_client import (
     ClientConfig,
     ClientState,
@@ -21,7 +30,7 @@ from fedsim.fed_client import (
     local_train_round,
     measure_param_shift,
 )
-from fedsim.numerics import RngStream, derive_stream_id
+from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import _client_round
 from fedsim.transport import deserialize_params, serialize_params
 
@@ -56,42 +65,43 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
     )
 
 
-def broadcast(state, values=None, layers=None):
-    """Wire bytes of `values` (default: the model's own) as adapter layers 1..L, or `layers`."""
-    layers = state.low_layer_list if layers is None else layers
+def broadcast(state, values=None, num_layers=None):
+    """Wire bytes of `values` (default: the model's own) as layers 1..L, or 1..num_layers."""
+    n = state.config.low_layers if num_layers is None else num_layers
     if values is None:
-        values = state.model.layer_values(layers)
-    return serialize_params(values, state.model.manifest(layers))
+        values = state.model.low(n)
+    return serialize_params(values, state.model.manifest(n))
 
 
 class TestInstall:
     def test_reinstalling_current_params_is_idempotent(self):
         state = make_state()
         current = state.model.flat.copy()
-        received = state.model.layer_values([1]).copy()
+        received = state.model.low(1).copy()
         install_low_adapters(state, broadcast(state))
         assert np.array_equal(state.model.flat, current)
         assert np.array_equal(state.theta_ref, received)
 
     def test_higher_layers_untouched_by_install(self):
         state = make_state(low_layers=2)
-        high_before = state.model.layer_values([3, 4, 5, 6]).copy()
+        high = slice(2 * state.model.layer_size, None)
+        high_before = state.model.flat[high].copy()
         received = RngStream(1, 1).draw_gaussian(2 * state.model.layer_size)
         install_low_adapters(state, broadcast(state, received))
-        assert np.array_equal(state.model.layer_values([3, 4, 5, 6]), high_before)
-        assert state.model.layer_values([1, 2]).tobytes() == received.tobytes()
+        assert np.array_equal(state.model.flat[high], high_before)
+        assert state.model.low(2).tobytes() == received.tobytes()
 
     def test_reg_loss_is_minus_one_right_after_install(self):
         state = make_state()
         install_low_adapters(state, broadcast(state))
-        a, b = state.model.layer_values([1]), state.theta_ref
+        a, b = state.model.low(1), state.theta_ref
         value = -(float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_manifest_mismatch_is_a_protocol_error(self):
         state = make_state(low_layers=1)
         with pytest.raises(ProtocolError):
-            install_low_adapters(state, broadcast(state, layers=[1, 2]))
+            install_low_adapters(state, broadcast(state, num_layers=2))
 
     def test_theta_ref_is_a_copy_not_a_view_of_the_model(self):
         state = make_state(low_layers=2)
@@ -112,7 +122,7 @@ class TestBadBroadcast:
             poisoned[-1] = bad
             non_finite.append((DecodeError, broadcast(state, poisoned)))
         return [
-            (ProtocolError, broadcast(state, layers=[1, 2])),
+            (ProtocolError, broadcast(state, num_layers=2)),
             (ProtocolError, serialize_params(values, ((2, size),))),
             (ProtocolError, serialize_params(values[:-1], ((1, size - 1),))),
             *non_finite,
@@ -167,17 +177,17 @@ class TestLocalTraining:
             return state, local_train_round(state, 1)
 
         (sa, a), (sb, b) = run(), run()
-        low_a, low_b = (s.model.layer_values(s.low_layer_list) for s in (sa, sb))
+        low_a, low_b = (s.model.low(s.config.low_layers) for s in (sa, sb))
         assert low_a.tobytes() == low_b.tobytes()
         assert (a.train_loss, a.test_iou, a.test_dice) == (b.train_loss, b.test_iou, b.test_dice)
 
-    def test_upload_covers_exactly_the_low_layers(self, same_params):
+    def test_upload_covers_exactly_the_low_layers(self):
         for low_layers in range(1, 7):
             state = make_state(low_layers=low_layers, n=20)
-            layers = list(range(1, low_layers + 1))
-            broadcast = serialize_params(state.model.adapter_params(layers))
-            update, _, upload = _client_round(state, broadcast, 1)
-            assert same_params(deserialize_params(upload), state.model.adapter_params(layers))
+            update, _, upload = _client_round(state, broadcast(state), 1)
+            got = deserialize_params(upload)
+            assert got.manifest == state.model.manifest(low_layers)
+            assert got.values.tobytes() == state.model.low(low_layers).tobytes()
             assert update.n_i == state.dataset.n_i
 
     def test_theta_ref_snapshot_survives_training(self):
@@ -187,13 +197,32 @@ class TestLocalTraining:
         local_train_round(state, 1)
         assert state.theta_ref.tobytes() == snapshot
         # and training actually moved the live layer away from the snapshot
-        assert not np.array_equal(state.model.layer_values([1]), state.theta_ref)
+        assert not np.array_equal(state.model.low(1), state.theta_ref)
 
     def test_empty_train_set_is_invalid_state(self):
         state = make_state(n=10)
-        state._train_first = np.zeros((0, 0))
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidStateError, match="client 0 has an empty train set"):
+            replace(state, dataset=ClientDataset([], state.dataset.test))
+
+    def test_divergence_names_the_first_non_finite_layer(self, monkeypatch):
+        state = make_state(num_blocks=3, n=10, beta=0.0)
+        size = state.model.layer_size
+        real = fed_client.objective_and_grad
+
+        def poisoned(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            # Adam turns an infinite gradient entry into a NaN parameter there, and only there.
+            grads[[size + 5, 2 * size]] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(fed_client, "objective_and_grad", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError,
+            match=r"^client 0: parameter update diverged at optimizer step 1, "
+            r"first in adapter layer 2$",
+        ):
             local_train_round(state, 1)
+        assert np.all(np.isfinite(state.model.low(1)))
 
 
 def reference_round(state, round_index):
@@ -217,7 +246,7 @@ def reference_round(state, round_index):
             )
             params = state.model.adapter_params()
             new_params, state.adam = adam_step(
-                params, params.with_values(grads), state.adam, cfg.learning_rate
+                params, FlatParams(grads, params.manifest), state.adam, cfg.learning_rate
             )
             state.model.install_adapter_params(new_params)
             losses.append(loss)
@@ -247,8 +276,8 @@ class TestReferenceEquivalence:
             assert fast.adam.first_moment.tobytes() == slow.adam.first_moment.tobytes()
             assert fast.adam.second_moment.tobytes() == slow.adam.second_moment.tobytes()
             assert fast.adam.step_count == slow.adam.step_count == 4 * round_index
-        low = slow.model.adapter_params(fast.low_layer_list)
-        assert fast.model.layer_values(fast.low_layer_list).tobytes() == low.values.tobytes()
+        low = fast.config.low_layers
+        assert fast.model.low(low).tobytes() == slow.model.low(low).tobytes()
 
 
 def row_iou_dice(pred, truth):
@@ -315,9 +344,8 @@ class TestEvaluate:
 
     def test_empty_test_set_is_invalid_state(self):
         state = make_state(n=10)
-        state._test_first = np.zeros((0, 0))
-        with pytest.raises(InvalidStateError):
-            evaluate(state)
+        with pytest.raises(InvalidStateError, match="client 0 has an empty test set"):
+            replace(state, dataset=ClientDataset(state.dataset.train, []))
 
 
 class TestParamShift:
@@ -365,7 +393,7 @@ class TestParamShift:
             return np.array(shifts)
 
         ref_state, state = make_state(beta=0.1, low_layers=2), make_state(beta=0.1, low_layers=2)
-        payload = serialize_params(state.model.adapter_params([1, 2]))
+        payload = broadcast(state)
         install_low_adapters(ref_state, payload)
         before = ref_state.model.adapter_params()
         ref_update = local_train_round(ref_state, 1)
@@ -373,7 +401,7 @@ class TestParamShift:
 
         update, shift, upload = _client_round(state, payload, 1)
         assert shift.tobytes() == expected.tobytes()
-        assert upload == serialize_params(ref_state.model.adapter_params([1, 2]))
+        assert upload == broadcast(ref_state)
         assert update == ref_update
         assert np.array_equal(state.model.flat, ref_state.model.flat)
 
@@ -386,6 +414,6 @@ class TestParamShift:
             return local_train_round(state, round_index)
 
         monkeypatch.setattr(orchestrator, "local_train_round", spy)
-        _client_round(state, serialize_params(state.model.adapter_params([1, 2])), 1)
+        _client_round(state, broadcast(state), 1)
         assert seen[0] is not None and seen[0].shape == (2 * state.model.layer_size,)
         assert state.theta_ref is None

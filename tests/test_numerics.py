@@ -62,6 +62,11 @@ class TestSimplexProject:
         with pytest.raises(InvalidArgumentError):
             simplex_project(np.array([]))
 
+    def test_rejects_entries_too_large_to_resolve(self):
+        # 1e95 - 1 rounds to 1e95, so no support size passes the threshold test.
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            simplex_project(np.array([1e95, 1.0]))
+
 
 class TestFiniteDiff:
     def test_quadratic_gradient(self):

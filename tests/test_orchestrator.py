@@ -132,7 +132,10 @@ class TestRunExperiment:
         self._poison_one_training_image(monkeypatch, 2)
         with pytest.raises(
             NumericError,
-            match=r"^round 1: client 2: parameter update diverged at optimizer step 1$",
+            match=(
+                r"^round 1: client 2: parameter update diverged at optimizer step 1, "
+                r"first in adapter layer 1$"
+            ),
         ):
             run_experiment(parse_config_text(small_config_text))
 
@@ -221,7 +224,8 @@ class TestServerMatrix:
         def wrong_layers(state, payload, round_index):
             update, shift, upload = real(state, payload, round_index)
             if state.client_id == 2:
-                upload = serialize_params(state.model.adapter_params([2]))
+                size = state.model.layer_size
+                upload = serialize_params(state.model.flat[size : 2 * size], ((2, size),))
             return update, shift, upload
 
         monkeypatch.setattr(orchestrator, "_client_round", wrong_layers)
@@ -243,7 +247,7 @@ class TestServerMatrix:
 
         def record(state, payload, round_index):
             result = real_round(state, payload, round_index)
-            trained.append(state.model.layer_values(state.low_layer_list).copy())
+            trained.append(state.model.low(state.config.low_layers).copy())
             return result
 
         monkeypatch.setattr(orchestrator, "update_matrix", spy)
@@ -318,10 +322,8 @@ class TestInitStates:
 
         def fresh_states():
             states = orchestrator._init_states(cfg, datasets)
-            low = states[0].low_layer_list
-            payloads = [
-                serialize_params(s.model.layer_values(low), s.model.manifest(low)) for s in states
-            ]
+            low = cfg.client.low_layers
+            payloads = [serialize_params(s.model.low(low), s.model.manifest(low)) for s in states]
             return states, payloads
 
         shared, payloads = fresh_states()
@@ -375,9 +377,9 @@ class TestFedavgSymmetry:
         # Identical shuffle streams as well: both clients must act as clones.
         states[1].client_id = 0
         for round_index in range(1, 4):
-            lows = np.stack([s.model.layer_values([1]) for s in states])
+            lows = np.stack([s.model.low(1) for s in states])
             mean = fedavg_aggregate(lows, [20, 20])
-            shared = serialize_params(mean, states[0].model.manifest([1]))
+            shared = serialize_params(mean, states[0].model.manifest(1))
             for state in states:
                 install_low_adapters(state, shared)
                 local_train_round(state, round_index)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim.errors import InvalidArgumentError, ProtocolError
+from fedsim.errors import InvalidArgumentError, NumericError, ProtocolError
 from fedsim.fed_client import ClientUpdate
 from fedsim.numerics import FlatParams, RngStream
 from fedsim.oracles import kkt_row_argmin
@@ -144,6 +144,24 @@ class TestPairwiseSimilarity:
         for i in range(4):
             off = np.abs(np.delete(s[i], i))
             assert off.max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("metric", ["inner", "cosine"])
+    def test_overflowing_self_similarity_is_a_numeric_error(self, metric):
+        # The uploads' only off-diagonal similarity is subnormal, so the scaled diagonal is inf.
+        x = np.array([[1.0, 0.0], [2.2250738585e-313, 1.0]])
+        with pytest.raises(NumericError, match=f"^{metric} similarity"):
+            pairwise_similarity(x, metric, "max_abs_row")
+        sent = [make_update(0, x[0]), make_update(1, x[1])]
+        with pytest.raises(NumericError):
+            update_matrix(*round_inputs(sent), SgcaConfig(metric=metric))
+        assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
+
+    def test_qp_inputs_too_large_for_float64_are_a_typed_error(self):
+        # Row 0's scaled self-similarity is 2e95, so its QP input is ~1e95.
+        x = np.array([[1.0], [5.06974647e-96]])
+        sent = [make_update(0, x[0]), make_update(1, x[1])]
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            update_matrix(*round_inputs(sent), SgcaConfig(metric="inner"))
 
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
@@ -309,19 +327,19 @@ class TestAggregate:
 
     def test_identity_matrix_returns_inputs(self):
         params = [self._params([1.0, 2.0]), self._params([3.0, 4.0])]
-        out = aggregate(CollaborationMatrix(np.eye(2), 0), uploads(params))
+        out = aggregate(CollaborationMatrix(np.eye(2)), uploads(params))
         assert np.array_equal(out[0], params[0].values)
         assert np.array_equal(out[1], params[1].values)
 
     def test_uniform_matrix_returns_mean(self):
         params = [self._params([0.0, 2.0]), self._params([2.0, 0.0])]
-        out = aggregate(CollaborationMatrix(np.full((2, 2), 0.5), 0), uploads(params))
+        out = aggregate(CollaborationMatrix(np.full((2, 2), 0.5)), uploads(params))
         assert np.allclose(out[0], [1.0, 1.0])
         assert np.allclose(out[1], [1.0, 1.0])
 
     def test_convex_combination(self):
         params = [self._params([1.0, 1.0]), self._params([5.0, 5.0])]
-        w = CollaborationMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0)
+        w = CollaborationMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
         out = aggregate(w, uploads(params))
         assert np.allclose(out[0], [2.0, 2.0])
 
@@ -330,7 +348,7 @@ class TestAggregate:
         params = [self._params(stream.draw_gaussian(6)) for _ in range(4)]
         rows = np.vstack([np.abs(stream.draw_gaussian(4)) for _ in range(4)])
         rows = rows / rows.sum(axis=1, keepdims=True)
-        out = aggregate(CollaborationMatrix(rows, 0), uploads(params))
+        out = aggregate(CollaborationMatrix(rows), uploads(params))
         stacked = np.stack([p.values for p in params])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         for mixed in out:
@@ -352,7 +370,7 @@ class TestAggregate:
     )
     def test_matrix_validation_rejects_bad_rows(self, rows):
         with pytest.raises(InvalidArgumentError):
-            CollaborationMatrix(np.array(rows), 0)
+            CollaborationMatrix(np.array(rows))
 
 
 class TestFedavg:

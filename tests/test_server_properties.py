@@ -1,4 +1,7 @@
-"""Property tests of the similarity matrix (skipped when hypothesis is not installed)."""
+"""Property tests of the similarity matrix, the simplex projection and the aggregator.
+
+Skipped when hypothesis is not installed.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +11,19 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from fedsim.server import SIMILARITY_METRICS, pairwise_similarity  # noqa: E402
+from fedsim.errors import NumericError  # noqa: E402
+from fedsim.fed_client import ClientUpdate  # noqa: E402
+from fedsim.numerics import simplex_project  # noqa: E402
+from fedsim.oracles import kkt_simplex_argmin  # noqa: E402
+from fedsim.server import (  # noqa: E402
+    NORMALIZATIONS,
+    SIMILARITY_METRICS,
+    CollaborationMatrix,
+    SgcaConfig,
+    aggregate,
+    pairwise_similarity,
+    update_matrix,
+)
 
 # Integer-valued uploads: every Gram entry and difference is exact in float64,
 # so a relabelling of the clients must permute S bit for bit.
@@ -47,3 +62,79 @@ def test_relabelling_clients_permutes_similarity(x, seed, metric, normalization)
     s = pairwise_similarity(x, metric, normalization)
     permuted = pairwise_similarity(x[perm], metric, normalization)
     assert np.array_equal(permuted, s[np.ix_(perm, perm)])
+
+
+def vectors(max_size, bound):
+    return st.integers(1, max_size).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-bound, bound))
+    )
+
+
+@settings(deadline=None, database=None)
+@given(c=vectors(8, 10.0))
+def test_simplex_project_matches_kkt_enumeration(c):
+    assert np.max(np.abs(simplex_project(c) - kkt_simplex_argmin(c))) <= 1e-9
+
+
+@settings(deadline=None, database=None)
+@given(c=vectors(16, 10.0), t=st.floats(-100.0, 100.0))
+def test_simplex_project_ignores_a_common_shift(c, t):
+    # The simplex fixes the sum, so adding t to every entry moves only the threshold.
+    assert np.max(np.abs(simplex_project(c + t) - simplex_project(c))) <= 1e-9
+
+
+@settings(deadline=None, database=None)
+@given(c=vectors(16, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_simplex_project_commutes_with_permutations(c, seed):
+    # The threshold comes from the sorted values alone, so it is the same bits.
+    perm = np.random.default_rng(seed).permutation(c.size)
+    assert np.array_equal(simplex_project(c[perm]), simplex_project(c)[perm])
+
+
+def stochastic(n, seed):
+    w = np.abs(np.random.default_rng(seed).standard_normal((n, n)))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@settings(deadline=None, database=None)
+@given(
+    n=st.integers(1, 8),
+    upload=vectors(16, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_maps_identical_uploads_to_themselves(n, upload, seed):
+    x = np.tile(upload, (n, 1))
+    mixed = aggregate(CollaborationMatrix(stochastic(n, seed)), x)
+    np.testing.assert_allclose(mixed, x, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(upload))))
+
+
+@settings(deadline=None, database=None)
+@given(
+    x=st.integers(2, 8).flatmap(
+        lambda n: st.integers(1, 16).flatmap(
+            lambda size: arrays(np.float64, (n, size), elements=st.floats(-100.0, 100.0))
+        )
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 10.0),
+    metric=st.sampled_from(SIMILARITY_METRICS),
+    normalization=st.sampled_from(NORMALIZATIONS),
+)
+def test_update_matrix_rows_are_stochastic(x, seed, alpha, metric, normalization):
+    sizes = np.random.default_rng(seed).integers(2, 200, x.shape[0])
+    updates = [ClientUpdate(i, 1, int(n_i), 0.0, 0.0, 0.0) for i, n_i in enumerate(sizes)]
+    cfg = SgcaConfig(alpha, metric, normalization)
+    try:
+        s = pairwise_similarity(x, metric, normalization)
+    except NumericError:
+        # A self-similarity overflowed its row's scaling: the round cannot mix.
+        with pytest.raises(NumericError):
+            update_matrix(updates, x, cfg)
+        return
+    # Rows keep their sum to 1e-9 only while the QP inputs m_i + (alpha/2) s_ij stay
+    # well inside float64's resolution; far larger ones raise typed errors (test_server.py).
+    m = sizes / sizes.sum()
+    assume(np.max(np.abs(m[:, None] + (alpha / 2.0) * s)) <= 1e4)
+    w = update_matrix(updates, x, cfg).w
+    assert np.all(w >= 0.0)
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9

@@ -41,8 +41,7 @@ def small_model(num_blocks=6, feature_dim=16, bottleneck_dim=4, seed=0):
 
 def low_payload(model, depth):
     """Wire bytes of adapter layers 1..depth, encoded as the round encodes an upload."""
-    layers = list(range(1, depth + 1))
-    return serialize_params(model.layer_values(layers), model.manifest(layers))
+    return serialize_params(model.low(depth), model.manifest(depth))
 
 
 class TestSelection:
