@@ -8,7 +8,10 @@ hand-derived reverse mode and updates use Adam.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -137,9 +140,45 @@ class ToyFM:
         )
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled in numpy's wheel, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _qr_one_thread(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.qr with OpenBLAS set to one thread, and its thread count restored after.
+
+    At two threads a 256x256 QR now and then takes about 1 s instead of
+    10 ms; at one thread none stalled. Q and R are the same bits at either
+    count, so without the bundled library this is the plain QR.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        return np.linalg.qr(a)
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        return np.linalg.qr(a)
+    finally:
+        set_(previous)
+
+
 def _orthogonal(stream: RngStream, n: int) -> np.ndarray:
     a = stream.draw_gaussian(n * n).reshape(n, n)
-    q, r = np.linalg.qr(a)
+    q, r = _qr_one_thread(a)
     # Fix the sign convention so the factorization is unique.
     return q * np.sign(np.diag(r))
 

@@ -44,10 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="run the projection/QP/gradient oracle suites"
     )
     oracle_p.add_argument(
-        "--instances", type=int, default=1000, help="random instances per QP suite"
+        "--instances", type=int, default=1000, help="random instances per QP suite (>= 1)"
     )
     oracle_p.add_argument(
-        "--gradient-fixtures", type=int, default=20, help="model fixtures for the gradient suite"
+        "--gradient-fixtures",
+        type=int,
+        default=20,
+        help="model fixtures for the gradient suite (1..20)",
     )
 
     export_p = sub.add_parser("export", help="export a stored run as flat tables")

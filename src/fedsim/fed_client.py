@@ -50,7 +50,6 @@ class ClientUpdate:
 
     client_id: int
     round_index: int
-    n_i: int
     train_loss: float
     test_iou: float
     test_dice: float
@@ -166,7 +165,6 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     return ClientUpdate(
         client_id=state.client_id,
         round_index=round_index,
-        n_i=state.dataset.n_i,
         train_loss=float(np.mean(losses)),
         test_iou=iou,
         test_dice=dice,

@@ -1,8 +1,8 @@
 """Flat parameter vectors, seeded RNG streams, and core numeric routines.
 
 Everything here is float64. The simplex projection is the exact
-sort-then-threshold algorithm, so the per-row aggregation QP downstream
-needs no external solver.
+sort-then-threshold algorithm, so the aggregation QP downstream needs no
+external solver.
 """
 
 from __future__ import annotations
@@ -106,29 +106,27 @@ def derive_stream_id(*parts: object) -> int:
 
 
 def simplex_project(c: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of c onto {w : w >= 0, sum(w) = 1}.
+    """Exact Euclidean projection of each row of c onto {w : w >= 0, sum(w) = 1}.
 
-    Sort-then-threshold: find the support size rho and threshold tau such
-    that w_j = max(c_j - tau, 0). Ties in the descending sort are broken by
-    original index (stable sort) for cross-platform determinism.
+    c is a vector or an (N, n) matrix. Sort-then-threshold (Duchi et al. 2008;
+    Condat 2016): w_j = max(c_j - tau, 0). Each row is first shifted to a
+    maximum of 0, which the projection ignores; its top entry then always
+    passes the support test, and tau >= -1, so entries at or below -1 get
+    weight 0 and are clamped there.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise InvalidArgumentError("input must be a non-empty 1-D vector")
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise InvalidArgumentError("input must be a non-empty vector or (N, n) matrix")
     if not np.all(np.isfinite(c)):
         raise InvalidArgumentError("input must be finite")
-    order = np.argsort(-c, kind="stable")
-    u = c[order]
-    excess = np.cumsum(u) - 1.0
-    counts = np.arange(1, c.size + 1)
-    support = np.nonzero(u * counts > excess)[0]
-    if support.size == 0:
-        # u_1 > u_1 - 1 holds in exact arithmetic; in float64 it can fail once
-        # |u_1| reaches 2**53, where subtracting 1 may be lost to rounding.
-        raise InvalidArgumentError("input entries are too large to project in float64")
-    rho = support[-1]
-    tau = excess[rho] / (rho + 1.0)
-    return np.maximum(c - tau, 0.0)
+    with np.errstate(over="ignore"):
+        v = np.maximum(c - c.max(axis=-1, keepdims=True), -1.0)
+    u = -np.sort(-v, axis=-1, kind="stable")
+    excess = np.cumsum(u, axis=-1) - 1.0
+    support = u * np.arange(1, u.shape[-1] + 1) > excess
+    rho = u.shape[-1] - 1 - np.argmax(support[..., ::-1], axis=-1, keepdims=True)
+    tau = np.take_along_axis(excess, rho, axis=-1) / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
 
 
 def finite_diff_grad(

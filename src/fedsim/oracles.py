@@ -38,6 +38,7 @@ from .server import solve_row
 # peak RSS by 0.1 MB over the per-coordinate loop and 192 rows by 1.0 MB, for
 # a run time of 0.33 s against 0.28 s.
 CHUNK_ROWS = 96
+NUM_GRADIENT_FIXTURES = 20
 
 
 def kkt_simplex_argmin(c: np.ndarray) -> np.ndarray:
@@ -94,8 +95,14 @@ class OracleResult:
     detail: str
 
 
+def _check_instance_count(num_instances: int) -> None:
+    if num_instances < 1:
+        raise InvalidArgumentError(f"instance count must be >= 1, got {num_instances}")
+
+
 def check_projection(num_instances: int = 1000, seed: int = 20240901) -> OracleResult:
     """simplex_project vs support enumeration on random vectors, N in 2..8."""
+    _check_instance_count(num_instances)
     stream = RngStream(seed, derive_stream_id("oracle", "projection"))
     worst = 0.0
     for _ in range(num_instances):
@@ -109,7 +116,8 @@ def check_projection(num_instances: int = 1000, seed: int = 20240901) -> OracleR
 
 
 def check_row_solver(num_instances: int = 1000, seed: int = 20240902) -> OracleResult:
-    """solve_row vs the row-objective enumeration, alpha in [0, 100]."""
+    """solve_row, which has no size prior m, vs the enumeration with m, alpha in [0, 100]."""
+    _check_instance_count(num_instances)
     stream = RngStream(seed, derive_stream_id("oracle", "row-solver"))
     worst = 0.0
     for _ in range(num_instances):
@@ -117,15 +125,13 @@ def check_row_solver(num_instances: int = 1000, seed: int = 20240902) -> OracleR
         alpha = stream.draw_uniform(1, 0.0, 100.0)[0]
         m_value = stream.draw_uniform(1, 0.0, 1.0)[0]
         s_row = stream.draw_gaussian(n)
-        err = float(
-            np.max(np.abs(solve_row(m_value, s_row, alpha) - kkt_row_argmin(m_value, s_row, alpha)))
-        )
+        err = float(np.max(np.abs(solve_row(s_row, alpha) - kkt_row_argmin(m_value, s_row, alpha))))
         worst = max(worst, err)
     return OracleResult("row-qp-vs-kkt", worst < 1e-9, f"max |diff| = {worst:.3e}")
 
 
 def gradient_fixtures(seed: int = 20240903) -> list[dict]:
-    """20 random fixtures spanning depth and width, regularizer included.
+    """NUM_GRADIENT_FIXTURES random fixtures spanning depth and width, regularizer included.
 
     Central differences at h=1e-5 are exact only where no perturbation moves
     a ReLU pre-activation across zero, and the batched pass flags every
@@ -137,7 +143,7 @@ def gradient_fixtures(seed: int = 20240903) -> list[dict]:
     """
     fixtures = []
     configs = [(k, d) for k in (2, 4, 6) for d in (16, 64)]
-    for i in range(20):
+    for i in range(NUM_GRADIENT_FIXTURES):
         num_blocks, feature_dim = configs[i % len(configs)]
         fixtures.append(
             {
@@ -321,8 +327,12 @@ def gradient_rel_error(fx: dict, h: float = 1e-5) -> float:
     return _gradient_check(fx, h, recheck=False)[0]
 
 
-def check_gradients(h: float = 1e-5, num_fixtures: int = 20) -> OracleResult:
+def check_gradients(h: float = 1e-5, num_fixtures: int = NUM_GRADIENT_FIXTURES) -> OracleResult:
     """gradient_rel_error on the default fixtures, kink-straddling coordinates retaken at h/10."""
+    if not 1 <= num_fixtures <= NUM_GRADIENT_FIXTURES:
+        raise InvalidArgumentError(
+            f"gradient fixture count must be in 1..{NUM_GRADIENT_FIXTURES}, got {num_fixtures}"
+        )
     worst = 0.0
     rechecked = 0
     for fx in gradient_fixtures()[:num_fixtures]:

@@ -21,7 +21,7 @@ from . import __version__
 from .adapter_net import AdamState, build_model, draw_adapters
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
-from .errors import ConfigError, FedsimError, NumericError
+from .errors import ConfigError, DecodeError, FedsimError, NumericError
 from .fed_client import (
     ClientState,
     install_low_adapters,
@@ -82,18 +82,39 @@ class ResultsStore:
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "ResultsStore":
+        """Read a saved store; raises DecodeError naming the file and line that is wrong."""
         run = Path(run_dir)
-        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        manifest = _read_json(run / "manifest.json")
+        summary = _read_json(run / "summary.json")
+        rounds = run / "rounds.jsonl"
         records = [
-            RoundRecord.from_dict(json.loads(line))
-            for line in (run / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+            _decode(rounds, n, lambda: RoundRecord.from_dict(json.loads(line)))
+            for n, line in enumerate(rounds.read_text(encoding="utf-8").splitlines(), 1)
             if line.strip()
         ]
-        summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-        rows = csv.DictReader(io.StringIO((run / "ledger.csv").read_text(encoding="utf-8")))
-        entries = [LedgerEntry.from_row(row) for row in rows]
+        ledger_csv = run / "ledger.csv"
+        rows = csv.DictReader(io.StringIO(ledger_csv.read_text(encoding="utf-8")))
+        entries = [
+            _decode(ledger_csv, rows.line_num, lambda: LedgerEntry.from_row(row)) for row in rows
+        ]
         ledger = CommLedger(entries, sum(e.scalar_count for e in entries))
         return cls(manifest, records, summary, ledger)
+
+
+def _decode(path: Path, line: int, parse):
+    """parse(), with a malformed value reported as a DecodeError at path and line."""
+    try:
+        return parse()
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"{path}: line {line + exc.lineno - 1}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise DecodeError(f"{path}: line {line}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DecodeError(f"{path}: line {line}: {exc}") from exc
+
+
+def _read_json(path: Path):
+    return _decode(path, 1, lambda: json.loads(path.read_text(encoding="utf-8")))
 
 
 def _json_pretty(obj: dict) -> str:

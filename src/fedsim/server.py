@@ -2,8 +2,9 @@
 
 Each round the server solves, for every client row, the quadratic program
     min_w sum_j (w_j - m_i)^2 - alpha * sum_j w_j * s_ij   s.t. w on the simplex,
-which reduces to the exact Euclidean projection of m_i + (alpha/2) * s_i.
-A size-weighted plain average is provided as the control aggregator.
+the Euclidean projection of m_i + (alpha/2) * s_i. The size prior m_i shifts
+the whole row, which a simplex projection ignores, so all rows of W are one
+projection of (alpha/2) * S. A size-weighted plain average is the control.
 
 The server holds a round's uploads in one (N, P) float64 matrix x, row i
 being client i's upload as decoded from the wire; similarity and mixing
@@ -138,14 +139,20 @@ def pairwise_similarity(
     return s
 
 
-def solve_row(m_value: float, s_row: np.ndarray, alpha: float) -> np.ndarray:
-    """One collaboration-matrix row: projection of m + (alpha/2) * s onto the simplex."""
-    s_row = np.asarray(s_row, dtype=np.float64)
-    if not np.isfinite(m_value) or not np.all(np.isfinite(s_row)):
-        raise InvalidArgumentError("row inputs must be finite")
+def solve_row(s: np.ndarray, alpha: float) -> np.ndarray:
+    """Rows of W: the projection of (alpha/2) * s for one similarity row or all of S.
+
+    Rows are shifted to a maximum of 0 first; an entry scaled to -1 or below
+    gets weight 0, so clamping there keeps it finite at any alpha.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise InvalidArgumentError("similarities must be finite")
     if not np.isfinite(alpha) or alpha < 0:
         raise InvalidArgumentError("alpha must be finite and >= 0")
-    return simplex_project(m_value + (alpha / 2.0) * s_row)
+    with np.errstate(over="ignore"):
+        c = (alpha / 2.0) * (s - s.max(axis=-1, keepdims=True))
+    return simplex_project(np.maximum(c, -1.0))
 
 
 def update_matrix(
@@ -153,8 +160,8 @@ def update_matrix(
 ) -> CollaborationMatrix:
     """Recompute the full collaboration matrix from this round's uploads.
 
-    Row i of x is client i's upload; the updates supply each client's id,
-    round and dataset size.
+    Row i of x is client i's upload; the updates supply each client's id
+    and round.
     """
     cfg.validate()
     n = len(updates)
@@ -167,12 +174,7 @@ def update_matrix(
     if x.shape[0] != n:
         raise ProtocolError(f"got {n} updates but {x.shape[0]} uploads")
     s = pairwise_similarity(x, cfg.metric, cfg.normalization)
-    sizes = np.array([u.n_i for u in sorted(updates, key=lambda u: u.client_id)], dtype=np.float64)
-    if sizes.sum() <= 0:
-        raise ProtocolError("total dataset size must be positive")
-    m = sizes / sizes.sum()
-    rows = [solve_row(float(m[i]), s[i], cfg.alpha) for i in range(n)]
-    return CollaborationMatrix(np.vstack(rows))
+    return CollaborationMatrix(solve_row(s, cfg.alpha))
 
 
 def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -974,3 +977,47 @@ class TestFrozenImmutability:
         eye = FrozenBlock(np.eye(4), np.zeros(4))
         with pytest.raises(InvalidArgumentError):
             ToyFM([eye], eye, 4, 1, identity_adapters(1, 4))
+
+
+# Builds the backbone at feature_dim 64 and 256 through the one-thread QR and
+# through the plain QR it falls back to, then reports the thread count left set.
+BACKBONE_DIGESTS = """
+import hashlib, json
+from fedsim import adapter_net
+from fedsim.numerics import RngStream, derive_stream_id
+
+def digests():
+    out = []
+    for feature_dim in (64, 256):
+        model = adapter_net.build_model(
+            feature_dim, 16, 6, RngStream(0, derive_stream_id("backbone")), RngStream(0, 1)
+        )
+        h = hashlib.sha256()
+        for block in [*model.blocks, model.head]:
+            h.update(block.weight.tobytes())
+            h.update(block.bias.tobytes())
+        out.append(h.hexdigest())
+    return out
+
+threads = adapter_net._openblas_threads()
+one_thread = digests()
+after = threads[0]() if threads else None
+adapter_net._openblas_threads = lambda: None
+print(json.dumps({"one_thread": one_thread, "plain": digests(), "threads_after": after}))
+"""
+
+
+class TestBackboneBlasThreads:
+    def test_frozen_weights_are_the_same_bits_at_one_and_two_blas_threads(self):
+        runs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", BACKBONE_DIGESTS], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = json.loads(proc.stdout)
+        expected = runs["1"]["one_thread"]
+        for threads, run in runs.items():
+            assert run["one_thread"] == expected and run["plain"] == expected, threads
+            assert run["threads_after"] in (None, int(threads))

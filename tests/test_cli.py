@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
@@ -88,6 +90,17 @@ class TestExportCommand:
         proc = run_cli("export", "--run", str(tmp_path / "ghost"), "--format", "csv")
         assert proc.returncode == 4
 
+    def test_export_of_a_damaged_store_is_a_validation_error(self, tmp_path, small_config_text):
+        cfg = write_config(tmp_path, small_config_text.replace("rounds = 3", "rounds = 1"))
+        out = tmp_path / "results"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)).returncode == 0
+        with open(out / "rounds.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"round": 2, "w"')
+        proc = run_cli("export", "--run", str(out), "--format", "csv")
+        assert proc.returncode == 2
+        assert f"{out / 'rounds.jsonl'}: line 2: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweepCommand:
     def test_depth_sweep(self, tmp_path, small_config_text):
@@ -115,3 +128,18 @@ class TestOracleCheckCommand:
         lines = [line for line in proc.stdout.strip().split("\n") if line]
         assert len(lines) == 3
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--instances", "0"),
+            ("--gradient-fixtures", "0"),
+            ("--gradient-fixtures", "-18"),
+            ("--gradient-fixtures", "21"),
+        ],
+    )
+    def test_counts_that_check_nothing_or_wrap_around_are_rejected(self, flag, value):
+        proc = run_cli("oracle-check", "--instances", "5", "--gradient-fixtures", "1", flag, value)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"got {value}" in proc.stderr

@@ -62,10 +62,10 @@ class TestSimplexProject:
         with pytest.raises(InvalidArgumentError):
             simplex_project(np.array([]))
 
-    def test_rejects_entries_too_large_to_resolve(self):
-        # 1e95 - 1 rounds to 1e95, so no support size passes the threshold test.
-        with pytest.raises(InvalidArgumentError, match="too large"):
-            simplex_project(np.array([1e95, 1.0]))
+    def test_entries_far_beyond_float64_resolution_project_exactly(self):
+        # 1e95 - 1 rounds to 1e95; shifted to its row maximum the input is [0, -1e95].
+        assert np.array_equal(simplex_project(np.array([1e95, 1.0])), [1.0, 0.0])
+        assert np.array_equal(simplex_project(np.array([1.7e308, -1.7e308])), [1.0, 0.0])
 
 
 class TestFiniteDiff:

@@ -18,7 +18,7 @@ from fedsim.datagen import (
     generate_client_dataset,
     generate_federation,
 )
-from fedsim.errors import ConfigError, NumericError, ProtocolError
+from fedsim.errors import ConfigError, DecodeError, NumericError, ProtocolError
 from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
 from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
@@ -471,6 +471,40 @@ class TestExport:
         store = run_experiment(parse_config_text(small_config_text))
         with pytest.raises(ConfigError):
             export_store(store, tmp_path, "parquet")
+
+
+def set_line(line_no, edit):
+    """A text edit that rewrites one line (1-based) with edit(line)."""
+
+    def apply(text):
+        lines = text.split("\n")
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        return "\n".join(lines)
+
+    return apply
+
+
+class TestDamagedStore:
+    @pytest.mark.parametrize(
+        "name, edit, where, why",
+        [
+            ("rounds.jsonl", lambda text: text + text[:40], "line 3", "Expecting"),
+            ("rounds.jsonl", lambda text: text + "[1, 2]\n", "line 3", "list indices"),
+            ("rounds.jsonl", set_line(2, lambda s: s.replace('"w":', '"v":')), "line 2", "'w'"),
+            ("ledger.csv", set_line(4, lambda s: s[: s.rindex(",")] + ",zero"), "line 4", "'zero'"),
+            ("ledger.csv", set_line(1, lambda s: s.replace("client_id", "id")), "line 2", "_id'"),
+            ("summary.json", set_line(3, lambda s: s.replace(":", "")), "line 3", "':'"),
+            ("manifest.json", lambda text: "{\n" + text, "line 2", "Expecting"),
+        ],
+    )
+    def test_load_names_the_file_and_line(self, small_config_text, tmp_path, name, edit, where, why):
+        text = small_config_text.replace("rounds = 3", "rounds = 2")
+        run_experiment(parse_config_text(text), tmp_path)
+        path = tmp_path / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(DecodeError, match=why) as info:
+            ResultsStore.load(tmp_path)
+        assert str(info.value).startswith(f"{path}: {where}: ")
 
 
 class TestConfigParsing:

@@ -35,12 +35,11 @@ def uploads(params):
     return x
 
 
-def make_update(client_id, values, n_i=10, round_index=1):
+def make_update(client_id, values, round_index=1):
     """A client's round report and its upload: the wire bytes of a one-layer vector."""
     update = ClientUpdate(
         client_id=client_id,
         round_index=round_index,
-        n_i=n_i,
         train_loss=0.0,
         test_iou=0.0,
         test_dice=0.0,
@@ -156,12 +155,12 @@ class TestPairwiseSimilarity:
             update_matrix(*round_inputs(sent), SgcaConfig(metric=metric))
         assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
 
-    def test_qp_inputs_too_large_for_float64_are_a_typed_error(self):
+    def test_qp_inputs_far_beyond_float64_resolution_solve_exactly(self):
         # Row 0's scaled self-similarity is 2e95, so its QP input is ~1e95.
         x = np.array([[1.0], [5.06974647e-96]])
         sent = [make_update(0, x[0]), make_update(1, x[1])]
-        with pytest.raises(InvalidArgumentError, match="too large"):
-            update_matrix(*round_inputs(sent), SgcaConfig(metric="inner"))
+        w = update_matrix(*round_inputs(sent), SgcaConfig(metric="inner")).w
+        assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
 
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
@@ -217,17 +216,17 @@ class TestPairwiseSimilarity:
 
 class TestSolveRow:
     def test_alpha_zero_gives_uniform(self):
-        w = solve_row(0.37, np.array([5.0, -2.0, 0.1, 9.0]), 0.0)
+        w = solve_row(np.array([5.0, -2.0, 0.1, 9.0]), 0.0)
         assert np.allclose(w, 0.25, atol=1e-12)
         assert len(set(w.tolist())) == 1  # exactly equal entries
 
     def test_vertex_solution(self):
-        w = solve_row(0.5, np.array([0.0, -1.0]), 2.0)
+        w = solve_row(np.array([0.0, -1.0]), 2.0)
         assert np.array_equal(w, [1.0, 0.0])
 
     def test_interior_solution_matches_oracle(self):
         s_row = np.array([0.0, -0.2, -0.8])
-        w = solve_row(1.0 / 3.0, s_row, 1.0)
+        w = solve_row(s_row, 1.0)
         assert np.max(np.abs(w - np.array([0.5, 0.4, 0.1]))) < 1e-9
         assert np.max(np.abs(w - kkt_row_argmin(1.0 / 3.0, s_row, 1.0))) < 1e-9
 
@@ -239,38 +238,39 @@ class TestSolveRow:
             s_row = stream.draw_gaussian(n)
             alpha = stream.draw_uniform(1, 0.0, 100.0)[0]
             m = stream.draw_uniform(1, 0.0, 1.0)[0]
-            diff = solve_row(m, s_row, alpha) - kkt_row_argmin(m, s_row, alpha)
+            diff = solve_row(s_row, alpha) - kkt_row_argmin(m, s_row, alpha)
             worst = max(worst, float(np.max(np.abs(diff))))
         assert worst < 1e-9
 
     def test_shift_invariance_in_similarities(self):
         stream = RngStream(34, 0)
         s_row = stream.draw_gaussian(5)
-        base = solve_row(0.2, s_row, 3.0)
-        assert np.allclose(solve_row(0.2, s_row + 7.5, 3.0), base, atol=1e-12)
+        base = solve_row(s_row, 3.0)
+        assert np.allclose(solve_row(s_row + 7.5, 3.0), base, atol=1e-12)
 
     def test_m_value_does_not_affect_the_row(self):
         # The prior term is constant within a row, so projection shift-invariance
-        # makes the solution independent of m.
+        # makes the solution independent of m: solve_row, which has no m, is
+        # the objective's minimizer for every m.
         stream = RngStream(35, 0)
         s_row = stream.draw_gaussian(4)
-        a = solve_row(0.1, s_row, 2.0)
-        b = solve_row(0.9, s_row, 2.0)
-        assert np.allclose(a, b, atol=1e-12)
+        w = solve_row(s_row, 2.0)
+        for m in (0.1, 0.9):
+            assert np.allclose(w, kkt_row_argmin(m, s_row, 2.0), atol=1e-12)
 
     def test_large_alpha_selects_the_similarity_maximizer(self):
         s_row = np.array([-0.5, 0.3, -0.1, 0.2])
-        w = solve_row(0.25, s_row, 1e6)
+        w = solve_row(s_row, 1e6)
         assert w[1] > 1.0 - 1e-6
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            solve_row(0.5, np.array([np.nan, 0.0]), 1.0)
+            solve_row(np.array([np.nan, 0.0]), 1.0)
 
 
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
-        sent = [make_update(i, [float(i), 0.0], n_i=10 + i) for i in range(4)]
+        sent = [make_update(i, [float(i), 0.0]) for i in range(4)]
         matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
@@ -289,11 +289,10 @@ class TestUpdateMatrix:
     def test_client_relabeling_permutes_the_matrix(self):
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
-        sizes = [10, 20, 30]
-        sent = [make_update(i, vectors[i], n_i=sizes[i]) for i in range(3)]
+        sent = [make_update(i, vectors[i]) for i in range(3)]
         base = update_matrix(*round_inputs(sent), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
-        sent = [make_update(i, vectors[perm[i]], n_i=sizes[perm[i]]) for i in range(3)]
+        sent = [make_update(i, vectors[perm[i]]) for i in range(3)]
         permuted = update_matrix(*round_inputs(sent), SgcaConfig())
         for i in range(3):
             for j in range(3):
@@ -302,10 +301,7 @@ class TestUpdateMatrix:
     def test_rows_are_stochastic_for_random_inputs(self):
         stream = RngStream(37, 0)
         for alpha in (0.0, 0.5, 2.0, 50.0):
-            sent = [
-                make_update(i, stream.draw_gaussian(6), n_i=stream.draw_integer(5, 50))
-                for i in range(5)
-            ]
+            sent = [make_update(i, stream.draw_gaussian(6)) for i in range(5)]
             matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)

@@ -22,6 +22,7 @@ from fedsim.server import (  # noqa: E402
     SgcaConfig,
     aggregate,
     pairwise_similarity,
+    solve_row,
     update_matrix,
 )
 
@@ -108,33 +109,52 @@ def test_aggregate_maps_identical_uploads_to_themselves(n, upload, seed):
     np.testing.assert_allclose(mixed, x, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(upload))))
 
 
+float_uploads = st.integers(2, 8).flatmap(
+    lambda n: st.integers(1, 16).flatmap(
+        lambda size: arrays(np.float64, (n, size), elements=st.floats(-100.0, 100.0))
+    )
+)
+# 0 and log-uniform up to 1e300: the QP must stay exact at any finite alpha.
+alphas = st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e))
+
+
+def round_updates(n):
+    return [ClientUpdate(i, 1, 0.0, 0.0, 0.0) for i in range(n)]
+
+
 @settings(deadline=None, database=None)
 @given(
-    x=st.integers(2, 8).flatmap(
-        lambda n: st.integers(1, 16).flatmap(
-            lambda size: arrays(np.float64, (n, size), elements=st.floats(-100.0, 100.0))
-        )
-    ),
-    seed=st.integers(0, 2**32 - 1),
-    alpha=st.floats(0.0, 10.0),
+    x=float_uploads,
+    alpha=alphas,
     metric=st.sampled_from(SIMILARITY_METRICS),
     normalization=st.sampled_from(NORMALIZATIONS),
 )
-def test_update_matrix_rows_are_stochastic(x, seed, alpha, metric, normalization):
-    sizes = np.random.default_rng(seed).integers(2, 200, x.shape[0])
-    updates = [ClientUpdate(i, 1, int(n_i), 0.0, 0.0, 0.0) for i, n_i in enumerate(sizes)]
+def test_update_matrix_rows_are_stochastic(x, alpha, metric, normalization):
+    updates = round_updates(x.shape[0])
     cfg = SgcaConfig(alpha, metric, normalization)
     try:
-        s = pairwise_similarity(x, metric, normalization)
+        pairwise_similarity(x, metric, normalization)
     except NumericError:
         # A self-similarity overflowed its row's scaling: the round cannot mix.
         with pytest.raises(NumericError):
             update_matrix(updates, x, cfg)
         return
-    # Rows keep their sum to 1e-9 only while the QP inputs m_i + (alpha/2) s_ij stay
-    # well inside float64's resolution; far larger ones raise typed errors (test_server.py).
-    m = sizes / sizes.sum()
-    assume(np.max(np.abs(m[:, None] + (alpha / 2.0) * s)) <= 1e4)
     w = update_matrix(updates, x, cfg).w
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9
+
+
+@settings(deadline=None, database=None)
+@given(
+    x=float_uploads,
+    alpha=alphas,
+    metric=st.sampled_from(SIMILARITY_METRICS),
+    normalization=st.sampled_from(NORMALIZATIONS),
+)
+def test_update_matrix_solves_all_rows_as_each_row_alone(x, alpha, metric, normalization):
+    try:
+        s = pairwise_similarity(x, metric, normalization)
+    except NumericError:
+        assume(False)
+    w = update_matrix(round_updates(x.shape[0]), x, SgcaConfig(alpha, metric, normalization)).w
+    assert np.array_equal(w, np.vstack([solve_row(row, alpha) for row in s]))
