@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,27 +117,21 @@ class ToyFM:
         return self.flat[: self._span(num_layers).stop]
 
     def adapter_params(self) -> FlatParams:
-        """A copy of every adapter weight, as a checkpoint stores it."""
+        """A FlatParams copy of every adapter weight (bench/tracer.py's target only)."""
         return FlatParams(self.flat, self.manifest())
 
     def install_adapter_params(self, params: FlatParams) -> None:
         """Overwrite the adapters named in the manifest, in place; others stay untouched."""
-        writes = []
-        for k, values in params.split():
-            span = self._span(k)
-            if values.size != self.layer_size:
-                raise InvalidArgumentError(
-                    f"expected {self.layer_size} adapter values, got {values.size}"
-                )
-            writes.append((span, values))
-        for span, values in writes:
+        spans = [self._span(k) for k, _ in params.manifest]
+        bad = [length for _, length in params.manifest if length != self.layer_size]
+        if bad:
+            raise InvalidArgumentError(f"expected {self.layer_size} adapter values, got {bad[0]}")
+        for span, (_, values) in zip(spans, params.split()):
             self.flat[span] = values
 
     def clone(self) -> "ToyFM":
         """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
-        return ToyFM(
-            list(self.blocks), self.head, self.feature_dim, self.bottleneck_dim, self.flat
-        )
+        return replace(self, blocks=list(self.blocks))
 
 
 @functools.cache
@@ -213,10 +207,6 @@ def draw_adapters(model: ToyFM, stream: RngStream) -> None:
     for down, up in model.adapters:
         down[...] = stream.draw_gaussian(down.size).reshape(down.shape) / scale
         up[...] = 0.0
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -360,7 +350,7 @@ def _forward_cached(first: np.ndarray, model: ToyFM):
         if k:
             r = _frozen_block(h, model.blocks[k])
         u = r @ down.T
-        s = _relu(u)
+        s = np.maximum(u, 0.0)
         h = s @ up.T
         h += r
         cache.append((r, u, s))
@@ -369,55 +359,38 @@ def _forward_cached(first: np.ndarray, model: ToyFM):
 
 
 def _check_buffer(name: str, buffer: np.ndarray, model: ToyFM) -> None:
-    if buffer.shape != model.flat.shape or buffer.dtype != np.float64:
+    if np.shape(buffer) != model.flat.shape or getattr(buffer, "dtype", None) != np.float64:
         raise InvalidArgumentError(f"{name} must be a float64 vector of {model.flat.size} entries")
 
 
 def objective_and_grad(
-    images: np.ndarray | None,
+    first: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
     theta_ref: np.ndarray | None,
     beta: float,
-    *,
-    first: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Objective value and its exact gradient w.r.t. all adapter parameters.
+    """Objective value and its exact gradient w.r.t. all adapter parameters, written into out.
 
+    The forward pass starts from `first`, the batch's frozen block-1
+    features (block1_features) as a float64 (batch, feature_dim) matrix.
     The segmentation term is averaged over the batch; the regularizer pulls
     layers 1..L toward theta_ref, a vector over those layers laid out like
     the start of model.flat, scaled by beta. Frozen blocks receive no
-    gradient, so backpropagation stops at the layer-1 adapter. The gradient
-    is a new vector laid out like model.flat; with `out` (a float64 vector
-    of that shape) it is written into `out` instead, which is returned.
-
-    The forward pass starts from `first`, the batch's frozen block-1
-    features (block1_features) as a float64 matrix; without it they are
-    computed from images. A caller that passes `first` may pass None for
-    images, which are not read then. `scratch`, a float64 vector like `out`
-    that does not overlap it, receives the regularizer's temporaries; they
-    are allocated when it is not given.
+    gradient, so backpropagation stops at the layer-1 adapter. `out` and
+    `scratch` are float64 vectors laid out like model.flat that do not
+    overlap: the gradient is written into `out`, which is returned, and
+    `scratch` receives the regularizer's temporaries.
     """
-    if first is None:
-        if images is None:
-            raise InvalidArgumentError("objective_and_grad needs images or their block-1 features")
-        images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
-        first = block1_features(images, model)
-    elif first.dtype != np.float64 or first.ndim != 2 or first.shape[1] != model.feature_dim:
+    if getattr(first, "dtype", None) != np.float64 or np.shape(first)[1:] != (model.feature_dim,):
         raise InvalidArgumentError(f"first must be a float64 (batch, {model.feature_dim}) matrix")
-    else:
-        first, masks, ref = _check_objective_args(first, masks, model, theta_ref, beta)
-    if out is None:
-        grads = np.empty_like(model.flat)
-    else:
-        _check_buffer("out", out, model)
-        grads = out
-    if scratch is not None:
-        _check_buffer("scratch", scratch, model)
-        if np.may_share_memory(scratch, grads):
-            raise InvalidArgumentError("scratch must not overlap out")
+    first, masks, ref = _check_objective_args(first, masks, model, theta_ref, beta)
+    _check_buffer("out", out, model)
+    _check_buffer("scratch", scratch, model)
+    if np.may_share_memory(scratch, out):
+        raise InvalidArgumentError("scratch must not overlap out")
     batch, pixels = masks.shape
     logits, cache = _forward_cached(first, model)
     p = sigmoid(logits)
@@ -430,9 +403,9 @@ def objective_and_grad(
         loss += beta * _neg_cosine(*parts)
         # Nothing is added when theta_low is the zero vector, where -cos is constant 0.
         if parts[0] != 0.0:
-            reg = np.empty_like(ref) if scratch is None else scratch[: ref.size]
-            # The backward pass below has not written grads yet, so its head can hold pull.
-            _reg_grad(theta_low, ref, beta, *parts, term=reg, pull=grads[: ref.size])
+            reg = scratch[: ref.size]
+            # The backward pass below has not written out yet, so its head can hold pull.
+            _reg_grad(theta_low, ref, beta, *parts, term=reg, pull=out[: ref.size])
 
     # d(loss)/d(logit) = (p - y) where the clamp is inactive, else 0.
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
@@ -442,7 +415,7 @@ def objective_and_grad(
     for k in range(model.num_blocks, 0, -1):
         down, up = model.adapters[k - 1]
         r, u, s = cache[k - 1]
-        grad_down, grad_up = model._layer_views(grads, k)
+        grad_down, grad_up = model._layer_views(out, k)
         np.matmul(g.T, s, out=grad_up)
         d_hidden = (g @ up) * (u > 0)
         np.matmul(d_hidden.T, r, out=grad_down)
@@ -454,8 +427,8 @@ def objective_and_grad(
 
     if reg is not None:
         # g + beta * -(a - b) is g - beta * (a - b) bit for bit.
-        grads[: reg.size] -= reg
-    return loss, grads
+        out[: reg.size] -= reg
+    return loss, out
 
 
 def objective(
@@ -507,16 +480,10 @@ def adam_update(
     """
     if lr <= 0:
         raise InvalidArgumentError("learning rate must be > 0")
-    if not (
-        values.size
-        == grads.size
-        == scratch.size
-        == state.first_moment.size
-        == state.second_moment.size
-    ):
+    m, v = state.first_moment, state.second_moment
+    if len({values.size, grads.size, scratch.size, m.size, v.size}) > 1:
         raise InvalidArgumentError("Adam state does not match parameter size")
     t = state.step_count + 1
-    m, v = state.first_moment, state.second_moment
     step, denom = scratch, grads
     np.multiply(1.0 - ADAM_BETA1, grads, out=step)
     m *= ADAM_BETA1
@@ -540,7 +507,7 @@ def adam_update(
 def adam_step(
     params: FlatParams, grads: FlatParams, state: AdamState, lr: float
 ) -> tuple[FlatParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update, returning new params and state (bench/tracer.py target)."""
     if params.manifest != grads.manifest:
         raise InvalidArgumentError("params and grads manifests must match")
     values = params.values.copy()

@@ -217,8 +217,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The config in the UTF-8 file at path; text that is not UTF-8 is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def apply_sweep_value(cfg: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:

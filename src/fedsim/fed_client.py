@@ -134,25 +134,16 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     cfg = state.config
     model = state.model
     n = state._train_first.shape[0]
-    shuffle = RngStream(
-        state.seed, derive_stream_id("shuffle", state.client_id, round_index)
-    )
+    shuffle = RngStream(state.seed, derive_stream_id("shuffle", state.client_id, round_index))
     grads, scratch = state.workspace[0], state.workspace[1]
+    ref = state.theta_ref
     losses = []
     for _ in range(cfg.local_epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, _ = objective_and_grad(
-                None,
-                state._train_masks[idx],
-                model,
-                state.theta_ref,
-                cfg.beta,
-                first=state._train_first[idx],
-                out=grads,
-                scratch=scratch,
-            )
+            first, masks = state._train_first[idx], state._train_masks[idx]
+            loss, _ = objective_and_grad(first, masks, model, ref, cfg.beta, grads, scratch)
             try:
                 adam_update(model.flat, grads, state.adam, cfg.learning_rate, scratch)
             except NumericError as exc:
@@ -206,16 +197,10 @@ def measure_param_shift(
     """
     if not before.shape == after.shape == (sum(length for _, length in manifest),):
         raise InvalidArgumentError("param shift requires two vectors laid out by the manifest")
+    ends = np.cumsum([length for _, length in manifest])
     shifts = []
-    offset = 0
-    for _, length in manifest:
-        b_vals = before[offset : offset + length]
-        a_vals = after[offset : offset + length]
-        offset += length
-        base = float(np.linalg.norm(b_vals))
-        delta = float(np.linalg.norm(a_vals - b_vals))
-        if base == 0.0:
-            shifts.append(0.0 if delta == 0.0 else float("inf"))
-        else:
-            shifts.append(delta / base)
+    for start, end in zip([0, *ends[:-1]], ends):
+        base = float(np.linalg.norm(before[start:end]))
+        delta = float(np.linalg.norm(after[start:end] - before[start:end]))
+        shifts.append(delta / base if base else (0.0 if delta == 0.0 else float("inf")))
     return np.array(shifts)

@@ -18,12 +18,12 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True, eq=False)
 class FlatParams:
-    """A flat float64 vector with a (layer_index, length) manifest: a checkpoint's parameter set.
+    """A read-only flat float64 vector with a (layer_index, length) manifest.
 
-    The manifest records which adapter layer each contiguous slice belongs
-    to; layer indices are 1-based and strictly increasing. Values are kept
-    read-only so a FlatParams can be shared safely. The round itself moves
-    plain vectors laid out by a manifest, not FlatParams.
+    Layer indices are 1-based and strictly increasing. No program path
+    builds one: rounds and checkpoints move plain vectors laid out by a
+    manifest. It stays, with ToyFM.adapter_params, install_adapter_params
+    and adam_step, because bench/tracer.py names them as targets.
     """
 
     values: np.ndarray

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .adapter_net import PROB_CLAMP, build_model, objective, objective_and_grad
+from .adapter_net import PROB_CLAMP, block1_features, build_model, objective, objective_and_grad
 from .errors import InvalidArgumentError, NumericError
 from .numerics import RngStream, derive_stream_id, simplex_project
 from .server import solve_row
@@ -305,7 +305,9 @@ def _gradient_check(fx: dict, h: float, recheck: bool) -> tuple[float, int]:
         raise InvalidArgumentError("step size h must be > 0")
     model, images, masks, theta_ref = _build_fixture(fx)
     args = (images, masks, model, theta_ref, fx["beta"])
-    _, analytic = objective_and_grad(*args)
+    first = block1_features(images, model)
+    analytic, scratch = np.empty((2, model.flat.size))
+    objective_and_grad(first, masks, model, theta_ref, fx["beta"], analytic, scratch)
     numeric, crossed = _central_differences(*args, h)
     flagged = np.flatnonzero(crossed)
     if recheck and flagged.size:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +58,19 @@ class RoundRecord:
     def to_dict(self) -> dict:
         return {column_name(k): v for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoundRecord":
-        return cls(**{f.name: data[column_name(f.name)] for f in fields(cls)})
+
+@dataclass
+class RunSummary:
+    """summary.json: the run's size and its final metrics."""
+
+    rounds: int
+    num_clients: int
+    aggregator: str
+    final_mean_iou: float
+    final_mean_dice: float
+    final_test_iou: list[float]
+    final_test_dice: list[float]
+    comm_total: int
 
 
 @dataclass
@@ -73,48 +84,96 @@ class ResultsStore:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "manifest.json", _json_pretty(self.manifest))
-        _write_text(
-            out / "rounds.jsonl",
-            "".join(_json_line(r.to_dict()) for r in self.records),
-        )
+        _write_text(out / "rounds.jsonl", "".join(_json_line(r.to_dict()) for r in self.records))
         _write_text(out / "summary.json", _json_pretty(self.summary))
         _write_text(out / "ledger.csv", _csv_text(self.ledger.to_rows()))
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "ResultsStore":
-        """Read a saved store; raises DecodeError naming the file and line that is wrong."""
+        """Read a saved store; raises DecodeError naming the file, and the line, that is wrong.
+
+        Each field needs its declared type, each per-client list num_clients entries.
+        """
         run = Path(run_dir)
         manifest = _read_json(run / "manifest.json")
-        summary = _read_json(run / "summary.json")
-        rounds = run / "rounds.jsonl"
+        path = run / "summary.json"
+        summary = _read_json(path)
+        n = _decode(path, None, lambda: _run_summary(summary)).num_clients
+        path = run / "rounds.jsonl"
         records = [
-            _decode(rounds, n, lambda: RoundRecord.from_dict(json.loads(line)))
-            for n, line in enumerate(rounds.read_text(encoding="utf-8").splitlines(), 1)
+            _decode(path, i, lambda: _round_record(json.loads(line), n))
+            for i, line in enumerate(_read_text(path).splitlines(), 1)
             if line.strip()
         ]
-        ledger_csv = run / "ledger.csv"
-        rows = csv.DictReader(io.StringIO(ledger_csv.read_text(encoding="utf-8")))
-        entries = [
-            _decode(ledger_csv, rows.line_num, lambda: LedgerEntry.from_row(row)) for row in rows
-        ]
+        if not records:
+            raise DecodeError(f"{path}: no round records")
+        path = run / "ledger.csv"
+        rows = csv.DictReader(io.StringIO(_read_text(path)))
+        entries = [_decode(path, rows.line_num, lambda: LedgerEntry.from_row(row)) for row in rows]
         ledger = CommLedger(entries, sum(e.scalar_count for e in entries))
         return cls(manifest, records, summary, ledger)
 
 
-def _decode(path: Path, line: int, parse):
-    """parse(), with a malformed value reported as a DecodeError at path and line."""
+def _conforms(value, tp) -> bool:
+    """Whether a JSON value has type tp: int, float (an int too), str, None, list[X] or a union."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if args:
+        return any(_conforms(value, arg) for arg in args)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if tp is float else tp)
+
+
+def _typed(cls, data: dict):
+    """cls from a stored dict: KeyError if a field is missing, TypeError if one is mistyped."""
+    record = cls(**{f.name: data[column_name(f.name)] for f in fields(cls)})
+    for name, tp in typing.get_type_hints(cls).items():
+        value = getattr(record, name)
+        if not _conforms(value, tp):
+            kind = tp.__name__ if tp in (int, float, str) else tp
+            raise TypeError(f"{column_name(name)}: expected {kind}, got {value!r:.40}")
+    return record
+
+
+def _check_clients(n: int, *lists: list) -> None:
+    if any(len(values) != n for values in lists):
+        raise ValueError(f"per-client values must have num_clients = {n} entries")
+
+
+def _run_summary(data: dict) -> RunSummary:
+    summary = _typed(RunSummary, data)
+    _check_clients(summary.num_clients, summary.final_test_iou, summary.final_test_dice)
+    return summary
+
+
+def _round_record(data: dict, n: int) -> RoundRecord:
+    """A rounds.jsonl record of a run of n clients: its metrics n long, W n by n or null."""
+    record = _typed(RoundRecord, data)
+    w = [] if record.w is None else [record.w, *record.w]
+    _check_clients(n, record.train_loss, record.test_iou, record.test_dice, *w)
+    return record
+
+
+def _decode(path: Path, line: int | None, parse):
+    """parse(); a malformed value is a DecodeError naming path and line (None: the whole file)."""
+    where = f"{path}: line {line}" if line else str(path)
     try:
         return parse()
     except json.JSONDecodeError as exc:
         raise DecodeError(f"{path}: line {line + exc.lineno - 1}: {exc.msg}") from exc
     except KeyError as exc:
-        raise DecodeError(f"{path}: line {line}: missing field {exc.args[0]!r}") from exc
+        raise DecodeError(f"{where}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise DecodeError(f"{path}: line {line}: {exc}") from exc
+        raise DecodeError(f"{where}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    return _decode(path, None, lambda: path.read_text(encoding="utf-8"))
 
 
 def _read_json(path: Path):
-    return _decode(path, 1, lambda: json.loads(path.read_text(encoding="utf-8")))
+    text = _read_text(path)
+    return _decode(path, 1, lambda: json.loads(text))
 
 
 def _json_pretty(obj: dict) -> str:
@@ -216,8 +275,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             ledger.record(WireMessage("broadcast", i, round_index, broadcasts[i]))
 
         x = np.empty(shape)
-        updates = []
-        shifts = []
+        updates, shifts = [], []
         for i, state in enumerate(states):
             try:
                 update, shift, upload = _client_round(state, broadcasts[i], round_index)
@@ -232,9 +290,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             updates.append(update)
             shifts.append(shift)
 
-        metrics = np.array(
-            [[u.train_loss, u.test_iou, u.test_dice] for u in updates], dtype=np.float64
-        )
+        metrics = np.array([[u.train_loss, u.test_iou, u.test_dice] for u in updates])
         if not np.all(np.isfinite(metrics)):
             raise NumericError(f"non-finite client metrics at round {round_index}")
 
@@ -258,31 +314,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         )
 
     final = records[-1]
-    summary = {
-        "rounds": cfg.rounds,
-        "num_clients": n,
-        "aggregator": cfg.aggregator,
-        "final_mean_iou": final.mean_iou,
-        "final_mean_dice": final.mean_dice,
-        "final_test_iou": final.test_iou,
-        "final_test_dice": final.test_dice,
-        "comm_total": ledger.total,
-    }
+    summary = RunSummary(
+        rounds=cfg.rounds,
+        num_clients=n,
+        aggregator=cfg.aggregator,
+        final_mean_iou=final.mean_iou,
+        final_mean_dice=final.mean_dice,
+        final_test_iou=final.test_iou,
+        final_test_dice=final.test_dice,
+        comm_total=ledger.total,
+    )
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "code_version": __version__,
         "config": cfg.to_dict(),
     }
-    store = ResultsStore(manifest, records, summary, ledger)
+    store = ResultsStore(manifest, records, asdict(summary), ledger)
     if out_dir is not None:
         store.save(out_dir)
         ckpt_dir = Path(out_dir) / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for state in states:
-            write_params_file(
-                state.model.adapter_params(), str(ckpt_dir / f"client_{state.client_id}.fsca")
-            )
+            path = str(ckpt_dir / f"client_{state.client_id}.fsca")
+            write_params_file(state.model.flat, path, state.model.manifest())
     return store
 
 
@@ -341,35 +396,18 @@ def export_store(store: ResultsStore, run_dir: str | Path, fmt: str) -> list[Pat
         raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
     out = Path(run_dir) / "export"
     out.mkdir(parents=True, exist_ok=True)
-    n = store.summary["num_clients"]
-
-    metric_rows = []
-    for rec in store.records:
-        row: dict = {"round": rec.round_index}
-        for i in range(n):
-            row[f"train_loss_{i}"] = rec.train_loss[i]
-            row[f"test_iou_{i}"] = rec.test_iou[i]
-            row[f"test_dice_{i}"] = rec.test_dice[i]
-        row["mean_iou"] = rec.mean_iou
-        row["mean_dice"] = rec.mean_dice
-        row["comm_total"] = rec.comm_total
-        metric_rows.append(row)
-    summary_row: dict = {"round": "final"}
-    for i in range(n):
-        summary_row[f"train_loss_{i}"] = store.records[-1].train_loss[i]
-        summary_row[f"test_iou_{i}"] = store.summary["final_test_iou"][i]
-        summary_row[f"test_dice_{i}"] = store.summary["final_test_dice"][i]
-    summary_row["mean_iou"] = store.summary["final_mean_iou"]
-    summary_row["mean_dice"] = store.summary["final_mean_dice"]
-    summary_row["comm_total"] = store.summary["comm_total"]
-    metric_rows.append(summary_row)
-
+    # The final row: the last round's train losses, every other value from the summary.
+    summary = store.summary
+    finals = {k: summary["final_" + k] for k in ("test_iou", "test_dice", "mean_iou", "mean_dice")}
+    final = replace(store.records[-1], comm_total=summary["comm_total"], **finals)
+    metric_rows = [_metric_row(rec.round_index, rec) for rec in store.records]
+    metric_rows.append(_metric_row("final", final))
     w_rows = [
-        {"round": rec.round_index, "i": i, "j": j, "w": rec.w[i][j]}
+        {"round": rec.round_index, "i": i, "j": j, "w": value}
         for rec in store.records
         if rec.w is not None
-        for i in range(n)
-        for j in range(n)
+        for i, row in enumerate(rec.w)
+        for j, value in enumerate(row)
     ]
     shift_rows = [
         {"round": rec.round_index, "layer": k + 1, "mean_shift": value}
@@ -377,22 +415,22 @@ def export_store(store: ResultsStore, run_dir: str | Path, fmt: str) -> list[Pat
         for k, value in enumerate(rec.layer_shift)
     ]
     ledger_rows = store.ledger.to_rows()
-
+    tables = {"metrics": metric_rows, "w": w_rows, "shifts": shift_rows, "ledger": ledger_rows}
     written = []
-    tables = {
-        "metrics": metric_rows,
-        "w": w_rows,
-        "shifts": shift_rows,
-        "ledger": ledger_rows,
-    }
     for name, rows in tables.items():
         path = out / f"{name}.{fmt}"
-        if fmt == "csv":
-            _write_text(path, _csv_text(rows))
-        else:
-            _write_text(path, "".join(_json_line(r) for r in rows))
+        _write_text(path, _csv_text(rows) if fmt == "csv" else "".join(map(_json_line, rows)))
         written.append(path)
     return written
+
+
+def _metric_row(label: int | str, rec: RoundRecord) -> dict:
+    """A metrics table row: the label, each client's loss, IoU and Dice, then the means."""
+    row: dict = {"round": label}
+    for i, values in enumerate(zip(rec.train_loss, rec.test_iou, rec.test_dice)):
+        row.update(zip((f"train_loss_{i}", f"test_iou_{i}", f"test_dice_{i}"), values))
+    row.update(mean_iou=rec.mean_iou, mean_dice=rec.mean_dice, comm_total=rec.comm_total)
+    return row
 
 
 def _csv_text(rows: list[dict]) -> str:

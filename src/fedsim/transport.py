@@ -1,11 +1,12 @@
 """Wire messages, binary serialization, checkpoint files, and the comm ledger.
 
 Payloads are little-endian float64 with a fixed header, so byte output is
-identical across runs and platforms. A round encodes plain vectors laid out
-by a manifest and decodes them straight into a client's model.flat or a
-row of the server's matrix; FlatParams is only the .fsca checkpoint form.
-The ledger counts parameter scalars, one upload and one broadcast per
-client per round.
+identical across runs and platforms. Every payload is a plain float64
+vector laid out by a manifest of (layer index, length) pairs: a round
+decodes it straight into a client's model.flat or a row of the server's
+matrix, and a .fsca checkpoint is the same bytes on disk. The ledger
+counts parameter scalars, one upload and one broadcast per client per
+round.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DecodeError, InvalidArgumentError, ProtocolError
-from .numerics import FlatParams
 
 Manifest = tuple[tuple[int, int], ...]
 
@@ -28,18 +28,14 @@ _LAYER_ENTRY = struct.Struct("<II")  # layer index, length
 MESSAGE_KINDS = ("upload", "broadcast")
 
 
-def serialize_params(params: FlatParams | np.ndarray, manifest: Manifest | None = None) -> bytes:
-    """Wire bytes of a float64 vector laid out by `manifest`, or, with no manifest, of a FlatParams.
+def serialize_params(values: np.ndarray, manifest: Manifest) -> bytes:
+    """Wire bytes of a float64 vector laid out by `manifest`.
 
-    The round uses the first form (model.flat's low layers, a row of the
-    server's mixing output); checkpoints use the second.
+    The round sends model.flat's low layers and rows of the server's mixing
+    output; a checkpoint is all of model.flat.
     """
-    if manifest is None:
-        manifest, values = params.manifest, params.values
-    else:
-        values = params
-        if values.shape != (sum(length for _, length in manifest),):
-            raise InvalidArgumentError(f"values do not match the manifest {manifest}")
+    if values.shape != (sum(length for _, length in manifest),):
+        raise InvalidArgumentError(f"values do not match the manifest {manifest}")
     chunks = [_FIXED_HEADER.pack(MAGIC, FORMAT_VERSION, len(manifest))]
     for idx, length in manifest:
         chunks.append(_LAYER_ENTRY.pack(idx, length))
@@ -48,8 +44,8 @@ def serialize_params(params: FlatParams | np.ndarray, manifest: Manifest | None 
     return b"".join(chunks)
 
 
-def _parse_frame(data: bytes) -> tuple[Manifest, int, int]:
-    """Manifest, payload offset and scalar count; raises DecodeError naming the failed field."""
+def _parse_frame(data: bytes) -> tuple[Manifest, np.ndarray]:
+    """Manifest and values, a read-only view of data; raises DecodeError naming the failed field."""
     if len(data) < _FIXED_HEADER.size:
         raise DecodeError("header: truncated")
     magic, version, layer_count = _FIXED_HEADER.unpack_from(data, 0)
@@ -66,45 +62,39 @@ def _parse_frame(data: bytes) -> tuple[Manifest, int, int]:
         offset += _LAYER_ENTRY.size
     total = sum(length for _, length in manifest)
     if len(data) != offset + 8 * total:
-        raise DecodeError(
-            f"payload: expected {8 * total} bytes, got {len(data) - offset}"
-        )
-    return tuple(manifest), offset, total
+        raise DecodeError(f"payload: expected {8 * total} bytes, got {len(data) - offset}")
+    return tuple(manifest), np.frombuffer(data, dtype="<f8", count=total, offset=offset)
 
 
 def payload_scalar_count(data: bytes) -> int:
     """Number of float64 scalars in a serialized payload (validates framing)."""
-    return _parse_frame(data)[2]
+    return _parse_frame(data)[1].size
 
 
-def deserialize_params(
-    data: bytes, *, manifest: Manifest | None = None, out: np.ndarray | None = None
-) -> FlatParams | np.ndarray:
-    """Decode a payload into `out`, or, with no `out`, into a FlatParams (the checkpoint form).
-
-    `out` is a float64 vector laid out by `manifest`, such as a client's
-    model.flat low layers or row i of the server's round matrix; the values
-    are written into it and it is returned. The payload must then carry
-    exactly `manifest`; any other is a ProtocolError, since it is not what
-    the round expects. Every check runs before `out` is written, so a
-    rejected payload leaves it unchanged.
-    """
-    found, offset, total = _parse_frame(data)
-    # A read-only view of data; the decoded values are copied once out of it.
-    values = np.frombuffer(data, dtype="<f8", count=total, offset=offset)
+def _decode_frame(data: bytes) -> tuple[Manifest, np.ndarray]:
+    """_parse_frame, rejecting non-finite values."""
+    found, values = _parse_frame(data)
     if not np.all(np.isfinite(values)):
         raise DecodeError("payload: non-finite value")
-    if out is not None:
-        if manifest is None or out.shape != (sum(length for _, length in manifest),):
-            raise InvalidArgumentError("out must be a vector laid out by the given manifest")
-        if found != tuple(manifest):
-            raise ProtocolError(f"payload manifest {found} differs from the expected {manifest}")
-        out[...] = values
-        return out
-    try:
-        return FlatParams(values, found)
-    except InvalidArgumentError as exc:
-        raise DecodeError(f"manifest: {exc}") from exc
+    return found, values
+
+
+def deserialize_params(data: bytes, *, manifest: Manifest, out: np.ndarray) -> np.ndarray:
+    """Decode a payload into `out`, a float64 vector laid out by `manifest`, and return `out`.
+
+    `out` is, for example, a client's model.flat low layers or row i of the
+    server's round matrix. The payload must carry exactly `manifest`; any
+    other is a ProtocolError, since it is not what the round expects. Every
+    check runs before `out` is written, so a rejected payload leaves it
+    unchanged.
+    """
+    found, values = _decode_frame(data)
+    if out.shape != (sum(length for _, length in manifest),):
+        raise InvalidArgumentError("out must be a vector laid out by the given manifest")
+    if found != tuple(manifest):
+        raise ProtocolError(f"payload manifest {found} differs from the expected {manifest}")
+    out[...] = values
+    return out
 
 
 @dataclass
@@ -161,12 +151,21 @@ class CommLedger:
         return [{column_name(k): v for k, v in asdict(e).items()} for e in self.entries]
 
 
-def write_params_file(params: FlatParams, path: str) -> None:
-    """Checkpoint a parameter set (conventional extension: .fsca)."""
+def write_params_file(values: np.ndarray, path: str, manifest: Manifest) -> None:
+    """Checkpoint a float64 vector laid out by `manifest` (conventional extension: .fsca)."""
     with open(path, "wb") as fh:
-        fh.write(serialize_params(params))
+        fh.write(serialize_params(values, manifest))
 
 
-def read_params_file(path: str) -> FlatParams:
+def read_params_file(path: str) -> tuple[Manifest, np.ndarray]:
+    """A checkpoint's manifest and its values, read-only; a malformed file raises DecodeError.
+
+    No manifest is expected, so the file's own must have strictly increasing
+    layer indices (lengths are unsigned in the frame).
+    """
     with open(path, "rb") as fh:
-        return deserialize_params(fh.read())
+        manifest, values = _decode_frame(fh.read())
+    indices = [idx for idx, _ in manifest]
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise DecodeError("manifest: layer indices must be strictly increasing")
+    return manifest, values

@@ -69,6 +69,13 @@ def neg_cosine(a, b):
     return -(float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
 
 
+def loss_and_grad(images, masks, model, theta_ref, beta):
+    """objective_and_grad on a batch of images: their block-1 features, fresh out and scratch."""
+    out, scratch = np.empty((2, model.flat.size))
+    first = block1_features(images, model)
+    return objective_and_grad(first, masks, model, theta_ref, beta, out, scratch)
+
+
 def layer_grad(grads, model, k):
     """Layer k's slice of a gradient laid out like model.flat."""
     return grads[(k - 1) * model.layer_size : k * model.layer_size]
@@ -233,7 +240,7 @@ class TestFlatBuffer:
         masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
         state = AdamState.zeros(whole.values.size)
         for _ in range(3):
-            _, grads = objective_and_grad(images, masks, model, None, 0.0)
+            _, grads = loss_and_grad(images, masks, model, None, 0.0)
             params = model.adapter_params()
             params, state = adam_step(params, FlatParams(grads, params.manifest), state, 1e-2)
             model.install_adapter_params(params)
@@ -396,7 +403,7 @@ class TestObjective:
     def test_equals_objective_and_grad_loss(self, beta):
         model, images, masks, ref = self._fixture(beta)
         ref = ref if beta > 0 else None
-        loss, _ = objective_and_grad(images, masks, model, ref, beta)
+        loss, _ = loss_and_grad(images, masks, model, ref, beta)
         assert objective(images, masks, model, ref, beta) == loss
 
     @pytest.mark.parametrize(
@@ -435,10 +442,7 @@ class TestObjective:
         with pytest.raises(InvalidArgumentError):
             objective(images, masks, model, ref, beta)
         with pytest.raises(InvalidArgumentError):
-            objective_and_grad(images, masks, model, ref, beta)
-        first = block1_features(images, model)
-        with pytest.raises(InvalidArgumentError):
-            objective_and_grad(None, masks, model, ref, beta, first=first)
+            loss_and_grad(images, masks, model, ref, beta)
 
 
 class TestGradAdapters:
@@ -456,7 +460,7 @@ class TestGradAdapters:
             up[...] = stream.draw_gaussian(12).reshape(6, 2)
         images = stream.draw_uniform(4 * 6).reshape(4, 6)
         masks = (stream.draw_uniform(4 * 6).reshape(4, 6) < 0.5).astype(float)
-        grads = objective_and_grad(images, masks, model, None, 0.0)[1]
+        grads = loss_and_grad(images, masks, model, None, 0.0)[1]
         for k in (1, 2):
             down = layer_grad(grads, model, k)[: 2 * 6]
             assert np.array_equal(down, np.zeros(12))
@@ -466,7 +470,7 @@ class TestGradAdapters:
         stream = RngStream(14, 0)
         images = stream.draw_uniform(4 * 6).reshape(4, 6)
         masks = (stream.draw_uniform(4 * 6).reshape(4, 6) < 0.5).astype(float)
-        grads = objective_and_grad(images, masks, model, None, 0.0)[1]
+        grads = loss_and_grad(images, masks, model, None, 0.0)[1]
         up = layer_grad(grads, model, 1)[2 * 6 :]
         assert np.any(up != 0.0)
 
@@ -475,8 +479,8 @@ class TestGradAdapters:
         stream = RngStream(15, 0)
         images = stream.draw_uniform(3 * 8).reshape(3, 8)
         masks = (stream.draw_uniform(3 * 8).reshape(3, 8) < 0.5).astype(float)
-        g1 = objective_and_grad(images, masks, model, None, 0.0)[1]
-        g2 = objective_and_grad(
+        g1 = loss_and_grad(images, masks, model, None, 0.0)[1]
+        g2 = loss_and_grad(
             np.concatenate([images, images]), np.concatenate([masks, masks]), model, None, 0.0
         )[1]
         assert np.allclose(g1, g2, atol=1e-12)
@@ -488,7 +492,7 @@ class TestGradAdapters:
         images = stream.draw_uniform(2 * 8).reshape(2, 8)
         masks = (stream.draw_uniform(2 * 8).reshape(2, 8) < 0.5).astype(float)
         ref = stream.draw_gaussian(2 * 8 * 2)
-        _, analytic = objective_and_grad(images, masks, model, ref, 0.5)
+        _, analytic = loss_and_grad(images, masks, model, ref, 0.5)
         scratch = model.clone()
 
         def f(values):
@@ -507,8 +511,8 @@ class TestGradAdapters:
         images = stream.draw_uniform(2 * 8).reshape(2, 8)
         masks = (stream.draw_uniform(2 * 8).reshape(2, 8) < 0.5).astype(float)
         ref = stream.draw_gaussian(2 * 32)
-        loss, analytic = objective_and_grad(images, masks, model, ref, 0.5)
-        seg, seg_grads = objective_and_grad(images, masks, model, None, 0.0)
+        loss, analytic = loss_and_grad(images, masks, model, ref, 0.5)
+        seg, seg_grads = loss_and_grad(images, masks, model, None, 0.0)
         assert loss == objective(images, masks, model, ref, 0.5)
         assert loss == seg + 0.5 * neg_cosine(model.low(2), ref)
         assert np.array_equal(layer_grad(analytic, model, 3), layer_grad(seg_grads, model, 3))
@@ -597,30 +601,12 @@ class TestGradientKernel:
     def test_bitwise_equal_to_allocating_backward(self, shape, low_layers, beta):
         images, masks, model, theta_ref, beta = self._case(shape, low_layers, beta, seed=31)
         want_loss, want = allocating_objective_and_grad(images, masks, model, theta_ref, beta)
-        loss, grads = objective_and_grad(images, masks, model, theta_ref, beta)
-        assert float.hex(loss) == float.hex(want_loss)
-        assert grads.tobytes() == want.tobytes()
-        assert grads.shape == model.flat.shape and not np.shares_memory(grads, model.flat)
-        out = np.full_like(model.flat, np.nan)
-        loss_out, written = objective_and_grad(images, masks, model, theta_ref, beta, out=out)
-        assert written is out
-        assert float.hex(loss_out) == float.hex(want_loss)
-        assert out.tobytes() == want.tobytes()
         # The training step's form: stored block-1 rows, workspace rows holding garbage.
-        rows = np.full((2, model.flat.size), np.nan)
-        out, scratch = rows
-        loss_ws, written = objective_and_grad(
-            None,
-            masks,
-            model,
-            theta_ref,
-            beta,
-            first=block1_features(images, model),
-            out=out,
-            scratch=scratch,
-        )
+        out, scratch = np.full((2, model.flat.size), np.nan)
+        first = block1_features(images, model)
+        loss, written = objective_and_grad(first, masks, model, theta_ref, beta, out, scratch)
         assert written is out
-        assert float.hex(loss_ws) == float.hex(want_loss)
+        assert float.hex(loss) == float.hex(want_loss)
         assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -628,37 +614,41 @@ class TestGradientKernel:
         [
             {"out": np.zeros(3)},
             {"out": np.zeros(96, dtype=np.float32)},
+            {"out": None},
             {"scratch": np.zeros(3)},
             {"scratch": np.zeros(96, dtype=np.float32)},
+            {"scratch": None},
             {"first": np.zeros((4, 8))},
             {"first": np.zeros((5, 9))},
             {"first": np.zeros((5, 8), dtype=np.float32)},
+            {"first": np.zeros(8)},
+            {"first": None},
             {"out": OVERLAPPING[:96], "scratch": OVERLAPPING[48:144]},
         ],
         ids=[
             "out-length",
             "out-float32",
+            "out-none",
             "scratch-length",
             "scratch-float32",
+            "scratch-none",
             "first-rows",
             "first-width",
             "first-float32",
+            "first-vector",
+            "first-none",
             "scratch-overlaps-out",
         ],
     )
     def test_rejects_buffers_that_do_not_fit(self, bad):
         images, masks, model, theta_ref, _ = self._case((8, 2, 3, 5), 1, 0.5, seed=32)
         assert model.flat.size == 96 and images.shape == (5, 8)
+        out, scratch = np.empty((2, model.flat.size))
+        args = {"first": block1_features(images, model), "out": out, "scratch": scratch, **bad}
         with pytest.raises(InvalidArgumentError):
-            objective_and_grad(images, masks, model, theta_ref, 0.5, **bad)
-        if "first" in bad:
-            with pytest.raises(InvalidArgumentError):
-                objective_and_grad(None, masks, model, theta_ref, 0.5, **bad)
-
-    def test_needs_images_or_their_block1_features(self):
-        _, masks, model, _, _ = self._case((8, 2, 3, 5), None, 0.0, seed=32)
-        with pytest.raises(InvalidArgumentError):
-            objective_and_grad(None, masks, model, None, 0.0)
+            objective_and_grad(
+                args["first"], masks, model, theta_ref, 0.5, args["out"], args["scratch"]
+            )
 
 
 def _training_shapes():
@@ -962,7 +952,7 @@ class TestFrozenImmutability:
         params = model.adapter_params()
         state = AdamState.zeros(params.values.size)
         for _ in range(5):
-            _, grads = objective_and_grad(images, masks, model, None, 0.0)
+            _, grads = loss_and_grad(images, masks, model, None, 0.0)
             params = model.adapter_params()
             params, state = adam_step(params, FlatParams(grads, params.manifest), state, 1e-2)
             model.install_adapter_params(params)

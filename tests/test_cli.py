@@ -54,6 +54,15 @@ class TestRunCommand:
         assert "validation error: [cluster.0] radius: 'nan' is not a finite number" in proc.stderr
         assert not (tmp_path / "results").exists()
 
+    def test_config_that_is_not_utf8_exits_with_validation_code(self, tmp_path):
+        cfg = tmp_path / "experiment.ini"
+        cfg.write_bytes(b"[run]\nrounds = 2\xff\n")
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "results"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"validation error: {cfg}: not UTF-8 text: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "results").exists()
+
     def test_run_directory_is_identical_at_one_and_two_blas_threads(
         self, tmp_path, small_config_text
     ):

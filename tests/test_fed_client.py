@@ -8,6 +8,7 @@ import fedsim.orchestrator as orchestrator
 from fedsim.adapter_net import (
     AdamState,
     adam_step,
+    block1_features,
     build_model,
     model_forward,
     objective_and_grad,
@@ -185,9 +186,10 @@ class TestLocalTraining:
         for low_layers in range(1, 7):
             state = make_state(low_layers=low_layers, n=20)
             _, _, upload = _client_round(state, broadcast(state), 1)
-            got = deserialize_params(upload)
-            assert got.manifest == state.model.manifest(low_layers)
-            assert got.values.tobytes() == state.model.low(low_layers).tobytes()
+            size = low_layers * state.model.layer_size
+            manifest = state.model.manifest(low_layers)
+            got = deserialize_params(upload, manifest=manifest, out=np.empty(size))
+            assert got.tobytes() == state.model.low(low_layers).tobytes()
 
     def test_theta_ref_snapshot_survives_training(self):
         state = make_state()
@@ -227,8 +229,9 @@ class TestLocalTraining:
 def reference_round(state, round_index):
     """The per-step loop local_train_round replaced; returns its mean train loss.
 
-    Every step goes through the public, validated API: objective_and_grad,
-    a FlatParams copy of the adapters, adam_step, and an install.
+    Every step goes through the public, validated API: objective_and_grad
+    on the batch's block-1 features into fresh buffers, a FlatParams copy of
+    the adapters, adam_step, and an install.
     """
     cfg = state.config
     images = np.stack([s.image for s in state.dataset.train])
@@ -240,8 +243,10 @@ def reference_round(state, round_index):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = objective_and_grad(
-                images[idx], masks[idx], state.model, state.theta_ref, cfg.beta
+            first = block1_features(images[idx], state.model)
+            grads, scratch = np.empty((2, state.model.flat.size))
+            loss, _ = objective_and_grad(
+                first, masks[idx], state.model, state.theta_ref, cfg.beta, grads, scratch
             )
             params = state.model.adapter_params()
             new_params, state.adam = adam_step(

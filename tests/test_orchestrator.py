@@ -20,10 +20,10 @@ from fedsim.datagen import (
 )
 from fedsim.errors import ConfigError, DecodeError, NumericError, ProtocolError
 from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
-from fedsim.numerics import RngStream, derive_stream_id
+from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
-from fedsim.transport import serialize_params
+from fedsim.transport import read_params_file, serialize_params
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -64,13 +64,49 @@ class TestRunExperiment:
         assert all(record.w is None for record in store.records)
 
     def test_saved_run_includes_per_client_checkpoints(self, small_config_text, tmp_path):
-        from fedsim.transport import read_params_file
-
         cfg = parse_config_text(small_config_text)
         run_experiment(cfg, tmp_path)
         for client_id in range(4):
-            params = read_params_file(str(tmp_path / "checkpoints" / f"client_{client_id}.fsca"))
-            assert [k for k, _ in params.manifest] == [1, 2, 3]
+            path = tmp_path / "checkpoints" / f"client_{client_id}.fsca"
+            manifest, _ = read_params_file(str(path))
+            assert [k for k, _ in manifest] == [1, 2, 3]
+
+    def test_each_checkpoint_is_the_serialized_flat_buffer(
+        self, small_config_text, tmp_path, monkeypatch
+    ):
+        states = []
+
+        def keep(cfg, datasets):
+            states.extend(real(cfg, datasets))
+            return states
+
+        real = orchestrator._init_states
+        monkeypatch.setattr(orchestrator, "_init_states", keep)
+        run_experiment(parse_config_text(small_config_text), tmp_path)
+        assert len(states) == 4
+        for state in states:
+            model = state.model
+            path = tmp_path / "checkpoints" / f"client_{state.client_id}.fsca"
+            assert path.read_bytes() == serialize_params(model.flat, model.manifest())
+            manifest, values = read_params_file(str(path))
+            assert manifest == model.manifest()
+            assert values.tobytes() == model.flat.tobytes()
+
+    def test_a_saved_run_builds_no_flatparams(self, small_config_text, tmp_path, monkeypatch):
+        # Rounds and checkpoints move plain vectors; FlatParams stays only as a
+        # benchmark tracer target.
+        built = []
+        real = FlatParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(FlatParams, "__post_init__", counted)
+        FlatParams(np.zeros(2), ((1, 2),))
+        assert len(built) == 1  # the counter sees a construction
+        run_experiment(parse_config_text(small_config_text), tmp_path)
+        assert len(built) == 1
 
     def test_sgca_alpha_zero_broadcast_is_plain_mean(self, small_config_text, monkeypatch):
         # Equal sizes so every row of the mixing matrix is built from the same m.
@@ -505,6 +541,78 @@ class TestDamagedStore:
         with pytest.raises(DecodeError, match=why) as info:
             ResultsStore.load(tmp_path)
         assert str(info.value).startswith(f"{path}: {where}: ")
+
+
+class TestDamagedStoreExport:
+    """A store that parses but holds the wrong values is a DecodeError naming the file: exit 2."""
+
+    @pytest.mark.parametrize(
+        "name, edit, why",
+        [
+            (
+                "rounds.jsonl",
+                lambda b: re.sub(rb'"test_iou": \[[^\]]*\]', b'"test_iou": 5', b, count=1),
+                r": line 1: test_iou: expected list\[float\], got 5$",
+            ),
+            (
+                "summary.json",
+                lambda b: re.sub(rb'\n  "num_clients": \d+,', b"", b),
+                r": missing field 'num_clients'$",
+            ),
+            ("rounds.jsonl", lambda b: b + b"\xff", r": 'utf-8' codec can't decode byte 0xff"),
+            ("rounds.jsonl", lambda b: b"", r": no round records$"),
+            (
+                "rounds.jsonl",
+                lambda b: re.sub(rb'"train_loss": \[[^,]*, ', b'"train_loss": [', b, count=1),
+                r": line 1: per-client values must have num_clients = 4 entries$",
+            ),
+            (
+                "rounds.jsonl",
+                lambda b: re.sub(rb'"w": \[\[[^,]*, ', b'"w": [[', b, count=1),
+                r": line 1: per-client values must have num_clients = 4 entries$",
+            ),
+            (
+                "summary.json",
+                lambda b: re.sub(rb'"final_mean_iou": [^,]*,', b'"final_mean_iou": true,', b),
+                r": final_mean_iou: expected float, got True$",
+            ),
+            (
+                "summary.json",
+                lambda b: re.sub(rb'"num_clients": \d+', b'"num_clients": 3', b),
+                r": per-client values must have num_clients = 3 entries$",
+            ),
+        ],
+        ids=[
+            "int-for-a-list",
+            "summary-without-num_clients",
+            "not-utf8",
+            "no-rounds",
+            "short-train-loss",
+            "short-w-row",
+            "bool-for-a-float",
+            "num_clients-off-by-one",
+        ],
+    )
+    def test_load_raises_decode_error_and_export_exits_2(
+        self, small_config_text, tmp_path, capsys, name, edit, why
+    ):
+        run_experiment(parse_config_text(small_config_text.replace("rounds = 3", "rounds = 2")), tmp_path)
+        path = tmp_path / name
+        damaged = edit(path.read_bytes())
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+        with pytest.raises(DecodeError, match=why) as info:
+            ResultsStore.load(tmp_path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert cli.main(["export", "--run", str(tmp_path), "--format", "csv"]) == cli.EXIT_VALIDATION
+        assert str(path) in capsys.readouterr().err
+
+    def test_an_integer_where_a_float_is_stored_loads(self, small_config_text, tmp_path):
+        run_experiment(parse_config_text(small_config_text.replace("rounds = 3", "rounds = 2")), tmp_path)
+        path = tmp_path / "rounds.jsonl"
+        text = re.sub(r'"mean_iou": [^,]*,', '"mean_iou": 1,', path.read_text(), count=1)
+        path.write_text(text)
+        assert ResultsStore.load(tmp_path).records[0].mean_iou == 1
 
 
 class TestConfigParsing:

@@ -1,9 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from fedsim.errors import InvalidArgumentError, NumericError, ProtocolError
 from fedsim.fed_client import ClientUpdate
-from fedsim.numerics import FlatParams, RngStream
+from fedsim.numerics import RngStream
 from fedsim.oracles import kkt_row_argmin
 from fedsim.server import (
     CollaborationMatrix,
@@ -14,12 +16,19 @@ from fedsim.server import (
     solve_row,
     update_matrix,
 )
-from fedsim.transport import deserialize_params, serialize_params
+from fedsim.transport import deserialize_params, payload_scalar_count, serialize_params
+
+
+class Upload(NamedTuple):
+    """One client's upload before it goes on the wire: a vector and the manifest it is laid out by."""
+
+    values: np.ndarray
+    manifest: tuple
 
 
 def flat(values, manifest=None):
     values = np.asarray(values, dtype=float)
-    return FlatParams(values, manifest or ((1, values.size),))
+    return Upload(values, manifest or ((1, values.size),))
 
 
 def uploads(params):
@@ -31,7 +40,7 @@ def uploads(params):
     manifest = params[0].manifest
     x = np.zeros((len(params), params[0].values.size))
     for row, p in zip(x, params):
-        deserialize_params(serialize_params(p), manifest=manifest, out=row)
+        deserialize_params(serialize_params(*p), manifest=manifest, out=row)
     return x
 
 
@@ -44,12 +53,16 @@ def make_update(client_id, values, round_index=1):
         test_iou=0.0,
         test_dice=0.0,
     )
-    return update, serialize_params(flat(values))
+    return update, serialize_params(*flat(values))
 
 
 def round_inputs(sent):
-    """update_matrix's reports and upload matrix for (report, upload) pairs."""
-    return [update for update, _ in sent], uploads([deserialize_params(p) for _, p in sent])
+    """update_matrix's reports and upload matrix for (report, upload) pairs of one-layer uploads."""
+    manifest = ((1, payload_scalar_count(sent[0][1])),)
+    x = np.zeros((len(sent), manifest[0][1]))
+    for row, (_, payload) in zip(x, sent):
+        deserialize_params(payload, manifest=manifest, out=row)
+    return [update for update, _ in sent], x
 
 
 def pair_loop_similarity(params, metric, normalization):

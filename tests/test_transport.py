@@ -1,3 +1,5 @@
+import csv
+import io
 import struct
 
 import numpy as np
@@ -5,10 +7,11 @@ import pytest
 
 from fedsim.adapter_net import build_model
 from fedsim.errors import DecodeError, InvalidArgumentError, ProtocolError
-from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore
 from fedsim.transport import (
     CommLedger,
+    LedgerEntry,
     WireMessage,
     deserialize_params,
     payload_scalar_count,
@@ -19,6 +22,7 @@ from fedsim.transport import (
 
 
 def random_params(stream, max_layers=5, max_len=64):
+    """A random float64 vector and the manifest it is laid out by: 1-5 increasing layer indices."""
     num_layers = stream.draw_integer(1, max_layers + 1)
     indices = sorted(
         np.random.Generator(np.random.PCG64(stream.draw_integer(0, 2**32))).choice(
@@ -26,7 +30,12 @@ def random_params(stream, max_layers=5, max_len=64):
         ).tolist()
     )
     parts = [(int(i), stream.draw_gaussian(stream.draw_integer(1, max_len))) for i in indices]
-    return FlatParams(np.concatenate([v for _, v in parts]), tuple((i, v.size) for i, v in parts))
+    return np.concatenate([v for _, v in parts]), tuple((i, v.size) for i, v in parts)
+
+
+def decode(data, manifest):
+    """The payload's values, decoded into a fresh vector laid out by manifest."""
+    return deserialize_params(data, manifest=manifest, out=np.empty(sum(n for _, n in manifest)))
 
 
 def small_model(num_blocks=6, feature_dim=16, bottleneck_dim=4, seed=0):
@@ -45,15 +54,15 @@ def low_payload(model, depth):
 
 
 class TestSelection:
-    def test_full_depth_selection_equals_all_adapters(self, same_params):
+    def test_full_depth_selection_equals_all_adapters(self):
         model = small_model()
-        assert same_params(deserialize_params(low_payload(model, 6)), model.adapter_params())
+        assert decode(low_payload(model, 6), model.manifest()).tobytes() == model.flat.tobytes()
 
     def test_single_layer_size_arithmetic(self):
         model = small_model()
-        payload = deserialize_params(low_payload(model, 1))
-        assert payload.values.size == 2 * 16 * 4
-        assert payload.manifest == ((1, 2 * 16 * 4),)
+        payload = low_payload(model, 1)
+        assert payload_scalar_count(payload) == 2 * 16 * 4
+        assert decode(payload, ((1, 2 * 16 * 4),)).tobytes() == model.low(1).tobytes()
 
     def test_payload_size_is_monotone_in_depth(self):
         model = small_model()
@@ -63,65 +72,95 @@ class TestSelection:
 
 
 class TestSerialization:
-    def test_many_random_round_trips_are_bit_exact(self, same_params):
+    def test_many_random_round_trips_are_bit_exact(self):
         stream = RngStream(50, 0)
         for _ in range(2000):
-            params = random_params(stream)
-            recovered = deserialize_params(serialize_params(params))
-            assert same_params(recovered, params)
-            assert np.all(np.isfinite(recovered.values))
+            values, manifest = random_params(stream)
+            recovered = decode(serialize_params(values, manifest), manifest)
+            assert recovered.tobytes() == values.tobytes()
 
     def test_byte_length_matches_header_plus_payload(self):
         stream = RngStream(51, 0)
-        params = random_params(stream)
-        data = serialize_params(params)
-        header = 12 + 8 * len(params.manifest)
-        assert len(data) == header + 8 * params.values.size
+        values, manifest = random_params(stream)
+        data = serialize_params(values, manifest)
+        header = 12 + 8 * len(manifest)
+        assert len(data) == header + 8 * values.size
 
     def test_payload_is_header_manifest_then_little_endian_values(self):
-        params = FlatParams(np.array([1.5, -2.0, np.pi]), ((1, 2), (4, 1)))
         expected = (
             struct.pack("<4sII", b"FSCA", 1, 2)
             + struct.pack("<II", 1, 2)
             + struct.pack("<II", 4, 1)
             + struct.pack("<3d", 1.5, -2.0, np.pi)
         )
-        data = serialize_params(params)
+        data = serialize_params(np.array([1.5, -2.0, np.pi]), ((1, 2), (4, 1)))
         assert type(data) is bytes
         assert data == expected
 
     def test_serialization_is_stable_across_calls(self):
-        params = FlatParams(np.array([1.5, -2.25, 0.0]), ((1, 2), (3, 1)))
-        assert serialize_params(params) == serialize_params(params)
+        values, manifest = np.array([1.5, -2.25, 0.0]), ((1, 2), (3, 1))
+        assert serialize_params(values, manifest) == serialize_params(values, manifest)
 
     def test_truncated_payload_rejected(self):
-        data = serialize_params(FlatParams(np.arange(4.0), ((1, 4),)))
+        data = serialize_params(np.arange(4.0), ((1, 4),))
         with pytest.raises(DecodeError, match="payload"):
-            deserialize_params(data[:-1])
+            decode(data[:-1], ((1, 4),))
 
     def test_corrupted_magic_rejected(self):
-        data = serialize_params(FlatParams(np.arange(4.0), ((1, 4),)))
+        data = serialize_params(np.arange(4.0), ((1, 4),))
         with pytest.raises(DecodeError, match="magic"):
-            deserialize_params(b"XSCA" + data[4:])
+            decode(b"XSCA" + data[4:], ((1, 4),))
 
     def test_unsupported_version_rejected(self):
-        data = bytearray(serialize_params(FlatParams(np.arange(4.0), ((1, 4),))))
+        data = bytearray(serialize_params(np.arange(4.0), ((1, 4),)))
         data[4] = 9
         with pytest.raises(DecodeError, match="version"):
-            deserialize_params(bytes(data))
+            decode(bytes(data), ((1, 4),))
 
     def test_non_finite_payload_rejected(self):
-        data = bytearray(serialize_params(FlatParams(np.arange(4.0), ((1, 4),))))
+        data = bytearray(serialize_params(np.arange(4.0), ((1, 4),)))
         data[-8:] = np.array([np.nan]).tobytes()
         with pytest.raises(DecodeError, match="payload"):
-            deserialize_params(bytes(data))
+            decode(bytes(data), ((1, 4),))
 
-    def test_checkpoint_file_round_trip(self, tmp_path, same_params):
-        stream = RngStream(53, 0)
-        params = random_params(stream)
+
+class TestCheckpointFile:
+    def test_checkpoint_file_round_trip(self, tmp_path):
+        values, manifest = random_params(RngStream(53, 0))
         path = tmp_path / "adapters.fsca"
-        write_params_file(params, str(path))
-        assert same_params(read_params_file(str(path)), params)
+        write_params_file(values, str(path), manifest)
+        assert path.read_bytes() == serialize_params(values, manifest)
+        got_manifest, got_values = read_params_file(str(path))
+        assert got_manifest == manifest
+        assert got_values.tobytes() == values.tobytes()
+        assert not got_values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [((2, 2), (1, 1)), ((1, 2), (1, 1)), ((1, 1), (3, 1), (2, 1))],
+        ids=["decreasing", "duplicate", "decreasing-after-a-gap"],
+    )
+    def test_non_increasing_layer_indices_are_a_decode_error(self, tmp_path, manifest):
+        values = np.arange(float(sum(n for _, n in manifest)))
+        path = tmp_path / "adapters.fsca"
+        write_params_file(values, str(path), manifest)
+        with pytest.raises(DecodeError, match=r"^manifest: layer indices must be strictly increasing$"):
+            read_params_file(str(path))
+
+    @pytest.mark.parametrize("cut", [0, 11, 19, -1])
+    def test_truncated_checkpoint_is_a_decode_error(self, tmp_path, cut):
+        path = tmp_path / "adapters.fsca"
+        path.write_bytes(serialize_params(np.arange(4.0), ((1, 4),))[:cut])
+        with pytest.raises(DecodeError):
+            read_params_file(str(path))
+
+    def test_non_finite_checkpoint_is_a_decode_error(self, tmp_path):
+        data = bytearray(serialize_params(np.arange(4.0), ((1, 4),)))
+        data[-8:] = np.array([np.inf]).tobytes()
+        path = tmp_path / "adapters.fsca"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DecodeError, match=r"^payload: non-finite value$"):
+            read_params_file(str(path))
 
 
 class TestDecodeIntoRow:
@@ -130,7 +169,7 @@ class TestDecodeIntoRow:
     MANIFEST = ((1, 3), (2, 2))
 
     def _payload(self, values=(1.5, -2.0, 0.25, 4.0, -8.5), manifest=MANIFEST):
-        return serialize_params(FlatParams(np.array(values), manifest))
+        return serialize_params(np.array(values), manifest)
 
     def test_values_land_in_the_row_bit_for_bit(self):
         stream = RngStream(54, 0)
@@ -159,23 +198,22 @@ class TestDecodeIntoRow:
 
     def test_out_must_be_laid_out_by_the_manifest(self):
         with pytest.raises(InvalidArgumentError):
-            deserialize_params(self._payload(), out=np.zeros(5))
-        with pytest.raises(InvalidArgumentError):
             deserialize_params(self._payload(), manifest=self.MANIFEST, out=np.zeros(4))
 
-    def test_serializing_a_row_matches_serializing_its_flatparams(self):
-        x = RngStream(55, 0).draw_gaussian(10).reshape(2, 5)
-        for row in x:
-            expected = serialize_params(FlatParams(row, self.MANIFEST))
-            assert serialize_params(row, self.MANIFEST) == expected
+    def test_strided_rows_serialize_like_contiguous_copies(self):
+        x = RngStream(55, 0).draw_gaussian(10).reshape(5, 2)
+        for column in x.T:
+            assert not column.flags.c_contiguous
+            expected = serialize_params(column.copy(), self.MANIFEST)
+            assert serialize_params(column, self.MANIFEST) == expected
         with pytest.raises(InvalidArgumentError):
-            serialize_params(x[0, :4], self.MANIFEST)
+            serialize_params(x[:4, 0], self.MANIFEST)
 
 
 class TestLedger:
     def _message(self, kind, client_id, round_index, scalars):
-        params = FlatParams(np.zeros(scalars), ((1, scalars),))
-        return WireMessage(kind, client_id, round_index, serialize_params(params))
+        payload = serialize_params(np.zeros(scalars), ((1, scalars),))
+        return WireMessage(kind, client_id, round_index, payload)
 
     def test_two_rounds_three_clients_layer_of_100(self):
         ledger = CommLedger()
@@ -218,8 +256,8 @@ class TestLedger:
         for _ in range(50):
             depth = stream.draw_integer(1, 7)
             msg = WireMessage("upload", 0, 1, low_payload(model, depth))
-            manifest = deserialize_params(msg.payload).manifest
-            assert all(idx <= depth for idx, _ in manifest)
+            # Decoding succeeds only when the payload carries exactly layers 1..depth.
+            decode(msg.payload, model.manifest(depth))
             assert payload_scalar_count(msg.payload) == depth * model.layer_size
 
     def test_csv_export_layout(self, tmp_path):
@@ -230,7 +268,8 @@ class TestLedger:
         assert (tmp_path / "ledger.csv").read_bytes() == (
             b"round,direction,client_id,scalar_count\n1,broadcast,1,3\n1,upload,1,3\n"
         )
-        assert ResultsStore.load(tmp_path).ledger == ledger
+        rows = csv.DictReader(io.StringIO((tmp_path / "ledger.csv").read_text()))
+        assert [LedgerEntry.from_row(row) for row in rows] == ledger.entries
 
     def test_bad_message_kind_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,8 +1,9 @@
 """Fuzzing of the wire and checkpoint decoders (skipped when hypothesis is not installed).
 
 Fed arbitrary bytes, a truncation or a one-byte mutation of a valid payload,
-every decoder either decodes or raises DecodeError or ProtocolError, and
-the decoders agree on what they accept.
+both decoders, the round's decode into a row and the checkpoint reader,
+either decode or raise DecodeError or ProtocolError, and they agree on what
+they accept.
 """
 
 import struct
@@ -34,11 +35,17 @@ def checkpoint(tmp_path_factory):
 
 
 def decode_all(data: bytes, path) -> list:
-    """Each decoder's outcome on data: what it decoded, or the error it raised."""
+    """Each decoder's outcome on data: what it decoded, or the error it raised.
+
+    The checkpoint reader checks the framing and finiteness the wire decoder
+    checks, in the same order and with the same messages, and then that the
+    layer indices increase. The wire decoder instead requires MANIFEST, so
+    it raises ProtocolError for any other manifest the reader accepts or for
+    one the reader rejects for its order, and writes nothing when it raises.
+    """
     path.write_bytes(data)
     row = np.zeros(5)
     decoders = (
-        lambda: deserialize_params(data),
         lambda: deserialize_params(data, manifest=MANIFEST, out=row),
         lambda: read_params_file(str(path)),
     )
@@ -48,18 +55,22 @@ def decode_all(data: bytes, path) -> list:
             outcomes.append(decode())
         except (DecodeError, ProtocolError) as exc:
             outcomes.append(exc)
-    plain, into_row, from_file = outcomes
-    if isinstance(plain, Exception):
-        assert type(from_file) is type(plain) and str(from_file) == str(plain)
-        assert isinstance(into_row, (DecodeError, ProtocolError))
+    into_row, from_file = outcomes
+    if isinstance(into_row, Exception):
         assert not np.any(row)
-    else:
-        assert from_file.manifest == plain.manifest
-        assert from_file.values.tobytes() == plain.values.tobytes()
-        if plain.manifest == MANIFEST:
-            assert into_row is row and row.tobytes() == plain.values.tobytes()
+    if isinstance(from_file, Exception):
+        assert type(from_file) is DecodeError
+        if str(from_file).startswith("manifest: layer indices"):
+            assert type(into_row) is ProtocolError
         else:
-            assert isinstance(into_row, ProtocolError) and not np.any(row)
+            assert type(into_row) is DecodeError and str(into_row) == str(from_file)
+    else:
+        manifest, values = from_file
+        assert values.size == sum(length for _, length in manifest)
+        if manifest == MANIFEST:
+            assert into_row is row and row.tobytes() == values.tobytes()
+        else:
+            assert type(into_row) is ProtocolError
     return outcomes
 
 
@@ -94,6 +105,14 @@ def test_one_byte_mutations_raise_only_decode_or_protocol_errors(position, byte,
 
 
 def test_the_unmutated_payload_decodes_in_every_form(checkpoint):
-    plain, into_row, from_file = decode_all(VALID, checkpoint)
-    assert plain.manifest == from_file.manifest == MANIFEST
-    assert into_row.tolist() == VALUES
+    into_row, (manifest, values) = decode_all(VALID, checkpoint)
+    assert manifest == MANIFEST
+    assert into_row.tolist() == values.tolist() == VALUES
+
+
+def test_a_duplicate_layer_index_fails_each_decoder_its_own_way(checkpoint):
+    data = bytearray(VALID)
+    data[12] = 2  # the first manifest entry's layer index: layers (2, 2)
+    into_row, from_file = decode_all(bytes(data), checkpoint)
+    assert type(into_row) is ProtocolError
+    assert str(from_file) == "manifest: layer indices must be strictly increasing"
