@@ -282,15 +282,15 @@ def _reg_grad(
 
 
 def _check_objective_args(
-    rows: np.ndarray,
+    images: np.ndarray,
     masks: np.ndarray,
     model: ToyFM,
     theta_ref: np.ndarray | None,
     beta: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Validate an objective's arguments; rows are the batch's images or their block-1 features.
+    """Validate objective's arguments: the batch's images, its masks, theta_ref and beta.
 
-    Returns rows and masks as float64 matrices, and the regularizer's
+    Returns images and masks as float64 matrices, and the regularizer's
     reference: None when it is off, else theta_ref as a float64 vector over
     layers 1..L, laid out like the start of model.flat.
     """
@@ -298,13 +298,13 @@ def _check_objective_args(
         raise InvalidArgumentError("beta must be >= 0")
     if beta > 0 and theta_ref is None:
         raise InvalidArgumentError("theta_ref is required when beta > 0")
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if rows.shape != masks.shape:
+    if images.shape != masks.shape:
         raise InvalidArgumentError("inputs and masks must have matching shapes")
     _check_mask(masks)
     if theta_ref is None or beta == 0:
-        return rows, masks, None
+        return images, masks, None
     theta_ref = np.asarray(theta_ref, dtype=np.float64)
     layers, rest = divmod(theta_ref.size, model.layer_size)
     if theta_ref.ndim != 1 or rest or not 1 <= layers <= model.num_blocks:
@@ -313,7 +313,7 @@ def _check_objective_args(
         )
     if not np.any(theta_ref):
         raise InvalidArgumentError("reference parameters must be non-zero")
-    return rows, masks, theta_ref
+    return images, masks, theta_ref
 
 
 def _frozen_block(h: np.ndarray, block: FrozenBlock) -> np.ndarray:
@@ -358,11 +358,6 @@ def _forward_cached(first: np.ndarray, model: ToyFM):
     return logits, cache
 
 
-def _check_buffer(name: str, buffer: np.ndarray, model: ToyFM) -> None:
-    if np.shape(buffer) != model.flat.shape or getattr(buffer, "dtype", None) != np.float64:
-        raise InvalidArgumentError(f"{name} must be a float64 vector of {model.flat.size} entries")
-
-
 def objective_and_grad(
     first: np.ndarray,
     masks: np.ndarray,
@@ -374,38 +369,34 @@ def objective_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Objective value and its exact gradient w.r.t. all adapter parameters, written into out.
 
-    The forward pass starts from `first`, the batch's frozen block-1
-    features (block1_features) as a float64 (batch, feature_dim) matrix.
+    The training step's kernel: it checks none of its arguments (objective
+    does), so the caller guarantees that
+    - `first`, the batch's block-1 features (block1_features), is a float64
+      (batch, feature_dim) matrix, and `masks` a float64 0/1 matrix of its shape;
+    - beta >= 0, and if beta > 0, theta_ref is a non-zero float64 vector
+      over layers 1..L, laid out like the start of model.flat;
+    - `out` and `scratch` are float64 vectors laid out like model.flat that
+      do not overlap.
     The segmentation term is averaged over the batch; the regularizer pulls
-    layers 1..L toward theta_ref, a vector over those layers laid out like
-    the start of model.flat, scaled by beta. Frozen blocks receive no
-    gradient, so backpropagation stops at the layer-1 adapter. `out` and
-    `scratch` are float64 vectors laid out like model.flat that do not
-    overlap: the gradient is written into `out`, which is returned, and
-    `scratch` receives the regularizer's temporaries.
+    layers 1..L toward theta_ref, scaled by beta, and is skipped when beta
+    is 0. Frozen blocks receive no gradient. The gradient is written into
+    `out`, which is returned; `scratch` receives the regularizer's temporaries.
     """
-    if getattr(first, "dtype", None) != np.float64 or np.shape(first)[1:] != (model.feature_dim,):
-        raise InvalidArgumentError(f"first must be a float64 (batch, {model.feature_dim}) matrix")
-    first, masks, ref = _check_objective_args(first, masks, model, theta_ref, beta)
-    _check_buffer("out", out, model)
-    _check_buffer("scratch", scratch, model)
-    if np.may_share_memory(scratch, out):
-        raise InvalidArgumentError("scratch must not overlap out")
     batch, pixels = masks.shape
     logits, cache = _forward_cached(first, model)
     p = sigmoid(logits)
     loss = _bce(p, masks)
 
     reg = None
-    if ref is not None:
-        theta_low = model.flat[: ref.size]
-        parts = _cosine_parts(theta_low, ref)
+    if beta > 0:
+        theta_low = model.flat[: theta_ref.size]
+        parts = _cosine_parts(theta_low, theta_ref)
         loss += beta * _neg_cosine(*parts)
         # Nothing is added when theta_low is the zero vector, where -cos is constant 0.
         if parts[0] != 0.0:
-            reg = scratch[: ref.size]
+            reg = scratch[: theta_ref.size]
             # The backward pass below has not written out yet, so its head can hold pull.
-            _reg_grad(theta_low, ref, beta, *parts, term=reg, pull=out[: ref.size])
+            _reg_grad(theta_low, theta_ref, beta, *parts, term=reg, pull=out[: theta_ref.size])
 
     # d(loss)/d(logit) = (p - y) where the clamp is inactive, else 0.
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
@@ -442,9 +433,9 @@ def objective(
 
     Runs model_forward, the segmentation loss and the beta-scaled
     regularizer on layers 1..L, with no backward pass and no gradient
-    built. It makes objective_and_grad's argument checks and computes the
-    loss with the same operations in the same order, so the two agree bit
-    for bit.
+    built. Unlike objective_and_grad it checks its arguments, raising
+    InvalidArgumentError; it computes the loss with the same operations in
+    the same order, so the two agree bit for bit.
     """
     images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     loss = _bce(sigmoid(model_forward(images, model)), masks)
@@ -475,14 +466,11 @@ def adam_update(
     scratch, a vector as long as values, holds the step on its way; grads
     is overwritten too, with the denominator, once the second moment has
     taken it in. Neither may overlap values, the moments or each other.
+    The caller guarantees lr > 0 and that all five vectors have one size.
     Raises NumericError if the updated values are not all finite; values
     and state then hold that failed step.
     """
-    if lr <= 0:
-        raise InvalidArgumentError("learning rate must be > 0")
     m, v = state.first_moment, state.second_moment
-    if len({values.size, grads.size, scratch.size, m.size, v.size}) > 1:
-        raise InvalidArgumentError("Adam state does not match parameter size")
     t = state.step_count + 1
     step, denom = scratch, grads
     np.multiply(1.0 - ADAM_BETA1, grads, out=step)

@@ -175,6 +175,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("unknown section [DEFAULT]")
 
     cluster_params: dict[int, ClusterParams] = {}
+    cluster_sections: dict[int, str] = {}
     given: dict[str, dict] = {}
     fed: dict = {}
     for section in parser.sections():
@@ -184,6 +185,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 cid = int(section.split(".", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad cluster section name [{section}]") from exc
+            if cid in cluster_sections:
+                first = cluster_sections[cid]
+                raise ConfigError(f"[{first}] and [{section}] both set cluster {cid}")
+            cluster_sections[cid] = section
             cluster_params[cid] = ClusterParams(**_parse_section(section, items, ClusterParams))
         elif section == "federation":
             _check_keys(section, items, _FEDERATION_KEYS)

@@ -69,24 +69,25 @@ def step_workspace(size: int) -> np.ndarray:
 
 @dataclass
 class ClientState:
-    """One client's model, optimizer, data and round state.
+    """One client's model, optimizer, data and round state, its inputs checked once here.
 
     The train and test sets are kept as their frozen block-1 features
     (block1_features), which adapters never change, and their masks, each
-    stacked once; an empty split is an InvalidStateError.
-    `workspace` is a step_workspace for model.flat; one is made when none
-    is given.
+    stacked once; an empty split is an InvalidStateError, an image or mask
+    that is not feature_dim long or a mask entry other than 0 or 1 an
+    InvalidArgumentError. `adam` starts at zero. `workspace` is a
+    step_workspace for model.flat; one is made when none is given.
     """
 
     client_id: int
     model: ToyFM
-    adam: AdamState
     dataset: ClientDataset
     config: ClientConfig
     seed: int
     # During a round, a copy of the broadcast: layers 1..L, laid out like the start of model.flat.
     theta_ref: np.ndarray | None = None
     workspace: np.ndarray | None = field(default=None, repr=False)
+    adam: AdamState = field(init=False, repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
     _train_masks: np.ndarray = field(init=False, repr=False)
     _test_first: np.ndarray = field(init=False, repr=False)
@@ -94,19 +95,28 @@ class ClientState:
 
     def __post_init__(self) -> None:
         self.config.validate(self.model.num_blocks)
-        for split in ("train", "test"):
-            if not getattr(self.dataset, split):
-                raise InvalidStateError(f"client {self.client_id} has an empty {split} set")
+        self._train_first, self._train_masks = self._stack("train")
+        self._test_first, self._test_masks = self._stack("test")
         size = self.model.flat.size
         if self.workspace is None:
             self.workspace = step_workspace(size)
         elif self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
             raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
-        train, test = self.dataset.train, self.dataset.test
-        self._train_first = block1_features(np.stack([s.image for s in train]), self.model)
-        self._train_masks = np.stack([s.mask for s in train])
-        self._test_first = block1_features(np.stack([s.image for s in test]), self.model)
-        self._test_masks = np.stack([s.mask for s in test])
+        self.adam = AdamState.zeros(size)
+
+    def _stack(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """A split's block-1 features and float64 masks, as objective_and_grad needs them."""
+        samples = getattr(self.dataset, split)
+        if not samples:
+            raise InvalidStateError(f"client {self.client_id} has an empty {split} set")
+        where, width = f"client {self.client_id}: {split}", (self.model.feature_dim,)
+        if any(s.image.shape != width or s.mask.shape != width for s in samples):
+            raise InvalidArgumentError(f"{where} images and masks must have {width[0]} pixels")
+        first = block1_features(np.stack([s.image for s in samples]), self.model)
+        masks = np.stack([s.mask for s in samples]).astype(np.float64, copy=False)
+        if not np.all((masks == 0.0) | (masks == 1.0)):
+            raise InvalidArgumentError(f"{where} masks must hold only 0s and 1s")
+        return first, masks
 
 
 def install_low_adapters(state: ClientState, payload: bytes) -> None:
@@ -129,14 +139,20 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     features, writes the gradient into workspace row 0 and updates
     model.flat and the Adam moments in place, with row 1 as scratch; row 2
     is not touched. Returns the round's metrics; the trained adapters stay
-    in model.flat.
+    in model.flat. With beta > 0, a round with no broadcast installed
+    (InvalidStateError) or an all-zero one (InvalidArgumentError) fails
+    before any step.
     """
     cfg = state.config
     model = state.model
+    ref = state.theta_ref
+    if cfg.beta > 0 and ref is None:
+        raise InvalidStateError(f"client {state.client_id}: beta > 0 needs a broadcast installed")
+    if cfg.beta > 0 and not np.any(ref):
+        raise InvalidArgumentError(f"client {state.client_id}: the broadcast is all zeros")
     n = state._train_first.shape[0]
     shuffle = RngStream(state.seed, derive_stream_id("shuffle", state.client_id, round_index))
     grads, scratch = state.workspace[0], state.workspace[1]
-    ref = state.theta_ref
     losses = []
     for _ in range(cfg.local_epochs):
         order = shuffle.permutation(n)

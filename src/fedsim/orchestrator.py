@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter_net import AdamState, build_model, draw_adapters
+from .adapter_net import build_model, draw_adapters
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, DecodeError, FedsimError, NumericError
@@ -36,7 +36,6 @@ from .transport import (
     CommLedger,
     LedgerEntry,
     WireMessage,
-    column_name,
     deserialize_params,
     serialize_params,
     write_params_file,
@@ -45,7 +44,7 @@ from .transport import (
 
 @dataclass
 class RoundRecord:
-    round_index: int
+    round: int
     train_loss: list[float]
     test_iou: list[float]
     test_dice: list[float]
@@ -54,9 +53,6 @@ class RoundRecord:
     w: list[list[float]] | None
     layer_shift: list[float]
     comm_total: int
-
-    def to_dict(self) -> dict:
-        return {column_name(k): v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -84,7 +80,7 @@ class ResultsStore:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "manifest.json", _json_pretty(self.manifest))
-        _write_text(out / "rounds.jsonl", "".join(_json_line(r.to_dict()) for r in self.records))
+        _write_text(out / "rounds.jsonl", "".join(_json_line(asdict(r)) for r in self.records))
         _write_text(out / "summary.json", _json_pretty(self.summary))
         _write_text(out / "ledger.csv", _csv_text(self.ledger.to_rows()))
 
@@ -98,10 +94,10 @@ class ResultsStore:
         manifest = _read_json(run / "manifest.json")
         path = run / "summary.json"
         summary = _read_json(path)
-        n = _decode(path, None, lambda: _run_summary(summary)).num_clients
+        run_summary = _decode(path, None, lambda: _run_summary(summary))
         path = run / "rounds.jsonl"
         records = [
-            _decode(path, i, lambda: _round_record(json.loads(line), n))
+            _decode(path, i, lambda: _round_record(json.loads(line), run_summary.num_clients))
             for i, line in enumerate(_read_text(path).splitlines(), 1)
             if line.strip()
         ]
@@ -110,8 +106,11 @@ class ResultsStore:
         path = run / "ledger.csv"
         rows = csv.DictReader(io.StringIO(_read_text(path)))
         entries = [_decode(path, rows.line_num, lambda: LedgerEntry.from_row(row)) for row in rows]
-        ledger = CommLedger(entries, sum(e.scalar_count for e in entries))
-        return cls(manifest, records, summary, ledger)
+        total = sum(e.scalar_count for e in entries)
+        if total != run_summary.comm_total:
+            want = run_summary.comm_total
+            raise DecodeError(f"{path}: scalar counts sum to {total}, not comm_total {want}")
+        return cls(manifest, records, summary, CommLedger(entries, total))
 
 
 def _conforms(value, tp) -> bool:
@@ -126,12 +125,12 @@ def _conforms(value, tp) -> bool:
 
 def _typed(cls, data: dict):
     """cls from a stored dict: KeyError if a field is missing, TypeError if one is mistyped."""
-    record = cls(**{f.name: data[column_name(f.name)] for f in fields(cls)})
+    record = cls(**{f.name: data[f.name] for f in fields(cls)})
     for name, tp in typing.get_type_hints(cls).items():
         value = getattr(record, name)
         if not _conforms(value, tp):
             kind = tp.__name__ if tp in (int, float, str) else tp
-            raise TypeError(f"{column_name(name)}: expected {kind}, got {value!r:.40}")
+            raise TypeError(f"{name}: expected {kind}, got {value!r:.40}")
     return record
 
 
@@ -206,17 +205,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
         model = first.clone() if i else first
         if i:
             draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
-        states.append(
-            ClientState(
-                client_id=i,
-                model=model,
-                adam=AdamState.zeros(model.flat.size),
-                dataset=datasets[i],
-                config=cfg.client,
-                seed=cfg.seed,
-                workspace=workspace,
-            )
-        )
+        states.append(ClientState(i, model, datasets[i], cfg.client, cfg.seed, workspace=workspace))
     return states
 
 
@@ -301,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         records.append(
             RoundRecord(
-                round_index=round_index,
+                round=round_index,
                 train_loss=[float(u.train_loss) for u in updates],
                 test_iou=[float(u.test_iou) for u in updates],
                 test_dice=[float(u.test_dice) for u in updates],
@@ -400,17 +389,17 @@ def export_store(store: ResultsStore, run_dir: str | Path, fmt: str) -> list[Pat
     summary = store.summary
     finals = {k: summary["final_" + k] for k in ("test_iou", "test_dice", "mean_iou", "mean_dice")}
     final = replace(store.records[-1], comm_total=summary["comm_total"], **finals)
-    metric_rows = [_metric_row(rec.round_index, rec) for rec in store.records]
+    metric_rows = [_metric_row(rec.round, rec) for rec in store.records]
     metric_rows.append(_metric_row("final", final))
     w_rows = [
-        {"round": rec.round_index, "i": i, "j": j, "w": value}
+        {"round": rec.round, "i": i, "j": j, "w": value}
         for rec in store.records
         if rec.w is not None
         for i, row in enumerate(rec.w)
         for j, value in enumerate(row)
     ]
     shift_rows = [
-        {"round": rec.round_index, "layer": k + 1, "mean_shift": value}
+        {"round": rec.round, "layer": k + 1, "mean_shift": value}
         for rec in store.records
         for k, value in enumerate(rec.layer_shift)
     ]

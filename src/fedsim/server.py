@@ -161,9 +161,8 @@ def update_matrix(
     """Recompute the full collaboration matrix from this round's uploads.
 
     Row i of x is client i's upload; the updates supply each client's id
-    and round.
+    and round. pairwise_similarity and solve_row check cfg's fields.
     """
-    cfg.validate()
     n = len(updates)
     ids = sorted(u.client_id for u in updates)
     if ids != list(range(n)):

@@ -109,23 +109,23 @@ class WireMessage:
             raise InvalidArgumentError(f"kind must be one of {MESSAGE_KINDS}")
 
 
-def column_name(name: str) -> str:
-    """A record field's name in stored rows: round_index is stored as "round"."""
-    return "round" if name == "round_index" else name
-
-
 @dataclass
 class LedgerEntry:
-    round_index: int
+    round: int
     direction: str
     client_id: int
     scalar_count: int
 
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "LedgerEntry":
-        """The entry of a ledger.csv row (to_rows' form, values as text)."""
-        cells = {f.name: row[column_name(f.name)] for f in fields(cls)}
-        return cls(**{k: v if k == "direction" else int(v) for k, v in cells.items()})
+        """The entry of a ledger.csv row (to_rows' form, values as text), its values checked."""
+        cells = {f.name: row[f.name] for f in fields(cls)}
+        entry = cls(**{k: v if k == "direction" else int(v) for k, v in cells.items()})
+        if entry.direction not in MESSAGE_KINDS:
+            raise InvalidArgumentError(f"direction {entry.direction!r} is not a message kind")
+        if entry.scalar_count < 0:
+            raise InvalidArgumentError(f"scalar_count {entry.scalar_count} is negative")
+        return entry
 
 
 @dataclass
@@ -137,7 +137,7 @@ class CommLedger:
 
     def record(self, msg: WireMessage) -> LedgerEntry:
         entry = LedgerEntry(
-            round_index=msg.round_index,
+            round=msg.round_index,
             direction=msg.kind,
             client_id=msg.client_id,
             scalar_count=payload_scalar_count(msg.payload),
@@ -147,8 +147,8 @@ class CommLedger:
         return entry
 
     def to_rows(self) -> list[dict]:
-        """One ledger.csv row per entry: its fields in order, as column_name names them."""
-        return [{column_name(k): v for k, v in asdict(e).items()} for e in self.entries]
+        """One ledger.csv row per entry: its fields in order."""
+        return [asdict(e) for e in self.entries]
 
 
 def write_params_file(values: np.ndarray, path: str, manifest: Manifest) -> None:

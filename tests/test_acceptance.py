@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from fedsim.adapter_net import AdamState, build_model
+from fedsim.adapter_net import build_model
 from fedsim.config import parse_config_text
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
 from fedsim.errors import DecodeError
@@ -295,7 +295,6 @@ def test_criterion_07_parameter_shift_ordering():
         state = ClientState(
             client_id=0,
             model=model,
-            adam=AdamState.zeros(model.flat.size),
             dataset=dataset,
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,

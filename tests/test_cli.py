@@ -46,6 +46,13 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "validation error" in proc.stderr
 
+    def test_repeated_cluster_id_exits_with_validation_code(self, tmp_path, small_config_text):
+        cfg = write_config(tmp_path, small_config_text + "\n[cluster.01]\ngain = 2.0\n")
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "results"))
+        assert proc.returncode == 2, proc.stderr
+        assert "[cluster.1] and [cluster.01] both set cluster 1" in proc.stderr
+        assert not (tmp_path / "results").exists()
+
     def test_non_finite_config_float_exits_with_validation_code(self, tmp_path, small_config_text):
         text = small_config_text.replace("radius = 1.5, 2.5", "radius = nan, 1", 1)
         cfg = write_config(tmp_path, text)

@@ -6,7 +6,6 @@ import pytest
 import fedsim.fed_client as fed_client
 import fedsim.orchestrator as orchestrator
 from fedsim.adapter_net import (
-    AdamState,
     adam_step,
     block1_features,
     build_model,
@@ -14,7 +13,13 @@ from fedsim.adapter_net import (
     objective_and_grad,
     sigmoid,
 )
-from fedsim.datagen import ClientDataset, ClusterParams, FederationSpec, generate_client_dataset
+from fedsim.datagen import (
+    ClientDataset,
+    ClusterParams,
+    FederationSpec,
+    Sample,
+    generate_client_dataset,
+)
 from fedsim.errors import (
     DecodeError,
     InvalidArgumentError,
@@ -59,7 +64,6 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
     return ClientState(
         client_id=0,
         model=model,
-        adam=AdamState.zeros(model.flat.size),
         dataset=dataset,
         config=config,
         seed=seed,
@@ -151,6 +155,77 @@ class TestBadBroadcast:
                 install_low_adapters(state, payload)
             assert state.model.flat.tobytes() == flat
             assert state.theta_ref is None
+
+
+def edit_first_mask(samples, edit):
+    """Copies of the samples, the first one's mask replaced by edit(copy of that mask)."""
+    first = samples[0]
+    return [Sample(first.image, edit(first.mask.copy())), *samples[1:]]
+
+
+def half_first_pixel(mask):
+    mask[0] = 0.5
+    return mask
+
+
+class TestChecksAtEntry:
+    """Inputs the training step no longer checks are rejected where they enter."""
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize(
+        "edit, why",
+        [
+            (half_first_pixel, "masks must hold only 0s and 1s"),
+            (lambda mask: mask[:-1], "images and masks must have 256 pixels"),
+        ],
+        ids=["half-mask", "narrow-mask"],
+    )
+    def test_client_state_rejects_bad_masks(self, split, edit, why):
+        state = make_state(n=10)
+        flat = state.model.flat.tobytes()
+        splits = {"train": state.dataset.train, "test": state.dataset.test}
+        splits[split] = edit_first_mask(splits[split], edit)
+        with pytest.raises(InvalidArgumentError, match=f"^client 0: {split} .*{why}"):
+            replace(state, dataset=ClientDataset(**splits))
+        assert state.model.flat.tobytes() == flat
+
+    def test_boolean_masks_are_stored_as_float64(self):
+        state = make_state(n=10)
+        train = [Sample(s.image, s.mask.astype(bool)) for s in state.dataset.train]
+        stored = replace(state, dataset=ClientDataset(train, state.dataset.test))
+        assert stored._train_masks.dtype == np.float64
+        assert stored._train_masks.tobytes() == state._train_masks.tobytes()
+
+    def _assert_round_rejected(self, state, error, match):
+        flat = state.model.flat.tobytes()
+        moments = state.adam.first_moment.tobytes(), state.adam.second_moment.tobytes()
+        with pytest.raises(error, match=match):
+            local_train_round(state, 1)
+        assert state.model.flat.tobytes() == flat
+        assert (state.adam.first_moment.tobytes(), state.adam.second_moment.tobytes()) == moments
+        assert state.adam.step_count == 0
+
+    def test_regularized_round_needs_a_broadcast(self):
+        state = make_state(beta=0.01, n=10)
+        assert state.theta_ref is None
+        self._assert_round_rejected(state, InvalidStateError, "^client 0: beta > 0 needs")
+
+    def test_regularized_round_rejects_an_all_zero_broadcast(self):
+        state = make_state(beta=0.01, n=10)
+        install_low_adapters(state, broadcast(state, np.zeros(state.model.layer_size)))
+        self._assert_round_rejected(state, InvalidArgumentError, "^client 0: the broadcast is all")
+
+    def test_unregularized_round_ignores_the_reference(self):
+        trained = []
+        for zero_broadcast in (False, True):
+            state = make_state(beta=0.0, n=10)
+            if zero_broadcast:
+                before = state.model.flat.copy()
+                install_low_adapters(state, broadcast(state, np.zeros(state.model.layer_size)))
+                state.model.flat[...] = before
+            update = local_train_round(state, 1)
+            trained.append((update.train_loss, state.model.flat.tobytes()))
+        assert trained[0] == trained[1]
 
 
 class TestLocalTraining:

@@ -10,7 +10,7 @@ import pytest
 
 import fedsim.orchestrator as orchestrator
 from fedsim import cli, transport
-from fedsim.adapter_net import AdamState, build_model
+from fedsim.adapter_net import build_model
 from fedsim.config import apply_sweep_value, parse_config_text
 from fedsim.datagen import (
     ClusterParams,
@@ -54,7 +54,7 @@ class TestRunExperiment:
         layer_size = 2 * 64 * 4
         n = 4
         for record in store.records:
-            assert record.comm_total == 2 * record.round_index * n * layer_size
+            assert record.comm_total == 2 * record.round * n * layer_size
         for entry in store.ledger.entries:
             assert entry.scalar_count == layer_size
 
@@ -251,7 +251,7 @@ class TestServerMatrix:
             for direction in ("broadcast", "upload")
             for client_id in range(4)
         ]
-        got = [(e.round_index, e.direction, e.client_id) for e in store.ledger.entries]
+        got = [(e.round, e.direction, e.client_id) for e in store.ledger.entries]
         assert got == expected
 
     def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
@@ -404,7 +404,6 @@ class TestFedavgSymmetry:
                 ClientState(
                     client_id=client_id,
                     model=model,
-                    adam=AdamState.zeros(model.flat.size),
                     dataset=dataset,
                     config=ClientConfig(learning_rate=1e-2, batch_size=8, low_layers=1),
                     seed=11,
@@ -581,6 +580,21 @@ class TestDamagedStoreExport:
                 lambda b: re.sub(rb'"num_clients": \d+', b'"num_clients": 3', b),
                 r": per-client values must have num_clients = 3 entries$",
             ),
+            (
+                "ledger.csv",
+                lambda b: b.replace(b"broadcast", b"sideways", 1),
+                r": line 2: direction 'sideways' is not a message kind$",
+            ),
+            (
+                "ledger.csv",
+                lambda b: re.sub(rb"^(1,broadcast,0,)\d+$", rb"\g<1>-5", b, count=1, flags=re.M),
+                r": line 2: scalar_count -5 is negative$",
+            ),
+            (
+                "ledger.csv",
+                lambda b: b[: b.rindex(b"\n", 0, -1) + 1],
+                r": scalar counts sum to 7680, not comm_total 8192$",
+            ),
         ],
         ids=[
             "int-for-a-list",
@@ -591,6 +605,9 @@ class TestDamagedStoreExport:
             "short-w-row",
             "bool-for-a-float",
             "num_clients-off-by-one",
+            "unknown-direction",
+            "negative-count",
+            "ledger-total-off-summary",
         ],
     )
     def test_load_raises_decode_error_and_export_exits_2(
@@ -640,6 +657,12 @@ class TestConfigParsing:
     def test_feature_dim_must_match_mask_area(self, small_config_text):
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config_text(small_config_text.replace("feature_dim = 64", "feature_dim = 32"))
+
+    @pytest.mark.parametrize("spelling", ["01", "+1", " 1"])
+    def test_repeated_cluster_id_is_an_error(self, small_config_text, spelling):
+        text = small_config_text + f"\n[cluster.{spelling}]\ngain = 2.0\n"
+        with pytest.raises(ConfigError, match=rf"^\[cluster.1\] and \[cluster.{spelling}\] both"):
+            parse_config_text(text)
 
     def test_missing_cluster_section_is_an_error(self, small_config_text):
         with pytest.raises(ConfigError, match="cluster 2"):

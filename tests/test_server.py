@@ -329,6 +329,22 @@ class TestUpdateMatrix:
         with pytest.raises(ProtocolError):
             update_matrix(*round_inputs(sent), SgcaConfig())
 
+    @pytest.mark.parametrize(
+        "cfg, match",
+        [
+            (SgcaConfig(metric="l3_based"), "unknown metric"),
+            (SgcaConfig(normalization="max_abs_col"), "unknown normalization"),
+            (SgcaConfig(alpha=-0.5), "alpha must be finite"),
+            (SgcaConfig(alpha=float("nan")), "alpha must be finite"),
+        ],
+        ids=["metric", "normalization", "negative-alpha", "nan-alpha"],
+    )
+    def test_invalid_config_rejected_where_it_is_used(self, cfg, match):
+        # update_matrix does not validate cfg itself: pairwise_similarity and solve_row do.
+        sent = [make_update(i, [float(i), 1.0]) for i in range(3)]
+        with pytest.raises(InvalidArgumentError, match=match):
+            update_matrix(*round_inputs(sent), cfg)
+
 
 class TestAggregate:
     def _params(self, values):
