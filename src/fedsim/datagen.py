@@ -89,24 +89,14 @@ class FederationSpec:
 
 
 @dataclass
-class Sample:
-    """One segmentation example: image in [0,1], binary mask, both flattened."""
-
-    image: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
 class ClientDataset:
-    train: list[Sample]
-    test: list[Sample]
+    """One client's splits: float64 (n, 2, pixels) arrays, FSCD's rows of image and 0/1 mask."""
 
-    @property
-    def n_i(self) -> int:
-        return len(self.train) + len(self.test)
+    train: np.ndarray
+    test: np.ndarray
 
 
-def _draw_sample(params: ClusterParams, mask_side: int, stream: RngStream) -> Sample:
+def _draw_sample(params: ClusterParams, mask_side: int, stream: RngStream) -> np.ndarray:
     coords = np.arange(mask_side, dtype=np.float64)
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     mid = (mask_side - 1) / 2.0
@@ -128,14 +118,14 @@ def _draw_sample(params: ClusterParams, mask_side: int, stream: RngStream) -> Sa
 
         fraction = mask.mean()
         if MIN_FOREGROUND <= fraction <= MAX_FOREGROUND:
-            return Sample(image.ravel(), mask.ravel().astype(np.float64))
+            return np.stack((image, mask)).reshape(2, -1)
     raise InvalidArgumentError(
         "cluster parameters cannot produce masks with foreground fraction "
         f"in [{MIN_FOREGROUND}, {MAX_FOREGROUND}]"
     )
 
 
-def split_train_test(samples: list[Sample], stream: RngStream) -> tuple[list[Sample], list[Sample]]:
+def split_train_test(samples: np.ndarray, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle, then an 8:2 split (train count clamped to keep both sides non-empty)."""
     n = len(samples)
     if n < 2:
@@ -143,8 +133,7 @@ def split_train_test(samples: list[Sample], stream: RngStream) -> tuple[list[Sam
     order = stream.permutation(n)
     n_train = int(np.floor(TRAIN_FRACTION * n + 0.5))
     n_train = min(max(n_train, 1), n - 1)
-    shuffled = [samples[i] for i in order]
-    return shuffled[:n_train], shuffled[n_train:]
+    return samples[order[:n_train]], samples[order[n_train:]]
 
 
 def generate_client_dataset(spec: FederationSpec, client_id: int) -> ClientDataset:
@@ -154,10 +143,10 @@ def generate_client_dataset(spec: FederationSpec, client_id: int) -> ClientDatas
         raise InvalidArgumentError(f"client_id {client_id} out of range")
     params = spec.clusters[spec.cluster_of[client_id]]
     stream = RngStream(spec.seed, derive_stream_id("datagen", client_id))
-    samples = [_draw_sample(params, spec.mask_side, stream) for _ in range(spec.client_sizes[client_id])]
+    n = spec.client_sizes[client_id]
+    samples = np.stack([_draw_sample(params, spec.mask_side, stream) for _ in range(n)])
     split_stream = RngStream(spec.seed, derive_stream_id("split", client_id))
-    train, test = split_train_test(samples, split_stream)
-    return ClientDataset(train, test)
+    return ClientDataset(*split_train_test(samples, split_stream))
 
 
 def generate_federation(spec: FederationSpec) -> list[ClientDataset]:
@@ -166,14 +155,18 @@ def generate_federation(spec: FederationSpec) -> list[ClientDataset]:
 
 
 def save_federation(datasets: list[ClientDataset], path: str) -> None:
-    """Binary snapshot: FSCD header, then per-client little-endian float64 arrays."""
+    """Binary snapshot: FSCD header, then per client its header and rows as little-endian float64.
+
+    A split that is empty or not (n, 2, client 0's pixels) raises InvalidArgumentError before writing.
+    """
+    pixels = np.shape(datasets[0].train)[-1] if datasets else 0
     chunks = [struct.pack("<4sII", DATASET_MAGIC, DATASET_VERSION, len(datasets))]
-    for ds in datasets:
-        pixels = ds.train[0].image.size if ds.train else ds.test[0].image.size
+    for i, ds in enumerate(datasets):
+        for split, shape in (("train", np.shape(ds.train)), ("test", np.shape(ds.test))):
+            if shape[1:] != (2, pixels) or 0 in shape:
+                raise InvalidArgumentError(f"{split}: client {i} is {shape}, not (n, 2, {pixels})")
         chunks.append(struct.pack("<III", len(ds.train), len(ds.test), pixels))
-        for sample in list(ds.train) + list(ds.test):
-            chunks.append(sample.image.astype("<f8").tobytes())
-            chunks.append(sample.mask.astype("<f8").tobytes())
+        chunks += [np.asarray(ds.train, "<f8").tobytes(), np.asarray(ds.test, "<f8").tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -184,7 +177,7 @@ def load_federation(path: str) -> list[ClientDataset]:
     Every client must declare the same non-zero pixel count, no more samples
     than the bytes left hold, finite images and masks of 0s and 1s. Once the
     whole file parses, every client must also hold at least one train and
-    one test sample.
+    one test sample. Each client's splits are views of one copy of its rows.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -205,10 +198,9 @@ def load_federation(path: str) -> list[ClientDataset]:
         offset += 12
         if pixels == 0:
             raise DecodeError(f"pixels: client {i} declares 0")
-        if i == 0:
-            first_pixels = pixels
-        elif pixels != first_pixels:
-            raise DecodeError(f"pixels: client {i} declares {pixels}, client 0 {first_pixels}")
+        first = datasets[0].train.shape[2] if datasets else pixels
+        if pixels != first:
+            raise DecodeError(f"pixels: client {i} declares {pixels}, client 0 {first}")
         count = 2 * (n_train + n_test) * pixels
         if 8 * count > len(view) - offset:
             raise DecodeError(
@@ -221,12 +213,11 @@ def load_federation(path: str) -> list[ClientDataset]:
             raise DecodeError(f"image: client {i} has a non-finite pixel")
         if not np.all((rows[:, 1] == 0.0) | (rows[:, 1] == 1.0)):
             raise DecodeError(f"mask: client {i} has a value other than 0 or 1")
-        samples = [Sample(image, mask) for image, mask in rows.copy()]
-        datasets.append(ClientDataset(samples[:n_train], samples[n_train:]))
+        datasets.append(ClientDataset(*np.split(rows.copy(), [n_train])))
     if offset != len(view):
         raise DecodeError("payload: trailing bytes")
     for i, ds in enumerate(datasets):
         for split in ("train", "test"):
-            if not getattr(ds, split):
+            if not len(getattr(ds, split)):
                 raise DecodeError(f"{split}: client {i} declares 0 samples")
     return datasets

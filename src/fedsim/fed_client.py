@@ -71,12 +71,10 @@ def step_workspace(size: int) -> np.ndarray:
 class ClientState:
     """One client's model, optimizer, data and round state, its inputs checked once here.
 
-    The train and test sets are kept as their frozen block-1 features
-    (block1_features), which adapters never change, and their masks, each
-    stacked once; an empty split is an InvalidStateError, an image or mask
-    that is not feature_dim long or a mask entry other than 0 or 1 an
-    InvalidArgumentError. `adam` starts at zero. `workspace` is a
-    step_workspace for model.flat; one is made when none is given.
+    Each split must be a float64 (n, 2, feature_dim) array, n >= 1 (else InvalidStateError),
+    with masks of only 0s and 1s; any other fault is an InvalidArgumentError. Only the frozen
+    block-1 features are stored; masks are read from the dataset rows. `adam` starts at zero.
+    `workspace` is a step_workspace for model.flat; one is made when none is given.
     """
 
     client_id: int
@@ -89,14 +87,11 @@ class ClientState:
     workspace: np.ndarray | None = field(default=None, repr=False)
     adam: AdamState = field(init=False, repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
-    _train_masks: np.ndarray = field(init=False, repr=False)
     _test_first: np.ndarray = field(init=False, repr=False)
-    _test_masks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.config.validate(self.model.num_blocks)
-        self._train_first, self._train_masks = self._stack("train")
-        self._test_first, self._test_masks = self._stack("test")
+        self._train_first, self._test_first = self._features("train"), self._features("test")
         size = self.model.flat.size
         if self.workspace is None:
             self.workspace = step_workspace(size)
@@ -104,19 +99,17 @@ class ClientState:
             raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
         self.adam = AdamState.zeros(size)
 
-    def _stack(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """A split's block-1 features and float64 masks, as objective_and_grad needs them."""
-        samples = getattr(self.dataset, split)
-        if not samples:
+    def _features(self, split: str) -> np.ndarray:
+        """A split's block-1 features, once its rows are checked."""
+        rows = getattr(self.dataset, split)
+        where, d = f"client {self.client_id}: {split}", self.model.feature_dim
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.float64 or rows.shape[1:] != (2, d):
+            raise InvalidArgumentError(f"{where} must be a float64 (n, 2, {d}) array")
+        if not len(rows):
             raise InvalidStateError(f"client {self.client_id} has an empty {split} set")
-        where, width = f"client {self.client_id}: {split}", (self.model.feature_dim,)
-        if any(s.image.shape != width or s.mask.shape != width for s in samples):
-            raise InvalidArgumentError(f"{where} images and masks must have {width[0]} pixels")
-        first = block1_features(np.stack([s.image for s in samples]), self.model)
-        masks = np.stack([s.mask for s in samples]).astype(np.float64, copy=False)
-        if not np.all((masks == 0.0) | (masks == 1.0)):
+        if not np.all((rows[:, 1] == 0.0) | (rows[:, 1] == 1.0)):
             raise InvalidArgumentError(f"{where} masks must hold only 0s and 1s")
-        return first, masks
+        return block1_features(rows[:, 0], self.model)
 
 
 def install_low_adapters(state: ClientState, payload: bytes) -> None:
@@ -136,12 +129,12 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
 
     Batches are drawn in a seeded shuffle keyed by (client, round); only
     adapter parameters move. Each step gathers the batch's stored block-1
-    features, writes the gradient into workspace row 0 and updates
-    model.flat and the Adam moments in place, with row 1 as scratch; row 2
-    is not touched. Returns the round's metrics; the trained adapters stay
-    in model.flat. With beta > 0, a round with no broadcast installed
-    (InvalidStateError) or an all-zero one (InvalidArgumentError) fails
-    before any step.
+    features and its masks from the dataset rows, writes the gradient into
+    workspace row 0 and updates model.flat and the Adam moments in place,
+    with row 1 as scratch; row 2 is not touched. Returns the round's
+    metrics; the trained adapters stay in model.flat. With beta > 0, a
+    round with no broadcast installed (InvalidStateError) or an all-zero
+    one (InvalidArgumentError) fails before any step.
     """
     cfg = state.config
     model = state.model
@@ -158,7 +151,7 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            first, masks = state._train_first[idx], state._train_masks[idx]
+            first, masks = state._train_first[idx], state.dataset.train[idx, 1]
             loss, _ = objective_and_grad(first, masks, model, ref, cfg.beta, grads, scratch)
             try:
                 adam_update(model.flat, grads, state.adam, cfg.learning_rate, scratch)
@@ -199,7 +192,7 @@ def iou_dice(pred: np.ndarray, truth: np.ndarray):
 def evaluate(state: ClientState) -> tuple[float, float]:
     """Mean test IoU and Dice with predictions thresholded at probability 0.5."""
     logits, _ = _forward_cached(state._test_first, state.model)
-    ious, dices = iou_dice(sigmoid(logits) > 0.5, state._test_masks)
+    ious, dices = iou_dice(sigmoid(logits) > 0.5, state.dataset.test[:, 1])
     return float(np.mean(ious)), float(np.mean(dices))
 
 

@@ -88,7 +88,8 @@ class ResultsStore:
     def load(cls, run_dir: str | Path) -> "ResultsStore":
         """Read a saved store; raises DecodeError naming the file, and the line, that is wrong.
 
-        Each field needs its declared type, each per-client list num_clients entries.
+        Each field needs its declared type, each per-client list num_clients entries. Line i
+        of rounds.jsonl is round i, for i in 1..rounds; a ledger row names one and a client.
         """
         run = Path(run_dir)
         manifest = _read_json(run / "manifest.json")
@@ -97,15 +98,18 @@ class ResultsStore:
         run_summary = _decode(path, None, lambda: _run_summary(summary))
         path = run / "rounds.jsonl"
         records = [
-            _decode(path, i, lambda: _round_record(json.loads(line), run_summary.num_clients))
+            _decode(path, i, lambda: _round_record(json.loads(line), run_summary, i))
             for i, line in enumerate(_read_text(path).splitlines(), 1)
-            if line.strip()
         ]
         if not records:
             raise DecodeError(f"{path}: no round records")
+        if len(records) != run_summary.rounds:
+            raise DecodeError(f"{path}: {len(records)} round records, not {run_summary.rounds}")
         path = run / "ledger.csv"
         rows = csv.DictReader(io.StringIO(_read_text(path)))
-        entries = [_decode(path, rows.line_num, lambda: LedgerEntry.from_row(row)) for row in rows]
+        entries = [
+            _decode(path, rows.line_num, lambda: _ledger_entry(row, run_summary)) for row in rows
+        ]
         total = sum(e.scalar_count for e in entries)
         if total != run_summary.comm_total:
             want = run_summary.comm_total
@@ -145,12 +149,23 @@ def _run_summary(data: dict) -> RunSummary:
     return summary
 
 
-def _round_record(data: dict, n: int) -> RoundRecord:
-    """A rounds.jsonl record of a run of n clients: its metrics n long, W n by n or null."""
+def _round_record(data: dict, summary: RunSummary, line: int) -> RoundRecord:
+    """Line `line` of rounds.jsonl: round `line`, its metrics num_clients long, W n by n or null."""
     record = _typed(RoundRecord, data)
+    if record.round != line:
+        raise ValueError(f"round {record.round} where round {line} belongs")
     w = [] if record.w is None else [record.w, *record.w]
-    _check_clients(n, record.train_loss, record.test_iou, record.test_dice, *w)
+    _check_clients(summary.num_clients, record.train_loss, record.test_iou, record.test_dice, *w)
     return record
+
+
+def _ledger_entry(row: dict[str, str], summary: RunSummary) -> LedgerEntry:
+    entry = LedgerEntry.from_row(row)
+    if not 1 <= entry.round <= summary.rounds:
+        raise ValueError(f"round {entry.round} is not in 1..{summary.rounds}")
+    if not 0 <= entry.client_id < summary.num_clients:
+        raise ValueError(f"client_id {entry.client_id} is not in 0..{summary.num_clients - 1}")
+    return entry
 
 
 def _decode(path: Path, line: int | None, parse):
@@ -238,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     datasets = generate_federation(cfg.federation)
     states = _init_states(cfg, datasets)
     n = cfg.federation.num_clients
-    sizes = [ds.n_i for ds in datasets]
+    sizes = list(cfg.federation.client_sizes)
     manifest = states[0].model.manifest(cfg.client.low_layers)
     ledger = CommLedger()
 

@@ -714,7 +714,7 @@ def _stacks():
     """
     cases, seen = [], set()
     for label, feature_dim, num_blocks, batch, sizes in FEDERATIONS:
-        splits = [split_train_test(list(range(n)), RngStream(0, 0)) for n in sizes]
+        splits = [split_train_test(np.arange(n), RngStream(0, 0)) for n in sizes]
         train = [len(t) for t, _ in splits]
         kinds = [("test", [len(t) for _, t in splits])]
         for step in range(max(train) // batch + 1):

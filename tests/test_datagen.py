@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -7,7 +8,6 @@ from fedsim.datagen import (
     ClientDataset,
     ClusterParams,
     FederationSpec,
-    Sample,
     generate_client_dataset,
     generate_federation,
     load_federation,
@@ -32,8 +32,7 @@ def two_cluster_spec(seed=0, gain_a=1.5, gain_b=0.5, sizes=(20, 20, 20, 20)):
 
 
 def mean_image(dataset: ClientDataset) -> np.ndarray:
-    images = [s.image for s in dataset.train] + [s.image for s in dataset.test]
-    return np.mean(images, axis=0)
+    return np.concatenate([dataset.train, dataset.test])[:, 0].mean(axis=0)
 
 
 class TestGeneration:
@@ -41,9 +40,8 @@ class TestGeneration:
         a = generate_federation(two_cluster_spec())
         b = generate_federation(two_cluster_spec())
         for ds_a, ds_b in zip(a, b):
-            for s_a, s_b in zip(ds_a.train + ds_a.test, ds_b.train + ds_b.test):
-                assert s_a.image.tobytes() == s_b.image.tobytes()
-                assert s_a.mask.tobytes() == s_b.mask.tobytes()
+            assert ds_a.train.tobytes() == ds_b.train.tobytes()
+            assert ds_a.test.tobytes() == ds_b.test.tobytes()
 
     def test_sample_invariants_hold_at_scale(self):
         spec = FederationSpec(
@@ -52,21 +50,20 @@ class TestGeneration:
             clusters={0: ClusterParams(gain=1.5), 1: ClusterParams(gain=0.4, noise=0.2)},
             seed=33,
         )
-        total = 0
-        for ds in generate_federation(spec):
-            for sample in ds.train + ds.test:
-                total += 1
-                assert np.all((sample.image >= 0.0) & (sample.image <= 1.0))
-                assert np.all((sample.mask == 0.0) | (sample.mask == 1.0))
-                assert 0.02 <= sample.mask.mean() <= 0.9
-        assert total == 10_000
+        datasets = generate_federation(spec)
+        rows = np.concatenate([split for ds in datasets for split in (ds.train, ds.test)])
+        images, masks = rows[:, 0], rows[:, 1]
+        assert rows.shape == (10_000, 2, 256) and rows.dtype == np.float64
+        assert np.all((images >= 0.0) & (images <= 1.0))
+        assert np.all((masks == 0.0) | (masks == 1.0))
+        assert np.all((masks.mean(axis=1) >= 0.02) & (masks.mean(axis=1) <= 0.9))
 
     def test_client_generation_is_order_independent(self):
         spec = two_cluster_spec()
         federation = generate_federation(spec)
         solo = generate_client_dataset(spec, 2)
-        for s_a, s_b in zip(federation[2].train + federation[2].test, solo.train + solo.test):
-            assert s_a.image.tobytes() == s_b.image.tobytes()
+        assert federation[2].train.tobytes() == solo.train.tobytes()
+        assert federation[2].test.tobytes() == solo.test.tobytes()
 
     def test_identical_clusters_have_indistinguishable_means(self):
         # All clients share one distribution: cross-client mean-image distances
@@ -142,7 +139,8 @@ class TestGeneration:
 
 class TestSplit:
     def _samples(self, n):
-        return [Sample(np.full(4, float(i)), np.zeros(4)) for i in range(n)]
+        """n rows of 2 x 4 values, row i holding 8i..8i+7."""
+        return np.arange(n * 8, dtype=np.float64).reshape(n, 2, 4)
 
     def test_ten_samples_split_eight_two(self):
         train, test = split_train_test(self._samples(10), RngStream(0, 0))
@@ -159,18 +157,30 @@ class TestSplit:
     def test_same_seed_gives_same_split(self):
         a_train, a_test = split_train_test(self._samples(10), RngStream(9, 9))
         b_train, b_test = split_train_test(self._samples(10), RngStream(9, 9))
-        assert [s.image[0] for s in a_train] == [s.image[0] for s in b_train]
-        assert [s.image[0] for s in a_test] == [s.image[0] for s in b_test]
+        assert a_train.tobytes() == b_train.tobytes()
+        assert a_test.tobytes() == b_test.tobytes()
+
+    def test_splits_are_whole_rows_of_a_permutation(self):
+        train, test = split_train_test(self._samples(10), RngStream(9, 9))
+        rows = np.concatenate([train, test])
+        assert rows.shape == (10, 2, 4)
+        assert sorted(rows[:, 0, 0]) == list(range(0, 80, 8))
+        assert np.array_equal(rows, rows[:, :1, :1] + np.arange(8.0).reshape(2, 4))
 
     def test_client_dataset_counts_match_spec(self):
         spec = two_cluster_spec(sizes=(17, 23, 20, 20))
         for ds, n in zip(generate_federation(spec), (17, 23, 20, 20)):
-            assert ds.n_i == n
+            assert len(ds.train) + len(ds.test) == n
             assert len(ds.train) == int(np.floor(0.8 * n + 0.5))
 
     def test_single_sample_rejected(self):
         with pytest.raises(InvalidArgumentError):
             split_train_test(self._samples(1), RngStream(0, 0))
+
+
+# sha256 of the file save_federation writes for two_cluster_spec(sizes=(6, 6, 6, 6)). A change
+# to the generator, the split or the FSCD layout changes it.
+FSCD_SHA256 = "1e4e230b2fcd7bc5970e8df53b8ee442fbe54e8b3cd300549ed75e3f29b3ec34"
 
 
 class TestContainer:
@@ -181,11 +191,39 @@ class TestContainer:
         loaded = load_federation(str(path))
         assert len(loaded) == len(datasets)
         for ds_a, ds_b in zip(datasets, loaded):
-            assert len(ds_a.train) == len(ds_b.train)
-            assert len(ds_a.test) == len(ds_b.test)
-            for s_a, s_b in zip(ds_a.train + ds_a.test, ds_b.train + ds_b.test):
-                assert s_a.image.tobytes() == s_b.image.tobytes()
-                assert s_a.mask.tobytes() == s_b.mask.tobytes()
+            for a, b in ((ds_a.train, ds_b.train), (ds_a.test, ds_b.test)):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "federation.fscd"
+        save_federation(generate_federation(two_cluster_spec(sizes=(6, 6, 6, 6))), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FSCD_SHA256
+
+    @pytest.mark.parametrize(
+        "client, split, edit, why",
+        [
+            (0, "test", lambda rows: rows[:0], r"^test: client 0 is \(0, 2, 256\), not"),
+            (2, "train", lambda rows: rows[:0], r"^train: client 2 is \(0, 2, 256\), not"),
+            (1, "train", lambda rows: rows[:, 0], r"^train: client 1 is \(5, 256\), not"),
+            (1, "test", lambda rows: rows[:, :, :100], r"^test: client 1 is \(1, 2, 100\)"),
+        ],
+        ids=["empty-test", "empty-train", "images-only", "other-pixel-count"],
+    )
+    def test_unloadable_split_rejected_before_writing(self, tmp_path, client, split, edit, why):
+        datasets = generate_federation(two_cluster_spec(sizes=(6, 6, 6, 6)))
+        setattr(datasets[client], split, edit(getattr(datasets[client], split)))
+        path = tmp_path / "federation.fscd"
+        with pytest.raises(InvalidArgumentError, match=why):
+            save_federation(datasets, str(path))
+        assert not path.exists()
+
+    def test_client_with_both_splits_empty_rejected_before_writing(self, tmp_path):
+        datasets = generate_federation(two_cluster_spec(sizes=(6, 6, 6, 6)))
+        datasets[3] = ClientDataset(datasets[3].train[:0], datasets[3].test[:0])
+        path = tmp_path / "federation.fscd"
+        with pytest.raises(InvalidArgumentError, match=r"^train: client 3 is \(0, 2, 256\)"):
+            save_federation(datasets, str(path))
+        assert not path.exists()
 
     def test_truncated_container_rejected(self, tmp_path):
         datasets = generate_federation(two_cluster_spec(sizes=(4, 4, 4, 4)))
@@ -228,9 +266,8 @@ class TestContainerChecks:
     def test_small_valid_file_loads(self, tmp_path):
         test_mask = [1.0, 0.0, 0.0, 1.0]
         loaded = self.load(tmp_path, container((1, 1, 4, IMAGE + MASK + IMAGE + test_mask)))
-        assert loaded[0].train[0].image.tolist() == IMAGE
-        assert loaded[0].train[0].mask.tolist() == MASK
-        assert loaded[0].test[0].mask.tolist() == test_mask
+        assert loaded[0].train.tolist() == [[IMAGE, MASK]]
+        assert loaded[0].test.tolist() == [[IMAGE, test_mask]]
 
     def test_zero_pixels_rejected(self, tmp_path):
         # 24 bytes asking for a million empty samples.

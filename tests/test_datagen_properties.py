@@ -53,10 +53,11 @@ def decode(data: bytes, path):
     except DecodeError:
         return None
     for ds in datasets:
-        assert ds.train and ds.test
-        for sample in ds.train + ds.test:
-            assert np.all(np.isfinite(sample.image))
-            assert np.all((sample.mask == 0.0) | (sample.mask == 1.0))
+        assert len(ds.train) and len(ds.test)
+        rows = np.concatenate([ds.train, ds.test])
+        assert rows.dtype == np.float64 and rows.shape[1:] == (2, 16)
+        assert np.all(np.isfinite(rows[:, 0]))
+        assert np.all((rows[:, 1] == 0.0) | (rows[:, 1] == 1.0))
     return datasets
 
 

@@ -17,7 +17,6 @@ from fedsim.datagen import (
     ClientDataset,
     ClusterParams,
     FederationSpec,
-    Sample,
     generate_client_dataset,
 )
 from fedsim.errors import (
@@ -157,15 +156,9 @@ class TestBadBroadcast:
             assert state.theta_ref is None
 
 
-def edit_first_mask(samples, edit):
-    """Copies of the samples, the first one's mask replaced by edit(copy of that mask)."""
-    first = samples[0]
-    return [Sample(first.image, edit(first.mask.copy())), *samples[1:]]
-
-
-def half_first_pixel(mask):
-    mask[0] = 0.5
-    return mask
+def half_first_pixel(rows):
+    rows[0, 1, 0] = 0.5
+    return rows
 
 
 class TestChecksAtEntry:
@@ -176,25 +169,36 @@ class TestChecksAtEntry:
         "edit, why",
         [
             (half_first_pixel, "masks must hold only 0s and 1s"),
-            (lambda mask: mask[:-1], "images and masks must have 256 pixels"),
+            (lambda rows: rows[:, :, :-1], r"must be a float64 \(n, 2, 256\) array"),
         ],
-        ids=["half-mask", "narrow-mask"],
+        ids=["half-mask", "narrow-split"],
     )
-    def test_client_state_rejects_bad_masks(self, split, edit, why):
+    def test_client_state_rejects_bad_splits(self, split, edit, why):
         state = make_state(n=10)
         flat = state.model.flat.tobytes()
         splits = {"train": state.dataset.train, "test": state.dataset.test}
-        splits[split] = edit_first_mask(splits[split], edit)
+        splits[split] = edit(splits[split].copy())
         with pytest.raises(InvalidArgumentError, match=f"^client 0: {split} .*{why}"):
             replace(state, dataset=ClientDataset(**splits))
         assert state.model.flat.tobytes() == flat
 
-    def test_boolean_masks_are_stored_as_float64(self):
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda rows: rows.astype(bool),
+            lambda rows: rows.astype(np.float32),
+            lambda rows: rows[:, 0],
+            list,
+        ],
+        ids=["bool", "float32", "images-only", "list"],
+    )
+    def test_client_state_rejects_a_split_of_another_form(self, convert):
         state = make_state(n=10)
-        train = [Sample(s.image, s.mask.astype(bool)) for s in state.dataset.train]
-        stored = replace(state, dataset=ClientDataset(train, state.dataset.test))
-        assert stored._train_masks.dtype == np.float64
-        assert stored._train_masks.tobytes() == state._train_masks.tobytes()
+        dataset = ClientDataset(convert(state.dataset.train), state.dataset.test)
+        with pytest.raises(
+            InvalidArgumentError, match=r"^client 0: train must be a float64 \(n, 2, 256\) array$"
+        ):
+            replace(state, dataset=dataset)
 
     def _assert_round_rejected(self, state, error, match):
         flat = state.model.flat.tobytes()
@@ -278,7 +282,7 @@ class TestLocalTraining:
     def test_empty_train_set_is_invalid_state(self):
         state = make_state(n=10)
         with pytest.raises(InvalidStateError, match="client 0 has an empty train set"):
-            replace(state, dataset=ClientDataset([], state.dataset.test))
+            replace(state, dataset=ClientDataset(state.dataset.train[:0], state.dataset.test))
 
     def test_divergence_names_the_first_non_finite_layer(self, monkeypatch):
         state = make_state(num_blocks=3, n=10, beta=0.0)
@@ -309,8 +313,7 @@ def reference_round(state, round_index):
     the adapters, adam_step, and an install.
     """
     cfg = state.config
-    images = np.stack([s.image for s in state.dataset.train])
-    masks = np.stack([s.mask for s in state.dataset.train])
+    images, masks = state.dataset.train[:, 0], state.dataset.train[:, 1]
     n = images.shape[0]
     shuffle = RngStream(state.seed, derive_stream_id("shuffle", state.client_id, round_index))
     losses = []
@@ -413,9 +416,9 @@ class TestEvaluate:
     def test_evaluate_means_the_per_row_scores(self):
         state = make_state(seed=2, num_blocks=2)
         # evaluate starts from the stored block-1 rows; model_forward from the images.
-        images = np.stack([s.image for s in state.dataset.test])
+        images, masks = state.dataset.test[:, 0], state.dataset.test[:, 1]
         pred = sigmoid(model_forward(images, state.model)) > 0.5
-        rows = [row_iou_dice(p, t.astype(bool)) for p, t in zip(pred, state._test_masks)]
+        rows = [row_iou_dice(p, t.astype(bool)) for p, t in zip(pred, masks)]
         assert evaluate(state) == (
             float(np.mean([iou for iou, _ in rows])),
             float(np.mean([dice for _, dice in rows])),
@@ -424,7 +427,7 @@ class TestEvaluate:
     def test_empty_test_set_is_invalid_state(self):
         state = make_state(n=10)
         with pytest.raises(InvalidStateError, match="client 0 has an empty test set"):
-            replace(state, dataset=ClientDataset(state.dataset.train, []))
+            replace(state, dataset=ClientDataset(state.dataset.train, state.dataset.test[:0]))
 
 
 class TestParamShift:

@@ -158,7 +158,7 @@ class TestRunExperiment:
 
         def poisoned(spec):
             datasets = real(spec)
-            datasets[client_id].train[0].image[5] = np.nan
+            datasets[client_id].train[0, 0, 5] = np.nan
             return datasets
 
         monkeypatch.setattr(orchestrator, "generate_federation", poisoned)
@@ -595,6 +595,37 @@ class TestDamagedStoreExport:
                 lambda b: b[: b.rindex(b"\n", 0, -1) + 1],
                 r": scalar counts sum to 7680, not comm_total 8192$",
             ),
+            (
+                "rounds.jsonl",
+                lambda b: b[b.index(b"\n") + 1 :],
+                r": line 1: round 2 where round 1 belongs$",
+            ),
+            (
+                "rounds.jsonl",
+                lambda b: b[: b.rindex(b"\n", 0, -1) + 1],
+                r"rounds.jsonl: 1 round records, not 2$",
+            ),
+            ("rounds.jsonl", lambda b: b"\n" + b, r": line 1: Expecting value$"),
+            (
+                "rounds.jsonl",
+                lambda b: b + b.splitlines(keepends=True)[-1],
+                r": line 3: round 2 where round 3 belongs$",
+            ),
+            (
+                "rounds.jsonl",
+                lambda b: b + b.splitlines(keepends=True)[-1].replace(b'"round": 2', b'"round": 3'),
+                r"rounds.jsonl: 3 round records, not 2$",
+            ),
+            (
+                "ledger.csv",
+                lambda b: re.sub(rb"^1,broadcast,0,", b"99,broadcast,0,", b, count=1, flags=re.M),
+                r": line 2: round 99 is not in 1..2$",
+            ),
+            (
+                "ledger.csv",
+                lambda b: re.sub(rb"^1,broadcast,0,", b"1,broadcast,99,", b, count=1, flags=re.M),
+                r": line 2: client_id 99 is not in 0..3$",
+            ),
         ],
         ids=[
             "int-for-a-list",
@@ -608,6 +639,13 @@ class TestDamagedStoreExport:
             "unknown-direction",
             "negative-count",
             "ledger-total-off-summary",
+            "first-round-missing",
+            "last-round-missing",
+            "blank-line",
+            "repeated-round",
+            "extra-round",
+            "ledger-round-out-of-range",
+            "ledger-client-out-of-range",
         ],
     )
     def test_load_raises_decode_error_and_export_exits_2(
