@@ -1,7 +1,8 @@
 """Command-line interface: run, sweep, oracle-check, export.
 
 Exit codes: 0 success, 2 validation error, 3 numeric/oracle failure,
-4 I/O error, 1 anything unexpected.
+4 I/O error, 1 anything unexpected. A sweep whose every run failed exits
+as `run` would on the first failure.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def _cmd_sweep(args) -> int:
             )
         else:
             failures += 1
-            print(f"{args.axis}={item.value}: FAILED ({item.error})")
+            print(f"{args.axis}={item.value}: FAILED ({type(item.error).__name__}: {item.error})")
     if failures:
         print(f"{failures}/{len(items)} sweep runs failed")
-        return EXIT_VALIDATION if failures == len(items) else EXIT_OK
+    if failures == len(items):
+        # Nothing succeeded: exit as `fedsim run` would on the first failure.
+        raise items[0].error
     return EXIT_OK
 
 

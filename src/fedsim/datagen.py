@@ -157,9 +157,12 @@ def generate_federation(spec: FederationSpec) -> list[ClientDataset]:
 def save_federation(datasets: list[ClientDataset], path: str) -> None:
     """Binary snapshot: FSCD header, then per client its header and rows as little-endian float64.
 
-    A split that is empty or not (n, 2, client 0's pixels) raises InvalidArgumentError before writing.
+    Fewer than 2 clients, or a split that is empty or not (n, 2, client 0's pixels), raises
+    InvalidArgumentError before the file is opened.
     """
-    pixels = np.shape(datasets[0].train)[-1] if datasets else 0
+    if len(datasets) < 2:
+        raise InvalidArgumentError(f"a federation needs at least 2 clients, got {len(datasets)}")
+    pixels = np.shape(datasets[0].train)[-1]
     chunks = [struct.pack("<4sII", DATASET_MAGIC, DATASET_VERSION, len(datasets))]
     for i, ds in enumerate(datasets):
         for split, shape in (("train", np.shape(ds.train)), ("test", np.shape(ds.test))):
@@ -174,10 +177,11 @@ def save_federation(datasets: list[ClientDataset], path: str) -> None:
 def load_federation(path: str) -> list[ClientDataset]:
     """Read a save_federation snapshot; raises DecodeError naming the field that is wrong.
 
-    Every client must declare the same non-zero pixel count, no more samples
-    than the bytes left hold, finite images and masks of 0s and 1s. Once the
-    whole file parses, every client must also hold at least one train and
-    one test sample. Each client's splits are views of one copy of its rows.
+    The file must declare at least 2 clients, and every client the same
+    non-zero pixel count, no more samples than the bytes left hold, finite
+    images and masks of 0s and 1s. Once the whole file parses, every client
+    must also hold at least one train and one test sample. Each client's
+    splits are views of one copy of its rows.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -189,6 +193,8 @@ def load_federation(path: str) -> list[ClientDataset]:
         raise DecodeError(f"magic: expected {DATASET_MAGIC!r}, got {bytes(magic)!r}")
     if version != DATASET_VERSION:
         raise DecodeError(f"version: unsupported {version}")
+    if num_clients < 2:
+        raise DecodeError(f"clients: the file declares {num_clients}, a federation needs 2 or more")
     offset = 12
     datasets = []
     for i in range(num_clients):

@@ -48,20 +48,18 @@ class ClientConfig:
 class ClientUpdate:
     """Per-round client report; the upload itself is layers 1..L of model.flat, on the wire."""
 
-    client_id: int
-    round_index: int
     train_loss: float
     test_iou: float
     test_dice: float
+    layer_shift: np.ndarray  # per adapter layer: the round's relative L2 shift
 
 
 def step_workspace(size: int) -> np.ndarray:
     """Scratch rows for local training on a model of `size` adapter values.
 
     Row 0 receives each step's gradient; row 1 holds Adam's and the
-    regularizer's temporaries; row 2 is left to the caller of
-    local_train_round (run_experiment keeps the pre-round copy of
-    model.flat there). Every row is written before it is read, so clients
+    regularizer's temporaries; row 2 holds local_train_round's round-start
+    copy of model.flat. Every row is written before it is read, so clients
     that train one after another can share one workspace.
     """
     return np.empty((3, size))
@@ -82,8 +80,6 @@ class ClientState:
     dataset: ClientDataset
     config: ClientConfig
     seed: int
-    # During a round, a copy of the broadcast: layers 1..L, laid out like the start of model.flat.
-    theta_ref: np.ndarray | None = None
     workspace: np.ndarray | None = field(default=None, repr=False)
     adam: AdamState = field(init=False, repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
@@ -113,34 +109,35 @@ class ClientState:
 
 
 def install_low_adapters(state: ClientState, payload: bytes) -> None:
-    """Decode the broadcast straight into adapter layers 1..L of model.flat; copy it to theta_ref.
+    """Decode the broadcast straight into adapter layers 1..L of model.flat.
 
     The payload is checked in full before anything is written: one that is
     malformed or non-finite (DecodeError) or not exactly layers 1..L
-    (ProtocolError) leaves model.flat and theta_ref as they were.
+    (ProtocolError) leaves model.flat as it was.
     """
     model, layers = state.model, state.config.low_layers
-    values = deserialize_params(payload, manifest=model.manifest(layers), out=model.low(layers))
-    state.theta_ref = values.copy()
+    deserialize_params(payload, manifest=model.manifest(layers), out=model.low(layers))
 
 
 def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     """One local training pass (config.local_epochs epochs) plus evaluation.
 
+    The round starts by copying model.flat into workspace row 2; its layers
+    1..L, the broadcast just installed, are the regularizer's reference.
     Batches are drawn in a seeded shuffle keyed by (client, round); only
     adapter parameters move. Each step gathers the batch's stored block-1
     features and its masks from the dataset rows, writes the gradient into
     workspace row 0 and updates model.flat and the Adam moments in place,
-    with row 1 as scratch; row 2 is not touched. Returns the round's
-    metrics; the trained adapters stay in model.flat. With beta > 0, a
-    round with no broadcast installed (InvalidStateError) or an all-zero
-    one (InvalidArgumentError) fails before any step.
+    with row 1 as scratch. Returns the round's metrics and each layer's
+    shift from the round-start copy; the trained adapters stay in
+    model.flat. With beta > 0, an all-zero reference (InvalidArgumentError)
+    fails before any step.
     """
     cfg = state.config
     model = state.model
-    ref = state.theta_ref
-    if cfg.beta > 0 and ref is None:
-        raise InvalidStateError(f"client {state.client_id}: beta > 0 needs a broadcast installed")
+    snapshot = state.workspace[2]
+    np.copyto(snapshot, model.flat)
+    ref = snapshot[: cfg.low_layers * model.layer_size]
     if cfg.beta > 0 and not np.any(ref):
         raise InvalidArgumentError(f"client {state.client_id}: the broadcast is all zeros")
     n = state._train_first.shape[0]
@@ -162,13 +159,8 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
                 ) from exc
             losses.append(loss)
     iou, dice = evaluate(state)
-    return ClientUpdate(
-        client_id=state.client_id,
-        round_index=round_index,
-        train_loss=float(np.mean(losses)),
-        test_iou=iou,
-        test_dice=dice,
-    )
+    shift = measure_param_shift(snapshot, model.flat, model.manifest())
+    return ClientUpdate(float(np.mean(losses)), iou, dice, shift)
 
 
 def iou_dice(pred: np.ndarray, truth: np.ndarray):

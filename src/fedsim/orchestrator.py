@@ -23,19 +23,12 @@ from .adapter_net import build_model, draw_adapters
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, DecodeError, FedsimError, NumericError
-from .fed_client import (
-    ClientState,
-    install_low_adapters,
-    local_train_round,
-    measure_param_shift,
-    step_workspace,
-)
+from .fed_client import ClientState, install_low_adapters, local_train_round, step_workspace
 from .numerics import RngStream, derive_stream_id
 from .server import CollaborationMatrix, aggregate, fedavg_aggregate, update_matrix
 from .transport import (
     CommLedger,
     LedgerEntry,
-    WireMessage,
     deserialize_params,
     serialize_params,
     write_params_file,
@@ -224,21 +217,6 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
     return states
 
 
-def _client_round(state: ClientState, broadcast_payload: bytes, round_index: int):
-    """Install the broadcast, train, and return the update, the per-layer shift and the upload."""
-    install_low_adapters(state, broadcast_payload)
-    model = state.model
-    before = state.workspace[2]
-    np.copyto(before, model.flat)
-    update = local_train_round(state, round_index)
-    shift = measure_param_shift(before, model.flat, model.manifest())
-    # The broadcast served as this round's regularizer reference only.
-    state.theta_ref = None
-    layers = state.config.low_layers
-    upload = serialize_params(model.low(layers), model.manifest(layers))
-    return update, shift, upload
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
     """Execute the full round loop and return (and optionally save) the results.
 
@@ -254,10 +232,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     states = _init_states(cfg, datasets)
     n = cfg.federation.num_clients
     sizes = list(cfg.federation.client_sizes)
-    manifest = states[0].model.manifest(cfg.client.low_layers)
+    layers = cfg.client.low_layers
+    manifest = states[0].model.manifest(layers)
     ledger = CommLedger()
 
-    x = np.stack([state.model.low(cfg.client.low_layers) for state in states])
+    x = np.stack([state.model.low(layers) for state in states])
     shape = x.shape
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
@@ -276,23 +255,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         # Indexed, not iterated: a loop variable would keep the last payload
         # alive after its client's round (see the del below).
         for i in range(n):
-            ledger.record(WireMessage("broadcast", i, round_index, broadcasts[i]))
+            ledger.record("broadcast", i, round_index, broadcasts[i])
 
         x = np.empty(shape)
-        updates, shifts = [], []
+        updates = []
         for i, state in enumerate(states):
+            install_low_adapters(state, broadcasts[i])
             try:
-                update, shift, upload = _client_round(state, broadcasts[i], round_index)
+                update = local_train_round(state, round_index)
             except NumericError as exc:
                 raise NumericError(f"round {round_index}: {exc}") from exc
+            upload = serialize_params(state.model.low(layers), manifest)
             broadcasts[i] = None
-            ledger.record(WireMessage("upload", update.client_id, round_index, upload))
+            ledger.record("upload", i, round_index, upload)
             deserialize_params(upload, manifest=manifest, out=x[i])
             # A payload left alive here can sit in the heap gap the next (N, P)
             # buffer would reuse; on many_clients that costs ~12 MB of peak RSS.
             del upload
             updates.append(update)
-            shifts.append(shift)
 
         metrics = np.array([[u.train_loss, u.test_iou, u.test_dice] for u in updates])
         if not np.all(np.isfinite(metrics)):
@@ -300,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         w_snapshot = None
         if cfg.aggregator == "sgca":
-            matrix = update_matrix(updates, x, cfg.sgca)
+            matrix = update_matrix(x, cfg.sgca)
             w_snapshot = [[float(v) for v in row] for row in matrix.w]
 
         records.append(
@@ -312,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 mean_iou=float(metrics[:, 1].mean()),
                 mean_dice=float(metrics[:, 2].mean()),
                 w=w_snapshot,
-                layer_shift=[float(v) for v in np.stack(shifts).mean(axis=0)],
+                layer_shift=np.mean([u.layer_shift for u in updates], axis=0).tolist(),
                 comm_total=ledger.total,
             )
         )
@@ -349,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 class SweepItem:
     value: str
     store: ResultsStore | None
-    error: str | None
+    error: FedsimError | OSError | None  # what stopped the run
     run_dir: str | None
 
 
@@ -374,7 +354,7 @@ def run_sweep(
             store = run_experiment(cfg, run_dir)
             items.append(SweepItem(str(value), store, None, run_dir))
         except (FedsimError, OSError) as exc:
-            items.append(SweepItem(str(value), None, f"{type(exc).__name__}: {exc}", run_dir))
+            items.append(SweepItem(str(value), None, exc, run_dir))
     if out_root is not None:
         summary = {
             "axis": axis,
@@ -382,7 +362,7 @@ def run_sweep(
                 {
                     "value": item.value,
                     "ok": item.error is None,
-                    "error": item.error,
+                    "error": item.error and f"{type(item.error).__name__}: {item.error}",
                     "final_mean_iou": item.store.summary["final_mean_iou"] if item.store else None,
                     "final_mean_dice": item.store.summary["final_mean_dice"] if item.store else None,
                     "comm_total": item.store.summary["comm_total"] if item.store else None,

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ProtocolError
-from .fed_client import ClientUpdate
 from .numerics import simplex_project
 
 SIMILARITY_METRICS = ("inner", "cosine", "l1_based", "l2_based")
@@ -155,23 +154,11 @@ def solve_row(s: np.ndarray, alpha: float) -> np.ndarray:
     return simplex_project(np.maximum(c, -1.0))
 
 
-def update_matrix(
-    updates: Sequence[ClientUpdate], x: np.ndarray, cfg: SgcaConfig
-) -> CollaborationMatrix:
-    """Recompute the full collaboration matrix from this round's uploads.
+def update_matrix(x: np.ndarray, cfg: SgcaConfig) -> CollaborationMatrix:
+    """Recompute the full collaboration matrix from this round's uploads, row i client i's.
 
-    Row i of x is client i's upload; the updates supply each client's id
-    and round. pairwise_similarity and solve_row check cfg's fields.
+    pairwise_similarity and solve_row check x and cfg's fields.
     """
-    n = len(updates)
-    ids = sorted(u.client_id for u in updates)
-    if ids != list(range(n)):
-        raise ProtocolError(f"expected one update per client 0..{n - 1}, got ids {ids}")
-    rounds = {u.round_index for u in updates}
-    if len(rounds) != 1:
-        raise ProtocolError(f"updates span multiple rounds: {sorted(rounds)}")
-    if x.shape[0] != n:
-        raise ProtocolError(f"got {n} updates but {x.shape[0]} uploads")
     s = pairwise_similarity(x, cfg.metric, cfg.normalization)
     return CollaborationMatrix(solve_row(s, cfg.alpha))
 

@@ -1,4 +1,4 @@
-"""Wire messages, binary serialization, checkpoint files, and the comm ledger.
+"""Binary serialization of wire payloads, checkpoint files, and the comm ledger.
 
 Payloads are little-endian float64 with a fixed header, so byte output is
 identical across runs and platforms. Every payload is a plain float64
@@ -98,18 +98,6 @@ def deserialize_params(data: bytes, *, manifest: Manifest, out: np.ndarray) -> n
 
 
 @dataclass
-class WireMessage:
-    kind: str
-    client_id: int
-    round_index: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        if self.kind not in MESSAGE_KINDS:
-            raise InvalidArgumentError(f"kind must be one of {MESSAGE_KINDS}")
-
-
-@dataclass
 class LedgerEntry:
     round: int
     direction: str
@@ -135,13 +123,11 @@ class CommLedger:
     entries: list[LedgerEntry] = field(default_factory=list)
     total: int = 0
 
-    def record(self, msg: WireMessage) -> LedgerEntry:
-        entry = LedgerEntry(
-            round=msg.round_index,
-            direction=msg.kind,
-            client_id=msg.client_id,
-            scalar_count=payload_scalar_count(msg.payload),
-        )
+    def record(self, direction: str, client_id: int, round: int, payload: bytes) -> LedgerEntry:
+        """Append the entry of one payload sent in `direction`, one of MESSAGE_KINDS."""
+        if direction not in MESSAGE_KINDS:
+            raise InvalidArgumentError(f"direction must be one of {MESSAGE_KINDS}")
+        entry = LedgerEntry(round, direction, client_id, payload_scalar_count(payload))
         self.entries.append(entry)
         self.total += entry.scalar_count
         return entry
@@ -160,12 +146,19 @@ def write_params_file(values: np.ndarray, path: str, manifest: Manifest) -> None
 def read_params_file(path: str) -> tuple[Manifest, np.ndarray]:
     """A checkpoint's manifest and its values, read-only; a malformed file raises DecodeError.
 
-    No manifest is expected, so the file's own must have strictly increasing
-    layer indices (lengths are unsigned in the frame).
+    No manifest is expected, so the file's own must be one a model can have:
+    at least one layer, 1-based and strictly increasing indices, and no
+    empty layer.
     """
     with open(path, "rb") as fh:
         manifest, values = _decode_frame(fh.read())
     indices = [idx for idx, _ in manifest]
+    if not indices:
+        raise DecodeError("manifest: layer count must be >= 1")
+    if 0 in indices:
+        raise DecodeError("manifest: layer indices must be 1-based")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise DecodeError("manifest: layer indices must be strictly increasing")
+    if not all(length for _, length in manifest):
+        raise DecodeError("manifest: layer lengths must be >= 1")
     return manifest, values

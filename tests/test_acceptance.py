@@ -25,7 +25,6 @@ from fedsim.oracles import check_gradients, check_row_solver
 from fedsim.orchestrator import export_store, run_experiment
 from fedsim.transport import (
     CommLedger,
-    WireMessage,
     deserialize_params,
     serialize_params,
 )
@@ -215,8 +214,8 @@ def test_criterion_04_communication_cost_exactness():
         ledger = CommLedger()
         for round_index in range(1, rounds + 1):
             for client in range(clients):
-                ledger.record(WireMessage("broadcast", client, round_index, payload))
-                ledger.record(WireMessage("upload", client, round_index, payload))
+                ledger.record("broadcast", client, round_index, payload)
+                ledger.record("upload", client, round_index, payload)
         return ledger.total
 
     low = total_for(1)

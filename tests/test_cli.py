@@ -136,6 +136,22 @@ class TestSweepCommand:
         assert proc.returncode == 0
         assert "FAILED" in proc.stdout
 
+    def test_a_sweep_whose_every_run_diverged_exits_as_run_does(self, tmp_path, small_config_text):
+        text = small_config_text.replace("rounds = 3", "rounds = 1")
+        cfg = write_config(tmp_path, text.replace("learning_rate = 0.01", "learning_rate = 1e308"))
+        assert run_cli("run", "--config", str(cfg)).returncode == 3
+        proc = run_cli("sweep", "--config", str(cfg), "--axis", "beta", "--values", "0.01,0.02")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.count("FAILED (NumericError: ") == 2
+        assert "\nnumeric error: l2_based similarity" in "\n" + proc.stderr
+
+    def test_a_sweep_of_only_invalid_values_exits_2(self, tmp_path, small_config_text):
+        cfg = write_config(tmp_path, small_config_text.replace("rounds = 3", "rounds = 1"))
+        proc = run_cli("sweep", "--config", str(cfg), "--axis", "metric", "--values", "bogus,l9")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.count("FAILED (ConfigError: ") == 2
+        assert "validation error: " in proc.stderr
+
 
 class TestOracleCheckCommand:
     def test_prints_one_line_per_suite(self):

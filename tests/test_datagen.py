@@ -217,6 +217,14 @@ class TestContainer:
             save_federation(datasets, str(path))
         assert not path.exists()
 
+    @pytest.mark.parametrize("clients", [0, 1])
+    def test_fewer_than_two_clients_rejected_before_writing(self, tmp_path, clients):
+        datasets = generate_federation(two_cluster_spec(sizes=(6, 6, 6, 6)))[:clients]
+        path = tmp_path / "federation.fscd"
+        with pytest.raises(InvalidArgumentError, match=f"needs at least 2 clients, got {clients}$"):
+            save_federation(datasets, str(path))
+        assert not path.exists()
+
     def test_client_with_both_splits_empty_rejected_before_writing(self, tmp_path):
         datasets = generate_federation(two_cluster_spec(sizes=(6, 6, 6, 6)))
         datasets[3] = ClientDataset(datasets[3].train[:0], datasets[3].test[:0])
@@ -255,6 +263,8 @@ def container(*clients):
 
 IMAGE = [0.0, 0.25, 0.5, 1.0]
 MASK = [0.0, 1.0, 1.0, 0.0]
+# A valid client to follow the one under test: a federation has at least 2.
+SECOND = (1, 1, 4, IMAGE + MASK + IMAGE + MASK)
 
 
 class TestContainerChecks:
@@ -265,18 +275,24 @@ class TestContainerChecks:
 
     def test_small_valid_file_loads(self, tmp_path):
         test_mask = [1.0, 0.0, 0.0, 1.0]
-        loaded = self.load(tmp_path, container((1, 1, 4, IMAGE + MASK + IMAGE + test_mask)))
+        loaded = self.load(tmp_path, container((1, 1, 4, IMAGE + MASK + IMAGE + test_mask), SECOND))
         assert loaded[0].train.tolist() == [[IMAGE, MASK]]
         assert loaded[0].test.tolist() == [[IMAGE, test_mask]]
+        assert loaded[1].train.tolist() == loaded[1].test.tolist() == [[IMAGE, MASK]]
+
+    @pytest.mark.parametrize("clients", [(), (SECOND,)], ids=["0", "1"])
+    def test_fewer_than_two_clients_rejected(self, tmp_path, clients):
+        with pytest.raises(DecodeError, match=rf"^clients: the file declares {len(clients)}, "):
+            self.load(tmp_path, container(*clients))
 
     def test_zero_pixels_rejected(self, tmp_path):
         # 24 bytes asking for a million empty samples.
         with pytest.raises(DecodeError, match=r"^pixels: client 0 declares 0"):
-            self.load(tmp_path, container((1_000_000, 0, 0, [])))
+            self.load(tmp_path, container((1_000_000, 0, 0, []), SECOND))
 
     def test_declared_size_beyond_the_file_rejected_before_reading(self, tmp_path):
         with pytest.raises(DecodeError, match=r"^payload: client 0 declares 1000 samples"):
-            self.load(tmp_path, container((999, 1, 4, IMAGE + MASK)))
+            self.load(tmp_path, container((999, 1, 4, IMAGE + MASK), SECOND))
 
     def test_pixel_count_must_match_client_0(self, tmp_path):
         data = container((1, 0, 4, IMAGE + MASK), (1, 0, 9, [0.0] * 18))
@@ -285,12 +301,12 @@ class TestContainerChecks:
 
     def test_non_finite_image_rejected(self, tmp_path):
         with pytest.raises(DecodeError, match=r"^image: "):
-            self.load(tmp_path, container((1, 0, 4, [0.0, np.nan, 0.5, 1.0] + MASK)))
+            self.load(tmp_path, container((1, 0, 4, [0.0, np.nan, 0.5, 1.0] + MASK), SECOND))
 
     @pytest.mark.parametrize("bad", [0.5, 7.0])
     def test_non_binary_mask_rejected(self, tmp_path, bad):
         with pytest.raises(DecodeError, match=r"^mask: "):
-            self.load(tmp_path, container((1, 0, 4, IMAGE + [0.0, bad, 1.0, 0.0])))
+            self.load(tmp_path, container((1, 0, 4, IMAGE + [0.0, bad, 1.0, 0.0]), SECOND))
 
     @pytest.mark.parametrize("split, n_train, n_test", [("train", 0, 1), ("test", 1, 0)])
     def test_empty_split_rejected(self, tmp_path, split, n_train, n_test):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import fedsim.fed_client as fed_client
-import fedsim.orchestrator as orchestrator
 from fedsim.adapter_net import (
     adam_step,
     block1_features,
@@ -36,7 +35,6 @@ from fedsim.fed_client import (
     measure_param_shift,
 )
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
-from fedsim.orchestrator import _client_round
 from fedsim.transport import deserialize_params, serialize_params
 
 
@@ -77,14 +75,25 @@ def broadcast(state, values=None, num_layers=None):
     return serialize_params(values, state.model.manifest(n))
 
 
+def client_round(state, payload, round_index):
+    """The round loop's three calls for one client: install, train, serialize the upload."""
+    install_low_adapters(state, payload)
+    update = local_train_round(state, round_index)
+    low = state.config.low_layers
+    return update, serialize_params(state.model.low(low), state.model.manifest(low))
+
+
+def report(update):
+    """A ClientUpdate's fields, its layer shift as bytes, so reports compare with ==."""
+    return update.train_loss, update.test_iou, update.test_dice, update.layer_shift.tobytes()
+
+
 class TestInstall:
     def test_reinstalling_current_params_is_idempotent(self):
         state = make_state()
         current = state.model.flat.copy()
-        received = state.model.low(1).copy()
         install_low_adapters(state, broadcast(state))
         assert np.array_equal(state.model.flat, current)
-        assert np.array_equal(state.theta_ref, received)
 
     def test_higher_layers_untouched_by_install(self):
         state = make_state(low_layers=2)
@@ -97,8 +106,9 @@ class TestInstall:
 
     def test_reg_loss_is_minus_one_right_after_install(self):
         state = make_state()
-        install_low_adapters(state, broadcast(state))
-        a, b = state.model.low(1), state.theta_ref
+        received = 0.1 * RngStream(1, 2).draw_gaussian(state.model.layer_size)
+        install_low_adapters(state, broadcast(state, received))
+        a, b = state.model.low(1), received
         value = -(float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
         assert value == pytest.approx(-1.0, abs=1e-12)
 
@@ -107,15 +117,9 @@ class TestInstall:
         with pytest.raises(ProtocolError):
             install_low_adapters(state, broadcast(state, num_layers=2))
 
-    def test_theta_ref_is_a_copy_not_a_view_of_the_model(self):
-        state = make_state(low_layers=2)
-        install_low_adapters(state, broadcast(state))
-        assert state.theta_ref.shape == (2 * state.model.layer_size,)
-        assert not np.shares_memory(state.theta_ref, state.model.flat)
-
 
 class TestBadBroadcast:
-    """A rejected broadcast leaves model.flat and theta_ref bit for bit as they were."""
+    """A rejected broadcast leaves model.flat bit for bit as it was."""
 
     def _bad_payloads(self, state):
         size = state.model.layer_size
@@ -138,22 +142,20 @@ class TestBadBroadcast:
     def test_rejected_broadcast_changes_nothing(self):
         state = make_state()
         install_low_adapters(state, broadcast(state))
-        local_train_round(state, 1)  # model.flat now differs from theta_ref
-        flat, ref = state.model.flat.tobytes(), state.theta_ref.tobytes()
+        local_train_round(state, 1)  # model.flat now differs from the broadcast
+        flat = state.model.flat.tobytes()
         for error, payload in self._bad_payloads(state):
             with pytest.raises(error):
                 install_low_adapters(state, payload)
             assert state.model.flat.tobytes() == flat
-            assert state.theta_ref.tobytes() == ref
 
-    def test_rejected_first_broadcast_leaves_no_reference(self):
+    def test_rejected_first_broadcast_leaves_the_drawn_adapters(self):
         state = make_state()
         flat = state.model.flat.tobytes()
         for error, payload in self._bad_payloads(state):
             with pytest.raises(error):
                 install_low_adapters(state, payload)
             assert state.model.flat.tobytes() == flat
-            assert state.theta_ref is None
 
 
 def half_first_pixel(rows):
@@ -209,27 +211,22 @@ class TestChecksAtEntry:
         assert (state.adam.first_moment.tobytes(), state.adam.second_moment.tobytes()) == moments
         assert state.adam.step_count == 0
 
-    def test_regularized_round_needs_a_broadcast(self):
-        state = make_state(beta=0.01, n=10)
-        assert state.theta_ref is None
-        self._assert_round_rejected(state, InvalidStateError, "^client 0: beta > 0 needs")
-
     def test_regularized_round_rejects_an_all_zero_broadcast(self):
         state = make_state(beta=0.01, n=10)
         install_low_adapters(state, broadcast(state, np.zeros(state.model.layer_size)))
         self._assert_round_rejected(state, InvalidArgumentError, "^client 0: the broadcast is all")
 
-    def test_unregularized_round_ignores_the_reference(self):
+    def test_unregularized_round_accepts_an_all_zero_broadcast(self):
+        # With beta = 0 the reference is not used, so a zero one is no fault.
         trained = []
-        for zero_broadcast in (False, True):
+        for install in (install_low_adapters, lambda state, payload: None):
             state = make_state(beta=0.0, n=10)
-            if zero_broadcast:
-                before = state.model.flat.copy()
-                install_low_adapters(state, broadcast(state, np.zeros(state.model.layer_size)))
-                state.model.flat[...] = before
+            state.model.low(1)[...] = 0.0
+            install(state, broadcast(state))
             update = local_train_round(state, 1)
-            trained.append((update.train_loss, state.model.flat.tobytes()))
+            trained.append((report(update), state.model.flat.tobytes()))
         assert trained[0] == trained[1]
+        assert np.isfinite(trained[0][0][0])
 
 
 class TestLocalTraining:
@@ -264,20 +261,25 @@ class TestLocalTraining:
     def test_upload_covers_exactly_the_low_layers(self):
         for low_layers in range(1, 7):
             state = make_state(low_layers=low_layers, n=20)
-            _, _, upload = _client_round(state, broadcast(state), 1)
+            _, upload = client_round(state, broadcast(state), 1)
             size = low_layers * state.model.layer_size
             manifest = state.model.manifest(low_layers)
             got = deserialize_params(upload, manifest=manifest, out=np.empty(size))
             assert got.tobytes() == state.model.low(low_layers).tobytes()
 
-    def test_theta_ref_snapshot_survives_training(self):
+    def test_reference_snapshot_survives_training(self):
+        # Workspace row 2 holds the round-start copy of model.flat: the broadcast in layer 1.
         state = make_state()
-        install_low_adapters(state, broadcast(state))
-        snapshot = state.theta_ref.tobytes()
+        received = state.model.low(1) + 0.01 * RngStream(4, 4).draw_gaussian(state.model.layer_size)
+        install_low_adapters(state, broadcast(state, received))
+        start = state.model.flat.copy()
         local_train_round(state, 1)
-        assert state.theta_ref.tobytes() == snapshot
+        snapshot = state.workspace[2]
+        assert snapshot.tobytes() == start.tobytes()
+        assert snapshot[: state.model.layer_size].tobytes() == received.tobytes()
+        assert not np.shares_memory(snapshot, state.model.flat)
         # and training actually moved the live layer away from the snapshot
-        assert not np.array_equal(state.model.low(1), state.theta_ref)
+        assert not np.array_equal(state.model.low(1), received)
 
     def test_empty_train_set_is_invalid_state(self):
         state = make_state(n=10)
@@ -305,12 +307,13 @@ class TestLocalTraining:
         assert np.all(np.isfinite(state.model.low(1)))
 
 
-def reference_round(state, round_index):
+def reference_round(state, round_index, theta_ref):
     """The per-step loop local_train_round replaced; returns its mean train loss.
 
     Every step goes through the public, validated API: objective_and_grad
-    on the batch's block-1 features into fresh buffers, a FlatParams copy of
-    the adapters, adam_step, and an install.
+    on the batch's block-1 features into fresh buffers, with theta_ref, the
+    round's broadcast, as the reference, a FlatParams copy of the adapters,
+    adam_step, and an install.
     """
     cfg = state.config
     images, masks = state.dataset.train[:, 0], state.dataset.train[:, 1]
@@ -324,7 +327,7 @@ def reference_round(state, round_index):
             first = block1_features(images[idx], state.model)
             grads, scratch = np.empty((2, state.model.flat.size))
             loss, _ = objective_and_grad(
-                first, masks[idx], state.model, state.theta_ref, cfg.beta, grads, scratch
+                first, masks[idx], state.model, theta_ref, cfg.beta, grads, scratch
             )
             params = state.model.adapter_params()
             new_params, state.adam = adam_step(
@@ -346,14 +349,17 @@ class TestReferenceEquivalence:
             make_state(seed=5, num_blocks=3, low_layers=low_layers or 1, beta=beta, epochs=2, n=50)
             for _ in range(2)
         ]
-        if low_layers is not None:
-            for state in states:
-                install_low_adapters(state, broadcast(state))
         fast, slow = states
-        assert (fast.theta_ref is None) == (low_layers is None)
         for round_index in range(1, 4):
+            theta_ref = None
+            if low_layers is not None:
+                # Each round's broadcast: the current layers 1..L, nudged.
+                noise = RngStream(9, round_index).draw_gaussian(low_layers * fast.model.layer_size)
+                theta_ref = fast.model.low(low_layers) + 0.01 * noise
+                for state in states:
+                    install_low_adapters(state, broadcast(state, theta_ref))
             update = local_train_round(fast, round_index)
-            assert update.train_loss == reference_round(slow, round_index)
+            assert update.train_loss == reference_round(slow, round_index, theta_ref)
             assert fast.model.flat.tobytes() == slow.model.flat.tobytes()
             assert fast.adam.first_moment.tobytes() == slow.adam.first_moment.tobytes()
             assert fast.adam.second_moment.tobytes() == slow.adam.second_moment.tobytes()
@@ -452,9 +458,7 @@ class TestParamShift:
         # Fixed fixture: 10 local epochs with the transmitted layer regularized.
         state = make_state(seed=0, lr=1e-2, beta=0.1, epochs=10, n=100)
         install_low_adapters(state, broadcast(state))
-        before = state.model.flat.copy()
-        local_train_round(state, 1)
-        shift = measure_param_shift(before, state.model.flat, state.model.manifest())
+        shift = local_train_round(state, 1).layer_shift
         assert shift[0] < shift[-1]
 
     def test_flat_vectors_must_match_the_manifest(self):
@@ -464,7 +468,7 @@ class TestParamShift:
             measure_param_shift(np.ones(4), np.ones(3), ((1, 2), (2, 2)))
 
     def test_round_shift_is_bitwise_the_flatparams_computation(self):
-        # The round loop measures the shift on a plain copy of model.flat;
+        # local_train_round measures the shift on a plain copy of model.flat;
         # the reference takes it from two validated FlatParams snapshots.
         def flatparams_shift(before, after):
             shifts = []
@@ -481,21 +485,8 @@ class TestParamShift:
         ref_update = local_train_round(ref_state, 1)
         expected = flatparams_shift(before, ref_state.model.adapter_params())
 
-        update, shift, upload = _client_round(state, payload, 1)
-        assert shift.tobytes() == expected.tobytes()
+        update, upload = client_round(state, payload, 1)
+        assert update.layer_shift.tobytes() == expected.tobytes()
         assert upload == broadcast(ref_state)
-        assert update == ref_update
+        assert report(update) == report(ref_update)
         assert np.array_equal(state.model.flat, ref_state.model.flat)
-
-    def test_round_releases_the_reference_once_training_is_done(self, monkeypatch):
-        state = make_state(beta=0.1, low_layers=2)
-        seen = []
-
-        def spy(state, round_index):
-            seen.append(state.theta_ref)
-            return local_train_round(state, round_index)
-
-        monkeypatch.setattr(orchestrator, "local_train_round", spy)
-        _client_round(state, broadcast(state), 1)
-        assert seen[0] is not None and seen[0].shape == (2 * state.model.layer_size,)
-        assert state.theta_ref is None

@@ -255,16 +255,22 @@ class TestServerMatrix:
         assert got == expected
 
     def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
-        real = orchestrator._client_round
+        real_train = orchestrator.local_train_round
+        trained = []
 
-        def wrong_layers(state, payload, round_index):
-            update, shift, upload = real(state, payload, round_index)
-            if state.client_id == 2:
-                size = state.model.layer_size
-                upload = serialize_params(state.model.flat[size : 2 * size], ((2, size),))
-            return update, shift, upload
+        def train(state, round_index):
+            trained.append(state)
+            return real_train(state, round_index)
 
-        monkeypatch.setattr(orchestrator, "_client_round", wrong_layers)
+        def wrong_layers(values, manifest):
+            # The first payload serialized once client 2 has trained is its upload.
+            if trained and trained[-1].client_id == 2:
+                size = trained[-1].model.layer_size
+                return serialize_params(trained[-1].model.flat[size : 2 * size], ((2, size),))
+            return serialize_params(values, manifest)
+
+        monkeypatch.setattr(orchestrator, "local_train_round", train)
+        monkeypatch.setattr(orchestrator, "serialize_params", wrong_layers)
         with pytest.raises(ProtocolError, match="manifest"):
             run_experiment(parse_config_text(small_config_text))
 
@@ -274,20 +280,20 @@ class TestServerMatrix:
         seen = []
         real = orchestrator.update_matrix
 
-        def spy(updates, x, cfg):
+        def spy(x, cfg):
             seen.append(x.copy())
-            return real(updates, x, cfg)
+            return real(x, cfg)
 
         trained = []
-        real_round = orchestrator._client_round
+        real_train = orchestrator.local_train_round
 
-        def record(state, payload, round_index):
-            result = real_round(state, payload, round_index)
+        def record(state, round_index):
+            update = real_train(state, round_index)
             trained.append(state.model.low(state.config.low_layers).copy())
-            return result
+            return update
 
         monkeypatch.setattr(orchestrator, "update_matrix", spy)
-        monkeypatch.setattr(orchestrator, "_client_round", record)
+        monkeypatch.setattr(orchestrator, "local_train_round", record)
         run_experiment(parse_config_text(small_config_text))
         assert len(seen) == 3
         for round_index, x in enumerate(seen):
@@ -300,11 +306,11 @@ class TestServerMatrix:
         live = []
         real = orchestrator.update_matrix
 
-        def spy(updates, x, cfg):
+        def spy(x, cfg):
             in_transport = tracemalloc.Filter(True, transport.__file__)
             traces = tracemalloc.take_snapshot().filter_traces([in_transport]).traces
             live.append([t.size for t in traces if t.size >= x[0].nbytes])
-            return real(updates, x, cfg)
+            return real(x, cfg)
 
         monkeypatch.setattr(orchestrator, "update_matrix", spy)
         tracemalloc.start()
@@ -362,16 +368,22 @@ class TestInitStates:
             payloads = [serialize_params(s.model.low(low), s.model.manifest(low)) for s in states]
             return states, payloads
 
+        def client_round(state, payload):
+            install_low_adapters(state, payload)
+            update = local_train_round(state, 1)
+            low = cfg.client.low_layers
+            upload = serialize_params(state.model.low(low), state.model.manifest(low))
+            return update.train_loss, update.test_iou, update.test_dice, update.layer_shift, upload
+
         shared, payloads = fresh_states()
         assert all(state.workspace is shared[0].workspace for state in shared)
         # Client 1's round right after client 0's, which leaves its rows in the workspace.
-        orchestrator._client_round(shared[0], payloads[0], 1)
-        after_other = orchestrator._client_round(shared[1], payloads[1], 1)
+        client_round(shared[0], payloads[0])
+        *after_other, shift, upload = client_round(shared[1], payloads[1])
         alone_states, alone_payloads = fresh_states()
-        alone = orchestrator._client_round(alone_states[1], alone_payloads[1], 1)
+        *alone, want_shift, want_upload = client_round(alone_states[1], alone_payloads[1])
 
-        (update, shift, upload), (want_update, want_shift, want_upload) = after_other, alone
-        assert update == want_update
+        assert after_other == alone
         assert shift.tobytes() == want_shift.tobytes()
         assert upload == want_upload
         got, want = shared[1], alone_states[1]
@@ -449,9 +461,11 @@ class TestSweeps:
         cfg = parse_config_text(small_config_text.replace("rounds = 3", "rounds = 1"))
         items = run_sweep(cfg, "metric", ["l2_based", "bogus"], tmp_path)
         assert items[0].error is None
-        assert items[1].error is not None and "bogus" in items[1].error
+        assert isinstance(items[1].error, ConfigError) and "bogus" in str(items[1].error)
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["items"][0]["error"] is None
         assert summary["items"][1]["ok"] is False
+        assert summary["items"][1]["error"] == f"ConfigError: {items[1].error}"
 
     def test_unknown_axis_rejected(self, small_config_text):
         cfg = parse_config_text(small_config_text)

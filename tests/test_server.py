@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedsim.errors import InvalidArgumentError, NumericError, ProtocolError
-from fedsim.fed_client import ClientUpdate
 from fedsim.numerics import RngStream
 from fedsim.oracles import kkt_row_argmin
 from fedsim.server import (
@@ -16,7 +15,7 @@ from fedsim.server import (
     solve_row,
     update_matrix,
 )
-from fedsim.transport import deserialize_params, payload_scalar_count, serialize_params
+from fedsim.transport import deserialize_params, serialize_params
 
 
 class Upload(NamedTuple):
@@ -42,27 +41,6 @@ def uploads(params):
     for row, p in zip(x, params):
         deserialize_params(serialize_params(*p), manifest=manifest, out=row)
     return x
-
-
-def make_update(client_id, values, round_index=1):
-    """A client's round report and its upload: the wire bytes of a one-layer vector."""
-    update = ClientUpdate(
-        client_id=client_id,
-        round_index=round_index,
-        train_loss=0.0,
-        test_iou=0.0,
-        test_dice=0.0,
-    )
-    return update, serialize_params(*flat(values))
-
-
-def round_inputs(sent):
-    """update_matrix's reports and upload matrix for (report, upload) pairs of one-layer uploads."""
-    manifest = ((1, payload_scalar_count(sent[0][1])),)
-    x = np.zeros((len(sent), manifest[0][1]))
-    for row, (_, payload) in zip(x, sent):
-        deserialize_params(payload, manifest=manifest, out=row)
-    return [update for update, _ in sent], x
 
 
 def pair_loop_similarity(params, metric, normalization):
@@ -163,16 +141,16 @@ class TestPairwiseSimilarity:
         x = np.array([[1.0, 0.0], [2.2250738585e-313, 1.0]])
         with pytest.raises(NumericError, match=f"^{metric} similarity"):
             pairwise_similarity(x, metric, "max_abs_row")
-        sent = [make_update(0, x[0]), make_update(1, x[1])]
+        sent = [flat(x[0]), flat(x[1])]
         with pytest.raises(NumericError):
-            update_matrix(*round_inputs(sent), SgcaConfig(metric=metric))
+            update_matrix(uploads(sent), SgcaConfig(metric=metric))
         assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
 
     def test_qp_inputs_far_beyond_float64_resolution_solve_exactly(self):
         # Row 0's scaled self-similarity is 2e95, so its QP input is ~1e95.
         x = np.array([[1.0], [5.06974647e-96]])
-        sent = [make_update(0, x[0]), make_update(1, x[1])]
-        w = update_matrix(*round_inputs(sent), SgcaConfig(metric="inner")).w
+        sent = [flat(x[0]), flat(x[1])]
+        w = update_matrix(uploads(sent), SgcaConfig(metric="inner")).w
         assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
 
     def test_manifest_mismatch_is_protocol_error(self):
@@ -283,30 +261,30 @@ class TestSolveRow:
 
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
-        sent = [make_update(i, [float(i), 0.0]) for i in range(4)]
-        matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=0.0))
+        sent = [flat([float(i), 0.0]) for i in range(4)]
+        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
             assert len(set(row.tolist())) == 1
 
     def test_identical_pair_attracts_weight(self):
         sent = [
-            make_update(0, [1.0, 1.0]),
-            make_update(1, [1.0, 1.0]),
-            make_update(2, [4.0, -3.0]),
+            flat([1.0, 1.0]),
+            flat([1.0, 1.0]),
+            flat([4.0, -3.0]),
         ]
-        matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=1.0))
+        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=1.0))
         assert matrix.w[0, 1] >= matrix.w[0, 2]
         assert matrix.w[1, 0] >= matrix.w[1, 2]
 
     def test_client_relabeling_permutes_the_matrix(self):
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
-        sent = [make_update(i, vectors[i]) for i in range(3)]
-        base = update_matrix(*round_inputs(sent), SgcaConfig())
+        sent = [flat(vectors[i]) for i in range(3)]
+        base = update_matrix(uploads(sent), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
-        sent = [make_update(i, vectors[perm[i]]) for i in range(3)]
-        permuted = update_matrix(*round_inputs(sent), SgcaConfig())
+        sent = [flat(vectors[perm[i]]) for i in range(3)]
+        permuted = update_matrix(uploads(sent), SgcaConfig())
         for i in range(3):
             for j in range(3):
                 assert permuted.w[i, j] == pytest.approx(base.w[perm[i], perm[j]], abs=1e-12)
@@ -314,20 +292,10 @@ class TestUpdateMatrix:
     def test_rows_are_stochastic_for_random_inputs(self):
         stream = RngStream(37, 0)
         for alpha in (0.0, 0.5, 2.0, 50.0):
-            sent = [make_update(i, stream.draw_gaussian(6)) for i in range(5)]
-            matrix = update_matrix(*round_inputs(sent), SgcaConfig(alpha=alpha))
+            sent = [flat(stream.draw_gaussian(6)) for i in range(5)]
+            matrix = update_matrix(uploads(sent), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_duplicate_ids_rejected(self):
-        sent = [make_update(0, [1.0]), make_update(0, [2.0])]
-        with pytest.raises(ProtocolError):
-            update_matrix(*round_inputs(sent), SgcaConfig())
-
-    def test_inconsistent_rounds_rejected(self):
-        sent = [make_update(0, [1.0]), make_update(1, [2.0], round_index=2)]
-        with pytest.raises(ProtocolError):
-            update_matrix(*round_inputs(sent), SgcaConfig())
 
     @pytest.mark.parametrize(
         "cfg, match",
@@ -341,9 +309,9 @@ class TestUpdateMatrix:
     )
     def test_invalid_config_rejected_where_it_is_used(self, cfg, match):
         # update_matrix does not validate cfg itself: pairwise_similarity and solve_row do.
-        sent = [make_update(i, [float(i), 1.0]) for i in range(3)]
+        sent = [flat([float(i), 1.0]) for i in range(3)]
         with pytest.raises(InvalidArgumentError, match=match):
-            update_matrix(*round_inputs(sent), cfg)
+            update_matrix(uploads(sent), cfg)
 
 
 class TestAggregate:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fedsim.errors import NumericError  # noqa: E402
-from fedsim.fed_client import ClientUpdate  # noqa: E402
 from fedsim.numerics import simplex_project  # noqa: E402
 from fedsim.oracles import kkt_simplex_argmin  # noqa: E402
 from fedsim.server import (  # noqa: E402
@@ -118,10 +117,6 @@ float_uploads = st.integers(2, 8).flatmap(
 alphas = st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e))
 
 
-def round_updates(n):
-    return [ClientUpdate(i, 1, 0.0, 0.0, 0.0) for i in range(n)]
-
-
 @settings(deadline=None, database=None)
 @given(
     x=float_uploads,
@@ -130,16 +125,15 @@ def round_updates(n):
     normalization=st.sampled_from(NORMALIZATIONS),
 )
 def test_update_matrix_rows_are_stochastic(x, alpha, metric, normalization):
-    updates = round_updates(x.shape[0])
     cfg = SgcaConfig(alpha, metric, normalization)
     try:
         pairwise_similarity(x, metric, normalization)
     except NumericError:
         # A self-similarity overflowed its row's scaling: the round cannot mix.
         with pytest.raises(NumericError):
-            update_matrix(updates, x, cfg)
+            update_matrix(x, cfg)
         return
-    w = update_matrix(updates, x, cfg).w
+    w = update_matrix(x, cfg).w
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -156,5 +150,5 @@ def test_update_matrix_solves_all_rows_as_each_row_alone(x, alpha, metric, norma
         s = pairwise_similarity(x, metric, normalization)
     except NumericError:
         assume(False)
-    w = update_matrix(round_updates(x.shape[0]), x, SgcaConfig(alpha, metric, normalization)).w
+    w = update_matrix(x, SgcaConfig(alpha, metric, normalization)).w
     assert np.array_equal(w, np.vstack([solve_row(row, alpha) for row in s]))

@@ -12,7 +12,6 @@ from fedsim.orchestrator import ResultsStore
 from fedsim.transport import (
     CommLedger,
     LedgerEntry,
-    WireMessage,
     deserialize_params,
     payload_scalar_count,
     read_params_file,
@@ -136,15 +135,33 @@ class TestCheckpointFile:
         assert not got_values.flags.writeable
 
     @pytest.mark.parametrize(
-        "manifest",
-        [((2, 2), (1, 1)), ((1, 2), (1, 1)), ((1, 1), (3, 1), (2, 1))],
-        ids=["decreasing", "duplicate", "decreasing-after-a-gap"],
+        "manifest, why",
+        [
+            (((2, 2), (1, 1)), "indices must be strictly increasing"),
+            (((1, 2), (1, 1)), "indices must be strictly increasing"),
+            (((1, 1), (3, 1), (2, 1)), "indices must be strictly increasing"),
+            (((0, 3),), "indices must be 1-based"),
+            (((0, 1), (1, 2)), "indices must be 1-based"),
+            (((1, 0),), "lengths must be >= 1"),
+            (((1, 2), (2, 0), (3, 1)), "lengths must be >= 1"),
+            ((), "count must be >= 1"),
+        ],
+        ids=[
+            "decreasing",
+            "duplicate",
+            "decreasing-after-a-gap",
+            "layer-0",
+            "layer-0-first",
+            "empty-layer",
+            "empty-middle-layer",
+            "no-layers",
+        ],
     )
-    def test_non_increasing_layer_indices_are_a_decode_error(self, tmp_path, manifest):
+    def test_a_manifest_no_model_has_is_a_decode_error(self, tmp_path, manifest, why):
         values = np.arange(float(sum(n for _, n in manifest)))
         path = tmp_path / "adapters.fsca"
         write_params_file(values, str(path), manifest)
-        with pytest.raises(DecodeError, match=r"^manifest: layer indices must be strictly increasing$"):
+        with pytest.raises(DecodeError, match=f"^manifest: layer {why}$"):
             read_params_file(str(path))
 
     @pytest.mark.parametrize("cut", [0, 11, 19, -1])
@@ -211,16 +228,15 @@ class TestDecodeIntoRow:
 
 
 class TestLedger:
-    def _message(self, kind, client_id, round_index, scalars):
-        payload = serialize_params(np.zeros(scalars), ((1, scalars),))
-        return WireMessage(kind, client_id, round_index, payload)
+    def _payload(self, scalars):
+        return serialize_params(np.zeros(scalars), ((1, scalars),))
 
     def test_two_rounds_three_clients_layer_of_100(self):
         ledger = CommLedger()
         for round_index in (1, 2):
             for client in range(3):
-                ledger.record(self._message("broadcast", client, round_index, 100))
-                ledger.record(self._message("upload", client, round_index, 100))
+                ledger.record("broadcast", client, round_index, self._payload(100))
+                ledger.record("upload", client, round_index, self._payload(100))
         assert ledger.total == 2 * 2 * 3 * 100
 
     def test_full_versus_low_depth_ratio_is_depth(self):
@@ -231,8 +247,8 @@ class TestLedger:
             payload = low_payload(model, depth)
             for round_index in range(1, 3):
                 for client in range(4):
-                    ledger.record(WireMessage("broadcast", client, round_index, payload))
-                    ledger.record(WireMessage("upload", client, round_index, payload))
+                    ledger.record("broadcast", client, round_index, payload)
+                    ledger.record("upload", client, round_index, payload)
             return ledger.total
 
         assert total_for(6) / total_for(1) == 6.0
@@ -246,7 +262,7 @@ class TestLedger:
         ledger = CommLedger()
         totals = []
         for round_index in range(1, 6):
-            ledger.record(self._message("upload", 0, round_index, 10))
+            ledger.record("upload", 0, round_index, self._payload(10))
             totals.append(ledger.total)
         assert totals == sorted(totals)
 
@@ -255,15 +271,15 @@ class TestLedger:
         stream = RngStream(52, 0)
         for _ in range(50):
             depth = stream.draw_integer(1, 7)
-            msg = WireMessage("upload", 0, 1, low_payload(model, depth))
+            payload = low_payload(model, depth)
             # Decoding succeeds only when the payload carries exactly layers 1..depth.
-            decode(msg.payload, model.manifest(depth))
-            assert payload_scalar_count(msg.payload) == depth * model.layer_size
+            decode(payload, model.manifest(depth))
+            assert payload_scalar_count(payload) == depth * model.layer_size
 
     def test_csv_export_layout(self, tmp_path):
         ledger = CommLedger()
-        ledger.record(self._message("broadcast", 1, 1, 3))
-        ledger.record(self._message("upload", 1, 1, 3))
+        ledger.record("broadcast", 1, 1, self._payload(3))
+        ledger.record("upload", 1, 1, self._payload(3))
         ResultsStore({}, [], {}, ledger).save(tmp_path)
         assert (tmp_path / "ledger.csv").read_bytes() == (
             b"round,direction,client_id,scalar_count\n1,broadcast,1,3\n1,upload,1,3\n"
@@ -272,5 +288,7 @@ class TestLedger:
         assert [LedgerEntry.from_row(row) for row in rows] == ledger.entries
 
     def test_bad_message_kind_rejected(self):
+        ledger = CommLedger()
         with pytest.raises(InvalidArgumentError):
-            WireMessage("sideways", 0, 1, b"")
+            ledger.record("sideways", 0, 1, self._payload(3))
+        assert ledger.entries == [] and ledger.total == 0

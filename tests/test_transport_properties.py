@@ -39,9 +39,10 @@ def decode_all(data: bytes, path) -> list:
 
     The checkpoint reader checks the framing and finiteness the wire decoder
     checks, in the same order and with the same messages, and then that the
-    layer indices increase. The wire decoder instead requires MANIFEST, so
-    it raises ProtocolError for any other manifest the reader accepts or for
-    one the reader rejects for its order, and writes nothing when it raises.
+    manifest has layers, 1-based, strictly increasing and non-empty. The
+    wire decoder instead requires MANIFEST, so it raises ProtocolError for
+    any other manifest the reader accepts or for one the reader rejects for
+    its layers, and writes nothing when it raises.
     """
     path.write_bytes(data)
     row = np.zeros(5)
@@ -60,7 +61,7 @@ def decode_all(data: bytes, path) -> list:
         assert not np.any(row)
     if isinstance(from_file, Exception):
         assert type(from_file) is DecodeError
-        if str(from_file).startswith("manifest: layer indices"):
+        if str(from_file).startswith("manifest: layer "):
             assert type(into_row) is ProtocolError
         else:
             assert type(into_row) is DecodeError and str(into_row) == str(from_file)
