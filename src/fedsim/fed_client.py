@@ -18,7 +18,7 @@ from .adapter_net import (
 from .datagen import ClientDataset
 from .errors import InvalidArgumentError, InvalidStateError, NumericError
 from .numerics import RngStream, derive_stream_id
-from .transport import deserialize_params
+from .transport import Manifest, deserialize_params
 
 
 @dataclass
@@ -58,9 +58,10 @@ def step_workspace(size: int) -> np.ndarray:
     """Scratch rows for local training on a model of `size` adapter values.
 
     Row 0 receives each step's gradient; row 1 holds Adam's and the
-    regularizer's temporaries; row 2 holds local_train_round's round-start
-    copy of model.flat. Every row is written before it is read, so clients
-    that train one after another can share one workspace.
+    regularizer's temporaries, then the round's parameter change; row 2
+    holds local_train_round's round-start copy of model.flat. Every row is
+    written before it is read, so clients that train one after another can
+    share one workspace.
     """
     return np.empty((3, size))
 
@@ -129,9 +130,9 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     features and its masks from the dataset rows, writes the gradient into
     workspace row 0 and updates model.flat and the Adam moments in place,
     with row 1 as scratch. Returns the round's metrics and each layer's
-    shift from the round-start copy; the trained adapters stay in
-    model.flat. With beta > 0, an all-zero reference (InvalidArgumentError)
-    fails before any step.
+    shift from the round-start copy, taken in row 1; the trained adapters
+    stay in model.flat. With beta > 0, an all-zero reference
+    (InvalidArgumentError) fails before any step.
     """
     cfg = state.config
     model = state.model
@@ -159,7 +160,7 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
                 ) from exc
             losses.append(loss)
     iou, dice = evaluate(state)
-    shift = measure_param_shift(snapshot, model.flat, model.manifest())
+    shift = measure_param_shift(snapshot, model.flat, model.manifest(), scratch)
     return ClientUpdate(float(np.mean(losses)), iou, dice, shift)
 
 
@@ -189,19 +190,21 @@ def evaluate(state: ClientState) -> tuple[float, float]:
 
 
 def measure_param_shift(
-    before: np.ndarray, after: np.ndarray, manifest: tuple[tuple[int, int], ...]
+    before: np.ndarray, after: np.ndarray, manifest: Manifest, scratch: np.ndarray
 ) -> np.ndarray:
     """Per-layer relative L2 shift ||after - before|| / ||before|| (0/0 -> 0).
 
     before and after are flat vectors laid out by the manifest, such as a
-    copy of a model's flat buffer and the buffer itself.
+    copy of a model's flat buffer and the buffer itself; after - before is
+    written into `scratch`, a third such vector.
     """
-    if not before.shape == after.shape == (sum(length for _, length in manifest),):
-        raise InvalidArgumentError("param shift requires two vectors laid out by the manifest")
+    if not before.shape == after.shape == scratch.shape == (sum(n for _, n in manifest),):
+        raise InvalidArgumentError("param shift requires three vectors laid out by the manifest")
+    diff = np.subtract(after, before, out=scratch)
     ends = np.cumsum([length for _, length in manifest])
     shifts = []
     for start, end in zip([0, *ends[:-1]], ends):
         base = float(np.linalg.norm(before[start:end]))
-        delta = float(np.linalg.norm(after[start:end] - before[start:end]))
+        delta = float(np.linalg.norm(diff[start:end]))
         shifts.append(delta / base if base else (0.0 if delta == 0.0 else float("inf")))
     return np.array(shifts)

@@ -220,12 +220,13 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
     """Execute the full round loop and return (and optionally save) the results.
 
-    The server keeps one (N, P) matrix x of the round's uploads: each upload
-    is decoded into its row as soon as that client finishes, x is dropped
-    once it has been mixed, the mixes once they have been serialized, and a
-    client's broadcast payload once its round ends, so at most two such
-    buffers are alive at a time. Clients run one after another, in id
-    order.
+    The server allocates its two (N, P) matrices once per run: x holds the
+    round's uploads, each decoded into its row as soon as that client
+    finishes, and `mixed` receives W @ x. Each client's broadcast is
+    serialized from its mix just before its install, so at most one payload
+    is alive at a time. Once the client loop ends, `mixed` is free, and the
+    similarity centres the uploads in it. Clients run one after another, in
+    id order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
@@ -237,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     ledger = CommLedger()
 
     x = np.stack([state.model.low(layers) for state in states])
-    shape = x.shape
+    mixed = np.empty_like(x)
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
     matrix = CollaborationMatrix(np.tile(m_row, (n, 1)))
@@ -245,33 +246,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     records: list[RoundRecord] = []
     for round_index in range(1, cfg.rounds + 1):
         if cfg.aggregator == "sgca":
-            mixed = aggregate(matrix, x)
-            del x
-            broadcasts = [serialize_params(row, manifest) for row in mixed]
-            del mixed
+            rows = aggregate(matrix, x, out=mixed)
         else:
-            broadcasts = [serialize_params(fedavg_aggregate(x, sizes), manifest)] * n
-            del x
-        # Indexed, not iterated: a loop variable would keep the last payload
-        # alive after its client's round (see the del below).
+            rows = [fedavg_aggregate(x, sizes)] * n
+        # ledger.csv lists a round's broadcasts first; every payload carries the
+        # manifest's x.shape[1] values, so each is counted before it is serialized.
         for i in range(n):
-            ledger.record("broadcast", i, round_index, broadcasts[i])
+            ledger.record("broadcast", i, round_index, x.shape[1])
 
-        x = np.empty(shape)
         updates = []
         for i, state in enumerate(states):
-            install_low_adapters(state, broadcasts[i])
+            install_low_adapters(state, serialize_params(rows[i], manifest))
             try:
                 update = local_train_round(state, round_index)
             except NumericError as exc:
                 raise NumericError(f"round {round_index}: {exc}") from exc
-            upload = serialize_params(state.model.low(layers), manifest)
-            broadcasts[i] = None
-            ledger.record("upload", i, round_index, upload)
-            deserialize_params(upload, manifest=manifest, out=x[i])
-            # A payload left alive here can sit in the heap gap the next (N, P)
-            # buffer would reuse; on many_clients that costs ~12 MB of peak RSS.
-            del upload
+            ledger.record("upload", i, round_index, x.shape[1])
+            trained = state.model.low(layers)
+            deserialize_params(serialize_params(trained, manifest), manifest=manifest, out=x[i])
             updates.append(update)
 
         metrics = np.array([[u.train_loss, u.test_iou, u.test_dice] for u in updates])
@@ -280,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         w_snapshot = None
         if cfg.aggregator == "sgca":
-            matrix = update_matrix(x, cfg.sgca)
+            matrix = update_matrix(x, cfg.sgca, scratch=mixed)
             w_snapshot = [[float(v) for v in row] for row in matrix.w]
 
         records.append(

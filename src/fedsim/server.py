@@ -8,7 +8,9 @@ projection of (alpha/2) * S. A size-weighted plain average is the control.
 
 The server holds a round's uploads in one (N, P) float64 matrix x, row i
 being client i's upload as decoded from the wire; similarity and mixing
-read x, and a mix is one row of W @ x.
+read x, and a mix is one row of W @ x. The caller owns every (N, P) float64
+buffer, so a run can allocate them once: aggregate writes W @ x into `out`,
+and l2 similarity centres x into `scratch`.
 """
 
 from __future__ import annotations
@@ -77,15 +79,15 @@ def _check_uploads(x: np.ndarray) -> None:
 
 
 def pairwise_similarity(
-    x: np.ndarray, metric: str, normalization: str = "max_abs_row"
+    x: np.ndarray, metric: str, normalization: str = "max_abs_row", *, scratch: np.ndarray
 ) -> np.ndarray:
     """N x N similarity matrix of the uploads in the rows of x; larger means more similar.
 
     l2_based / l1_based are negated distances (self-similarity 0); with
     max_abs_row each row is divided by its largest off-diagonal magnitude so
     alpha stays comparable across metrics. inner, cosine and l2_based come
-    from one Gram matrix of x (centered on the first row for l2_based);
-    l1_based takes one difference vector per pair.
+    from one Gram matrix of x (centered on the first row, into `scratch`, for
+    l2_based); l1_based takes one difference vector per pair.
     """
     _check_uploads(x)
     if metric not in SIMILARITY_METRICS:
@@ -102,7 +104,7 @@ def pairwise_similarity(
     else:
         # l2 is translation invariant: centering on one upload bounds the
         # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
-        c = x - x[0] if metric == "l2_based" else x
+        c = np.subtract(x, x[0], out=scratch) if metric == "l2_based" else x
         g = c @ c.T
         sq = np.diag(g)
         # Only the upper triangle is filled and then mirrored, so S is exactly
@@ -154,23 +156,23 @@ def solve_row(s: np.ndarray, alpha: float) -> np.ndarray:
     return simplex_project(np.maximum(c, -1.0))
 
 
-def update_matrix(x: np.ndarray, cfg: SgcaConfig) -> CollaborationMatrix:
+def update_matrix(x: np.ndarray, cfg: SgcaConfig, *, scratch: np.ndarray) -> CollaborationMatrix:
     """Recompute the full collaboration matrix from this round's uploads, row i client i's.
 
     pairwise_similarity and solve_row check x and cfg's fields.
     """
-    s = pairwise_similarity(x, cfg.metric, cfg.normalization)
+    s = pairwise_similarity(x, cfg.metric, cfg.normalization, scratch=scratch)
     return CollaborationMatrix(solve_row(s, cfg.alpha))
 
 
-def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:
-    """Per-client mixes of the uploads in the rows of x: row i of W @ x."""
+def aggregate(matrix: CollaborationMatrix, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+    """Per-client mixes of the uploads in the rows of x, row i of W @ x, written into `out`."""
     _check_uploads(x)
     if x.shape[0] != matrix.w.shape[0]:
         raise ProtocolError(
             f"matrix is {matrix.w.shape[0]}x{matrix.w.shape[0]} but got {x.shape[0]} uploads"
         )
-    return matrix.w @ x
+    return np.matmul(matrix.w, x, out=out)
 
 
 def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:

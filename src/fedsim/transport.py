@@ -123,11 +123,11 @@ class CommLedger:
     entries: list[LedgerEntry] = field(default_factory=list)
     total: int = 0
 
-    def record(self, direction: str, client_id: int, round: int, payload: bytes) -> LedgerEntry:
-        """Append the entry of one payload sent in `direction`, one of MESSAGE_KINDS."""
+    def record(self, direction: str, client_id: int, round: int, scalar_count: int) -> LedgerEntry:
+        """Append the entry of `scalar_count` values sent in `direction`, one of MESSAGE_KINDS."""
         if direction not in MESSAGE_KINDS:
             raise InvalidArgumentError(f"direction must be one of {MESSAGE_KINDS}")
-        entry = LedgerEntry(round, direction, client_id, payload_scalar_count(payload))
+        entry = LedgerEntry(round, direction, client_id, scalar_count)
         self.entries.append(entry)
         self.total += entry.scalar_count
         return entry

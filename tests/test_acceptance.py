@@ -26,6 +26,7 @@ from fedsim.orchestrator import export_store, run_experiment
 from fedsim.transport import (
     CommLedger,
     deserialize_params,
+    payload_scalar_count,
     serialize_params,
 )
 
@@ -210,12 +211,12 @@ def test_criterion_04_communication_cost_exactness():
     rounds, clients = 100, 4
 
     def total_for(depth):
-        payload = serialize_params(model.low(depth), model.manifest(depth))
+        scalars = payload_scalar_count(serialize_params(model.low(depth), model.manifest(depth)))
         ledger = CommLedger()
         for round_index in range(1, rounds + 1):
             for client in range(clients):
-                ledger.record("broadcast", client, round_index, payload)
-                ledger.record("upload", client, round_index, payload)
+                ledger.record("broadcast", client, round_index, scalars)
+                ledger.record("upload", client, round_index, scalars)
         return ledger.total
 
     low = total_for(1)
@@ -301,7 +302,7 @@ def test_criterion_07_parameter_shift_ordering():
         install_low_adapters(state, serialize_params(model.low(1), model.manifest(1)))
         before = model.flat.copy()
         local_train_round(state, 1)
-        shift = measure_param_shift(before, model.flat, model.manifest())
+        shift = measure_param_shift(before, model.flat, model.manifest(), np.empty_like(before))
         outcomes.append((float(shift[0]), float(shift[-1])))
     elapsed = time.perf_counter() - start
     passed = all(low < high for low, high in outcomes) and elapsed < 60.0

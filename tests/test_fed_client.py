@@ -441,18 +441,18 @@ class TestParamShift:
 
     def test_no_change_means_zero_shift(self):
         p = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(measure_param_shift(p, p, self.TWO_LAYERS), np.zeros(2))
+        assert np.array_equal(measure_param_shift(p, p, self.TWO_LAYERS, np.empty(4)), np.zeros(2))
 
     def test_ten_percent_scaling_is_point_one(self):
         before = np.array([1.0, 2.0, 3.0, 4.0])
         after = np.array([1.1, 2.2, 3.0, 4.0])
-        shift = measure_param_shift(before, after, self.TWO_LAYERS)
+        shift = measure_param_shift(before, after, self.TWO_LAYERS, np.empty(4))
         assert abs(shift[0] - 0.1) < 1e-12
         assert shift[1] == 0.0
 
     def test_zero_over_zero_is_zero(self):
         before = np.zeros(3)
-        assert measure_param_shift(before, before, ((1, 3),))[0] == 0.0
+        assert measure_param_shift(before, before, ((1, 3),), np.empty(3))[0] == 0.0
 
     def test_low_layer_shifts_less_than_top_layer(self):
         # Fixed fixture: 10 local epochs with the transmitted layer regularized.
@@ -463,9 +463,11 @@ class TestParamShift:
 
     def test_flat_vectors_must_match_the_manifest(self):
         with pytest.raises(InvalidArgumentError):
-            measure_param_shift(np.ones(3), np.ones(3), ((1, 2),))
+            measure_param_shift(np.ones(3), np.ones(3), ((1, 2),), np.empty(3))
         with pytest.raises(InvalidArgumentError):
-            measure_param_shift(np.ones(4), np.ones(3), ((1, 2), (2, 2)))
+            measure_param_shift(np.ones(4), np.ones(3), ((1, 2), (2, 2)), np.empty(4))
+        with pytest.raises(InvalidArgumentError):
+            measure_param_shift(np.ones(4), np.ones(4), ((1, 2), (2, 2)), np.empty(3))
 
     def test_round_shift_is_bitwise_the_flatparams_computation(self):
         # local_train_round measures the shift on a plain copy of model.flat;

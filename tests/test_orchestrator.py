@@ -116,9 +116,10 @@ class TestRunExperiment:
         seen = {}
         original = orchestrator.aggregate
 
-        def spy(matrix, params):
-            mixed = original(matrix, params)
-            seen.setdefault("first", (params, mixed))
+        def spy(matrix, params, *, out):
+            mixed = original(matrix, params, out=out)
+            # Copies: the run reuses both buffers once the broadcasts are sent.
+            seen.setdefault("first", (params.copy(), mixed.copy()))
             return mixed
 
         monkeypatch.setattr(orchestrator, "aggregate", spy)
@@ -280,9 +281,9 @@ class TestServerMatrix:
         seen = []
         real = orchestrator.update_matrix
 
-        def spy(x, cfg):
+        def spy(x, cfg, *, scratch):
             seen.append(x.copy())
-            return real(x, cfg)
+            return real(x, cfg, scratch=scratch)
 
         trained = []
         real_train = orchestrator.local_train_round
@@ -300,17 +301,17 @@ class TestServerMatrix:
             assert x.tobytes() == np.stack(trained[4 * round_index : 4 * round_index + 4]).tobytes()
 
     def test_no_payload_outlives_its_client_round(self, small_config_text, monkeypatch):
-        # A payload still alive when the uploads are mixed can split the heap
-        # gap the next (N, P) buffer would reuse. Every payload is a bytes
-        # object allocated in transport.py; none of that size may be live then.
+        # Each payload lives only for its own install or upload. Every payload
+        # is a bytes object allocated in transport.py; none of that size may
+        # be live when the similarity is computed.
         live = []
         real = orchestrator.update_matrix
 
-        def spy(x, cfg):
+        def spy(x, cfg, *, scratch):
             in_transport = tracemalloc.Filter(True, transport.__file__)
             traces = tracemalloc.take_snapshot().filter_traces([in_transport]).traces
             live.append([t.size for t in traces if t.size >= x[0].nbytes])
-            return real(x, cfg)
+            return real(x, cfg, scratch=scratch)
 
         monkeypatch.setattr(orchestrator, "update_matrix", spy)
         tracemalloc.start()
@@ -320,10 +321,52 @@ class TestServerMatrix:
             tracemalloc.stop()
         assert live == [[]] * 3
 
+    def test_round_buffers_are_allocated_once_per_run(self, small_config_text, monkeypatch):
+        calls = []
+        real_aggregate, real_update = orchestrator.aggregate, orchestrator.update_matrix
+
+        def aggregate(matrix, x, *, out):
+            calls.append(("aggregate", x, out))
+            mixed = real_aggregate(matrix, x, out=out)
+            assert mixed is out
+            return mixed
+
+        def update_matrix(x, cfg, *, scratch):
+            calls.append(("update_matrix", x, scratch))
+            return real_update(x, cfg, scratch=scratch)
+
+        monkeypatch.setattr(orchestrator, "aggregate", aggregate)
+        monkeypatch.setattr(orchestrator, "update_matrix", update_matrix)
+        run_experiment(parse_config_text(small_config_text))
+        assert [name for name, _, _ in calls] == ["aggregate", "update_matrix"] * 3
+        _, x, mixed = calls[0]
+        assert x is not mixed
+        assert all(uploads is x and buffer is mixed for _, uploads, buffer in calls)
+
+    @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
+    def test_each_broadcast_installed_has_the_count_its_ledger_row_records(
+        self, small_config_text, aggregator, monkeypatch
+    ):
+        installed = []
+        real = orchestrator.install_low_adapters
+
+        def install(state, payload):
+            installed.append((state.client_id, transport.payload_scalar_count(payload)))
+            real(state, payload)
+
+        monkeypatch.setattr(orchestrator, "install_low_adapters", install)
+        cfg = parse_config_text(
+            small_config_text.replace("aggregator = sgca", f"aggregator = {aggregator}")
+        )
+        store = run_experiment(cfg)
+        rows = [e for e in store.ledger.entries if e.direction == "broadcast"]
+        assert len(installed) == 3 * 4
+        assert installed == [(e.client_id, e.scalar_count) for e in rows]
+
     def test_traced_peak_grows_by_at_most_five_and_a_half_uploads_per_client(self):
-        # Per client the run keeps model.flat and two Adam moments (3 P); a
-        # round adds at most two (N, P) buffers on top: x and its mixes, the
-        # broadcasts and the next x, or x and its centered copy.
+        # Per client the run keeps model.flat and two Adam moments (3 P), and
+        # the server two (N, P) buffers for the whole run: x and its mixes,
+        # which the similarity reuses for its centered copy.
         def traced_peak(num_clients):
             cfg = many_clients_config(num_clients)
             tracemalloc.start()

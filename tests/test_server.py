@@ -43,6 +43,21 @@ def uploads(params):
     return x
 
 
+def similarity(x, metric, normalization="max_abs_row"):
+    """pairwise_similarity with a fresh scratch matrix, as the round loop passes its own."""
+    return pairwise_similarity(x, metric, normalization, scratch=np.empty_like(x))
+
+
+def update(x, cfg):
+    """update_matrix with a fresh scratch matrix."""
+    return update_matrix(x, cfg, scratch=np.empty_like(x))
+
+
+def mix(matrix, x):
+    """aggregate into a fresh output matrix."""
+    return aggregate(matrix, x, out=np.empty_like(x))
+
+
 def pair_loop_similarity(params, metric, normalization):
     """Reference: one dot product or difference vector per pair, one row at a time."""
     x = np.stack([p.values for p in params])
@@ -93,28 +108,28 @@ class TestPairwiseSimilarity:
         for values in ([1.0, 2.0], RngStream(41, 0).draw_gaussian(49152)):
             params = [flat(values)] * 3
             for normalization in ("none", "max_abs_row"):
-                s = pairwise_similarity(uploads(params), "l2_based", normalization)
+                s = similarity(uploads(params), "l2_based", normalization)
                 assert np.array_equal(s, np.zeros((3, 3)))
 
     def test_l2_three_four_five_triangle(self):
-        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l2_based", "none")
+        s = similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l2_based", "none")
         assert s[0, 1] == pytest.approx(-5.0)
         assert s[1, 0] == pytest.approx(-5.0)
 
     def test_l1_distance(self):
-        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l1_based", "none")
+        s = similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l1_based", "none")
         assert s[0, 1] == pytest.approx(-7.0)
 
     def test_cosine_self_similarity_is_one(self):
         stream = RngStream(30, 0)
         params = [flat(stream.draw_gaussian(5)) for _ in range(4)]
-        s = pairwise_similarity(uploads(params), "cosine", "none")
+        s = similarity(uploads(params), "cosine", "none")
         assert np.allclose(np.diag(s), 1.0)
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
     def test_inner_self_similarity_is_squared_norm(self):
         v = np.array([1.0, 2.0, 2.0])
-        s = pairwise_similarity(uploads([flat(v), flat(-v)]), "inner", "none")
+        s = similarity(uploads([flat(v), flat(-v)]), "inner", "none")
         assert s[0, 0] == pytest.approx(9.0)
 
     def test_raw_matrix_is_symmetric(self):
@@ -122,15 +137,15 @@ class TestPairwiseSimilarity:
         for size in (6, 1000):
             params = [flat(3.0 + stream.draw_gaussian(size)) for _ in range(5)]
             for metric in ("inner", "cosine", "l1_based", "l2_based"):
-                s = pairwise_similarity(uploads(params), metric, "none")
+                s = similarity(uploads(params), metric, "none")
                 assert np.array_equal(s, s.T), metric
-            l2 = pairwise_similarity(uploads(params), "l2_based", "none")
+            l2 = similarity(uploads(params), "l2_based", "none")
             assert np.array_equal(np.diag(l2), np.zeros(5))
 
     def test_max_abs_row_normalization_bounds_off_diagonal(self):
         stream = RngStream(32, 0)
         params = [flat(10.0 * stream.draw_gaussian(6)) for _ in range(4)]
-        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
+        s = similarity(uploads(params), "l2_based", "max_abs_row")
         for i in range(4):
             off = np.abs(np.delete(s[i], i))
             assert off.max() == pytest.approx(1.0)
@@ -140,22 +155,22 @@ class TestPairwiseSimilarity:
         # The uploads' only off-diagonal similarity is subnormal, so the scaled diagonal is inf.
         x = np.array([[1.0, 0.0], [2.2250738585e-313, 1.0]])
         with pytest.raises(NumericError, match=f"^{metric} similarity"):
-            pairwise_similarity(x, metric, "max_abs_row")
+            similarity(x, metric, "max_abs_row")
         sent = [flat(x[0]), flat(x[1])]
         with pytest.raises(NumericError):
-            update_matrix(uploads(sent), SgcaConfig(metric=metric))
-        assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
+            update(uploads(sent), SgcaConfig(metric=metric))
+        assert np.all(np.isfinite(similarity(x, metric, "none")))
 
     def test_qp_inputs_far_beyond_float64_resolution_solve_exactly(self):
         # Row 0's scaled self-similarity is 2e95, so its QP input is ~1e95.
         x = np.array([[1.0], [5.06974647e-96]])
         sent = [flat(x[0]), flat(x[1])]
-        w = update_matrix(uploads(sent), SgcaConfig(metric="inner")).w
+        w = update(uploads(sent), SgcaConfig(metric="inner")).w
         assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
 
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            pairwise_similarity(uploads([flat([1.0]), flat([1.0], ((2, 1),))]), "l2_based")
+            similarity(uploads([flat([1.0]), flat([1.0], ((2, 1),))]), "l2_based")
 
     @pytest.mark.parametrize("n", [2, 4, 32])
     @pytest.mark.parametrize("size", [7, 1000, 49152])
@@ -164,7 +179,7 @@ class TestPairwiseSimilarity:
         offset = stream.draw_gaussian(size)
         params = [flat(offset + 0.05 * stream.draw_gaussian(size)) for _ in range(n)]
         for metric in ("inner", "cosine", "l1_based", "l2_based"):
-            s = pairwise_similarity(uploads(params), metric, "max_abs_row")
+            s = similarity(uploads(params), metric, "max_abs_row")
             expected = pair_loop_similarity(params, metric, "max_abs_row")
             assert np.max(np.abs(s - expected)) <= 1e-12, metric
 
@@ -174,7 +189,7 @@ class TestPairwiseSimilarity:
         # G_ii + G_jj - 2 G_ij; 50 keeps every pair on the Gram path, the
         # larger spreads send the far cluster's pairs past the cancellation limit.
         params = far_clusters(spread)
-        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
+        s = similarity(uploads(params), "l2_based", "max_abs_row")
         expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
         assert np.max(np.abs(s - expected)) <= 1e-12
 
@@ -189,20 +204,29 @@ class TestPairwiseSimilarity:
         calls = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
-        pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
+        similarity(uploads(params), "l2_based", "max_abs_row")
         assert len(calls) == direct_pairs
 
     def test_duplicate_upload_among_distinct_is_exactly_zero_apart(self):
         stream = RngStream(42, 0)
         values = [stream.draw_gaussian(4096) for _ in range(3)]
         params = [flat(values[0]), flat(values[1]), flat(values[2]), flat(values[1])]
-        s = pairwise_similarity(uploads(params), "l2_based", "none")
+        s = similarity(uploads(params), "l2_based", "none")
         assert s[1, 3] == 0.0 and s[3, 1] == 0.0
 
     def test_single_upload(self):
         params = [flat([3.0, 4.0])]
-        assert np.array_equal(pairwise_similarity(uploads(params), "l2_based"), [[0.0]])
-        assert np.array_equal(pairwise_similarity(uploads(params), "inner"), [[25.0]])
+        assert np.array_equal(similarity(uploads(params), "l2_based"), [[0.0]])
+        assert np.array_equal(similarity(uploads(params), "inner"), [[25.0]])
+
+    def test_l2_centres_the_uploads_in_scratch_and_leaves_them_unchanged(self):
+        x = uploads([flat(RngStream(42, i).draw_gaussian(5)) for i in range(3)])
+        sent = x.copy()
+        scratch = np.full_like(x, np.nan)
+        s = pairwise_similarity(x, "l2_based", "none", scratch=scratch)
+        assert np.array_equal(x, sent)
+        assert np.array_equal(scratch, sent - sent[0])
+        assert s == pytest.approx(-np.linalg.norm(sent[:, None] - sent[None], axis=2), abs=1e-12)
 
 
 class TestSolveRow:
@@ -262,7 +286,7 @@ class TestSolveRow:
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
         sent = [flat([float(i), 0.0]) for i in range(4)]
-        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=0.0))
+        matrix = update(uploads(sent), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
             assert len(set(row.tolist())) == 1
@@ -273,7 +297,7 @@ class TestUpdateMatrix:
             flat([1.0, 1.0]),
             flat([4.0, -3.0]),
         ]
-        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=1.0))
+        matrix = update(uploads(sent), SgcaConfig(alpha=1.0))
         assert matrix.w[0, 1] >= matrix.w[0, 2]
         assert matrix.w[1, 0] >= matrix.w[1, 2]
 
@@ -281,10 +305,10 @@ class TestUpdateMatrix:
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
         sent = [flat(vectors[i]) for i in range(3)]
-        base = update_matrix(uploads(sent), SgcaConfig())
+        base = update(uploads(sent), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
         sent = [flat(vectors[perm[i]]) for i in range(3)]
-        permuted = update_matrix(uploads(sent), SgcaConfig())
+        permuted = update(uploads(sent), SgcaConfig())
         for i in range(3):
             for j in range(3):
                 assert permuted.w[i, j] == pytest.approx(base.w[perm[i], perm[j]], abs=1e-12)
@@ -293,7 +317,7 @@ class TestUpdateMatrix:
         stream = RngStream(37, 0)
         for alpha in (0.0, 0.5, 2.0, 50.0):
             sent = [flat(stream.draw_gaussian(6)) for i in range(5)]
-            matrix = update_matrix(uploads(sent), SgcaConfig(alpha=alpha))
+            matrix = update(uploads(sent), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)
 
@@ -311,7 +335,7 @@ class TestUpdateMatrix:
         # update_matrix does not validate cfg itself: pairwise_similarity and solve_row do.
         sent = [flat([float(i), 1.0]) for i in range(3)]
         with pytest.raises(InvalidArgumentError, match=match):
-            update_matrix(uploads(sent), cfg)
+            update(uploads(sent), cfg)
 
 
 class TestAggregate:
@@ -320,20 +344,20 @@ class TestAggregate:
 
     def test_identity_matrix_returns_inputs(self):
         params = [self._params([1.0, 2.0]), self._params([3.0, 4.0])]
-        out = aggregate(CollaborationMatrix(np.eye(2)), uploads(params))
+        out = mix(CollaborationMatrix(np.eye(2)), uploads(params))
         assert np.array_equal(out[0], params[0].values)
         assert np.array_equal(out[1], params[1].values)
 
     def test_uniform_matrix_returns_mean(self):
         params = [self._params([0.0, 2.0]), self._params([2.0, 0.0])]
-        out = aggregate(CollaborationMatrix(np.full((2, 2), 0.5)), uploads(params))
+        out = mix(CollaborationMatrix(np.full((2, 2), 0.5)), uploads(params))
         assert np.allclose(out[0], [1.0, 1.0])
         assert np.allclose(out[1], [1.0, 1.0])
 
     def test_convex_combination(self):
         params = [self._params([1.0, 1.0]), self._params([5.0, 5.0])]
         w = CollaborationMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
-        out = aggregate(w, uploads(params))
+        out = mix(w, uploads(params))
         assert np.allclose(out[0], [2.0, 2.0])
 
     def test_outputs_stay_in_convex_hull(self):
@@ -341,7 +365,7 @@ class TestAggregate:
         params = [self._params(stream.draw_gaussian(6)) for _ in range(4)]
         rows = np.vstack([np.abs(stream.draw_gaussian(4)) for _ in range(4)])
         rows = rows / rows.sum(axis=1, keepdims=True)
-        out = aggregate(CollaborationMatrix(rows), uploads(params))
+        out = mix(CollaborationMatrix(rows), uploads(params))
         stacked = np.stack([p.values for p in params])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         for mixed in out:
@@ -364,6 +388,13 @@ class TestAggregate:
     def test_matrix_validation_rejects_bad_rows(self, rows):
         with pytest.raises(InvalidArgumentError):
             CollaborationMatrix(np.array(rows))
+
+    def test_mixes_are_written_into_out(self):
+        x = uploads([self._params(RngStream(43, i).draw_gaussian(5)) for i in range(3)])
+        w = CollaborationMatrix(np.full((3, 3), 1.0 / 3.0))
+        out = np.full_like(x, np.nan)
+        assert aggregate(w, x, out=out) is out
+        assert out.tobytes() == (w.w @ x).tobytes()
 
 
 class TestFedavg:

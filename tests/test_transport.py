@@ -228,15 +228,12 @@ class TestDecodeIntoRow:
 
 
 class TestLedger:
-    def _payload(self, scalars):
-        return serialize_params(np.zeros(scalars), ((1, scalars),))
-
     def test_two_rounds_three_clients_layer_of_100(self):
         ledger = CommLedger()
         for round_index in (1, 2):
             for client in range(3):
-                ledger.record("broadcast", client, round_index, self._payload(100))
-                ledger.record("upload", client, round_index, self._payload(100))
+                ledger.record("broadcast", client, round_index, 100)
+                ledger.record("upload", client, round_index, 100)
         assert ledger.total == 2 * 2 * 3 * 100
 
     def test_full_versus_low_depth_ratio_is_depth(self):
@@ -244,11 +241,11 @@ class TestLedger:
 
         def total_for(depth):
             ledger = CommLedger()
-            payload = low_payload(model, depth)
+            scalars = payload_scalar_count(low_payload(model, depth))
             for round_index in range(1, 3):
                 for client in range(4):
-                    ledger.record("broadcast", client, round_index, payload)
-                    ledger.record("upload", client, round_index, payload)
+                    ledger.record("broadcast", client, round_index, scalars)
+                    ledger.record("upload", client, round_index, scalars)
             return ledger.total
 
         assert total_for(6) / total_for(1) == 6.0
@@ -262,7 +259,7 @@ class TestLedger:
         ledger = CommLedger()
         totals = []
         for round_index in range(1, 6):
-            ledger.record("upload", 0, round_index, self._payload(10))
+            ledger.record("upload", 0, round_index, 10)
             totals.append(ledger.total)
         assert totals == sorted(totals)
 
@@ -278,8 +275,8 @@ class TestLedger:
 
     def test_csv_export_layout(self, tmp_path):
         ledger = CommLedger()
-        ledger.record("broadcast", 1, 1, self._payload(3))
-        ledger.record("upload", 1, 1, self._payload(3))
+        ledger.record("broadcast", 1, 1, 3)
+        ledger.record("upload", 1, 1, 3)
         ResultsStore({}, [], {}, ledger).save(tmp_path)
         assert (tmp_path / "ledger.csv").read_bytes() == (
             b"round,direction,client_id,scalar_count\n1,broadcast,1,3\n1,upload,1,3\n"
@@ -290,5 +287,5 @@ class TestLedger:
     def test_bad_message_kind_rejected(self):
         ledger = CommLedger()
         with pytest.raises(InvalidArgumentError):
-            ledger.record("sideways", 0, 1, self._payload(3))
+            ledger.record("sideways", 0, 1, 3)
         assert ledger.entries == [] and ledger.total == 0
