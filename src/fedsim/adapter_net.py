@@ -55,7 +55,8 @@ class ToyFM:
     up_proj is (feature_dim, bottleneck_dim); there are no bias terms.
     `adapters[k - 1]` is layer k's (down_proj, up_proj) as reshaped views of
     its slice, so writing `flat` (Adam, install) moves the adapters with no
-    copies. The constructor copies `flat`.
+    copies. The constructor keeps a C-contiguous float64 `flat` as its buffer
+    (in a run, a row of the parameter matrix) and converts anything else.
     """
 
     blocks: list[FrozenBlock]
@@ -73,7 +74,7 @@ class ToyFM:
         for block in self.blocks:
             if block.weight.shape != (self.feature_dim, self.feature_dim):
                 raise InvalidArgumentError("frozen block dimension mismatch")
-        flat = np.array(self.flat, dtype=np.float64)
+        flat = np.ascontiguousarray(self.flat, dtype=np.float64)
         size = self.num_blocks * self.layer_size
         if flat.shape != (size,):
             raise InvalidArgumentError(f"flat must be a vector of {size} adapter values")
@@ -131,7 +132,7 @@ class ToyFM:
 
     def clone(self) -> "ToyFM":
         """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
-        return replace(self, blocks=list(self.blocks))
+        return replace(self, blocks=list(self.blocks), flat=self.flat.copy())
 
 
 @functools.cache
@@ -177,6 +178,17 @@ def _orthogonal(stream: RngStream, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def frozen_backbone(
+    feature_dim: int, num_blocks: int, stream: RngStream
+) -> tuple[list[FrozenBlock], FrozenBlock]:
+    """num_blocks orthogonal blocks with small biases, then an orthogonal head, from stream."""
+    blocks = []
+    for _ in range(num_blocks):
+        weight = _orthogonal(stream, feature_dim)
+        blocks.append(FrozenBlock(weight, 0.1 * stream.draw_gaussian(feature_dim)))
+    return blocks, FrozenBlock(_orthogonal(stream, feature_dim), np.zeros(feature_dim))
+
+
 def build_model(
     feature_dim: int,
     bottleneck_dim: int,
@@ -189,12 +201,7 @@ def build_model(
     up_proj starts at zero, so each adapter is the identity map and every
     freshly built model computes the same function as its frozen backbone.
     """
-    blocks = []
-    for _ in range(num_blocks):
-        weight = _orthogonal(frozen_stream, feature_dim)
-        bias = 0.1 * frozen_stream.draw_gaussian(feature_dim)
-        blocks.append(FrozenBlock(weight, bias))
-    head = FrozenBlock(_orthogonal(frozen_stream, feature_dim), np.zeros(feature_dim))
+    blocks, head = frozen_backbone(feature_dim, num_blocks, frozen_stream)
     flat = np.zeros(num_blocks * 2 * feature_dim * bottleneck_dim)
     model = ToyFM(blocks, head, feature_dim, bottleneck_dim, flat)
     draw_adapters(model, adapter_stream)

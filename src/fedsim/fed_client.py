@@ -72,8 +72,9 @@ class ClientState:
 
     Each split must be a float64 (n, 2, feature_dim) array, n >= 1 (else InvalidStateError),
     with masks of only 0s and 1s; any other fault is an InvalidArgumentError. Only the frozen
-    block-1 features are stored; masks are read from the dataset rows. `adam` starts at zero.
-    `workspace` is a step_workspace for model.flat; one is made when none is given.
+    block-1 features are stored; masks are read from the dataset rows. `adam`'s moments must
+    be float64 vectors as long as model.flat. `workspace` is a step_workspace for model.flat;
+    one is made when none is given.
     """
 
     client_id: int
@@ -81,8 +82,8 @@ class ClientState:
     dataset: ClientDataset
     config: ClientConfig
     seed: int
+    adam: AdamState = field(repr=False)
     workspace: np.ndarray | None = field(default=None, repr=False)
-    adam: AdamState = field(init=False, repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
     _test_first: np.ndarray = field(init=False, repr=False)
 
@@ -94,7 +95,9 @@ class ClientState:
             self.workspace = step_workspace(size)
         elif self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
             raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
-        self.adam = AdamState.zeros(size)
+        moments = self.adam.first_moment, self.adam.second_moment
+        if any(m.shape != (size,) or m.dtype != np.float64 for m in moments):
+            raise InvalidArgumentError(f"the Adam moments must be float64 vectors of {size} values")
 
     def _features(self, split: str) -> np.ndarray:
         """A split's block-1 features, once its rows are checked."""

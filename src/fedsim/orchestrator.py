@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapter_net import build_model, draw_adapters
+from .adapter_net import AdamState, ToyFM, draw_adapters, frozen_backbone
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, DecodeError, FedsimError, NumericError
@@ -197,36 +197,36 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
+    d, r, k = cfg.model.feature_dim, cfg.model.bottleneck_dim, cfg.model.num_blocks
+    n, size = cfg.federation.num_clients, k * 2 * d * r
+    # The run's state, allocated once before any model: client i's model.flat is
+    # row i of `params`, and its Adam moments are rows i of moments[0] and moments[1].
+    params, moments = np.zeros((n, size)), np.zeros((2, n, size))
     # One frozen backbone shared by every client; adapters are per-client draws.
-    first = build_model(
-        cfg.model.feature_dim,
-        cfg.model.bottleneck_dim,
-        cfg.model.num_blocks,
-        RngStream(cfg.seed, derive_stream_id("backbone")),
-        RngStream(cfg.seed, derive_stream_id("adapter", 0)),
-    )
+    blocks, head = frozen_backbone(d, k, RngStream(cfg.seed, derive_stream_id("backbone")))
     # Clients train one after another, so they share one step workspace.
-    workspace = step_workspace(first.flat.size)
+    workspace = step_workspace(size)
     states = []
-    for i in range(cfg.federation.num_clients):
-        # build_model drew client 0's adapters; every other client redraws a clone.
-        model = first.clone() if i else first
-        if i:
-            draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
-        states.append(ClientState(i, model, datasets[i], cfg.client, cfg.seed, workspace=workspace))
+    for i in range(n):
+        model = ToyFM(blocks, head, d, r, params[i])
+        draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
+        adam = AdamState(moments[0, i], moments[1, i])
+        states.append(ClientState(i, model, datasets[i], cfg.client, cfg.seed, adam, workspace))
     return states
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
     """Execute the full round loop and return (and optionally save) the results.
 
-    The server allocates its two (N, P) matrices once per run: x holds the
-    round's uploads, each decoded into its row as soon as that client
-    finishes, and `mixed` receives W @ x. Each client's broadcast is
+    The uploads x are the first L layers of _init_states' (N, P) parameter
+    matrix, whose row i is client i's model.flat, so decoding client i's
+    upload into x[i] writes those same bits back. The server reads x only
+    where every row holds that client's trained layers: the mixing, before
+    any install of the round, and the similarity, after every upload. The
+    mixes go into `mixed`, allocated once per run; each broadcast is
     serialized from its mix just before its install, so at most one payload
-    is alive at a time. Once the client loop ends, `mixed` is free, and the
-    similarity centres the uploads in it. Clients run one after another, in
-    id order.
+    is alive at a time, and the similarity then centres the uploads in
+    `mixed`. Clients run one after another, in id order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
@@ -237,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = states[0].model.manifest(layers)
     ledger = CommLedger()
 
-    x = np.stack([state.model.low(layers) for state in states])
+    x = states[0].model.flat.base[:, : layers * states[0].model.layer_size]
     mixed = np.empty_like(x)
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
@@ -262,8 +262,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             except NumericError as exc:
                 raise NumericError(f"round {round_index}: {exc}") from exc
             ledger.record("upload", i, round_index, x.shape[1])
-            trained = state.model.low(layers)
-            deserialize_params(serialize_params(trained, manifest), manifest=manifest, out=x[i])
+            deserialize_params(serialize_params(x[i], manifest), manifest=manifest, out=x[i])
             updates.append(update)
 
         metrics = np.array([[u.train_loss, u.test_iou, u.test_dice] for u in updates])

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from fedsim.adapter_net import build_model
+from fedsim.adapter_net import AdamState, build_model
 from fedsim.config import parse_config_text
 from fedsim.datagen import ClusterParams, FederationSpec, generate_client_dataset
 from fedsim.errors import DecodeError
@@ -298,6 +298,7 @@ def test_criterion_07_parameter_shift_ordering():
             dataset=dataset,
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,
+            adam=AdamState.zeros(model.flat.size),
         )
         install_low_adapters(state, serialize_params(model.low(1), model.manifest(1)))
         before = model.flat.copy()

@@ -175,11 +175,22 @@ class TestFlatBuffer:
             with pytest.raises(InvalidArgumentError):
                 model.manifest(bad)
 
-    def test_constructor_copies_and_validates_flat(self):
+    def test_constructor_keeps_a_contiguous_float64_flat_and_validates_it(self):
         eye = FrozenBlock(np.eye(4), np.zeros(4))
         flat = identity_adapters(2, 4)
         model = ToyFM([eye, eye], eye, 4, 1, flat)
-        assert not np.shares_memory(model.flat, flat)
+        assert model.flat is flat
+        # A row of a parameter matrix is the model's buffer: writing it moves the adapters.
+        rows = np.stack([flat, 2.0 * flat])
+        model = ToyFM([eye, eye], eye, 4, 1, rows[1])
+        rows[1, 0] = 5.0
+        assert model.adapters[0][0][0, 0] == 5.0
+        # Anything else is converted into a contiguous float64 copy.
+        for other in (flat.astype(np.float32), np.repeat(flat, 2)[::2], flat.tolist()):
+            model = ToyFM([eye, eye], eye, 4, 1, other)
+            assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+            assert model.flat.tobytes() == flat.tobytes()
+            assert not isinstance(other, np.ndarray) or not np.shares_memory(model.flat, other)
         for bad in (flat[:-1], np.where(np.arange(flat.size) == 3, np.nan, flat)):
             with pytest.raises(InvalidArgumentError):
                 ToyFM([eye, eye], eye, 4, 1, bad)

@@ -5,6 +5,7 @@ import pytest
 
 import fedsim.fed_client as fed_client
 from fedsim.adapter_net import (
+    AdamState,
     adam_step,
     block1_features,
     build_model,
@@ -64,6 +65,7 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
         dataset=dataset,
         config=config,
         seed=seed,
+        adam=AdamState.zeros(model.flat.size),
     )
 
 
@@ -201,6 +203,20 @@ class TestChecksAtEntry:
             InvalidArgumentError, match=r"^client 0: train must be a float64 \(n, 2, 256\) array$"
         ):
             replace(state, dataset=dataset)
+
+    @pytest.mark.parametrize(
+        "name, make, why",
+        [
+            ("adam", lambda n: AdamState(np.zeros(n - 1), np.zeros(n)), "Adam moments"),
+            ("adam", lambda n: AdamState(np.zeros(n), np.zeros(n, np.float32)), "Adam moments"),
+            ("workspace", lambda n: np.empty((2, n)), "workspace"),
+        ],
+        ids=["short-moment", "float32-moment", "two-row-workspace"],
+    )
+    def test_client_state_rejects_optimizer_buffers_that_do_not_fit(self, name, make, why):
+        state = make_state(n=10)
+        with pytest.raises(InvalidArgumentError, match=why):
+            replace(state, **{name: make(state.model.flat.size)})
 
     def _assert_round_rejected(self, state, error, match):
         flat = state.model.flat.tobytes()

@@ -10,7 +10,7 @@ import pytest
 
 import fedsim.orchestrator as orchestrator
 from fedsim import cli, transport
-from fedsim.adapter_net import build_model
+from fedsim.adapter_net import AdamState, build_model
 from fedsim.config import apply_sweep_value, parse_config_text
 from fedsim.datagen import (
     ClusterParams,
@@ -30,6 +30,18 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def keep_states(monkeypatch):
+    """Make _init_states also keep the run's client states in the list returned here."""
+    states, real = [], orchestrator._init_states
+
+    def init_states(cfg, datasets):
+        states.extend(real(cfg, datasets))
+        return states
+
+    monkeypatch.setattr(orchestrator, "_init_states", init_states)
+    return states
 
 
 class TestRunExperiment:
@@ -343,6 +355,59 @@ class TestServerMatrix:
         assert x is not mixed
         assert all(uploads is x and buffer is mixed for _, uploads, buffer in calls)
 
+    def test_the_uploads_the_server_reads_view_the_parameter_matrix(
+        self, small_config_text, monkeypatch
+    ):
+        states, seen = keep_states(monkeypatch), []
+        real_aggregate, real_update = orchestrator.aggregate, orchestrator.update_matrix
+
+        def aggregate(matrix, x, *, out):
+            seen.append(x)
+            return real_aggregate(matrix, x, out=out)
+
+        def update_matrix(x, cfg, *, scratch):
+            seen.append(x)
+            return real_update(x, cfg, scratch=scratch)
+
+        monkeypatch.setattr(orchestrator, "aggregate", aggregate)
+        monkeypatch.setattr(orchestrator, "update_matrix", update_matrix)
+        run_experiment(parse_config_text(small_config_text))
+        params = states[0].model.flat.base
+        width = states[0].config.low_layers * states[0].model.layer_size
+        assert len(seen) == 6
+        for x in seen:
+            # The first `width` columns of the parameter matrix, in place.
+            assert np.shares_memory(x, params) and x.base is params
+            assert x.shape == (4, width) and x.strides == params.strides
+            assert x.ctypes.data == params.ctypes.data
+
+    def test_each_round_mixes_the_uploads_decoded_in_the_round_before(
+        self, small_config_text, monkeypatch
+    ):
+        # Installs write into the rows the server mixes from, so mixing must come
+        # before any install of its round.
+        states, mixed_from, decoded = keep_states(monkeypatch), [], []
+        real_aggregate, real_decode = orchestrator.aggregate, orchestrator.deserialize_params
+
+        def aggregate(matrix, x, *, out):
+            mixed_from.append(x.copy())
+            return real_aggregate(matrix, x, out=out)
+
+        def decode(payload, *, manifest, out):
+            # The only decode the round loop makes itself is an upload's, onto its own layers.
+            state = states[len(decoded) % 4]
+            assert np.shares_memory(out, state.model.flat)
+            real_decode(payload, manifest=manifest, out=out)
+            decoded.append(out.copy())
+
+        monkeypatch.setattr(orchestrator, "aggregate", aggregate)
+        monkeypatch.setattr(orchestrator, "deserialize_params", decode)
+        run_experiment(parse_config_text(small_config_text))
+        assert len(mixed_from) == 3 and len(decoded) == 3 * 4
+        for round_index in (1, 2):
+            uploads = np.stack(decoded[4 * (round_index - 1) : 4 * round_index])
+            assert mixed_from[round_index].tobytes() == uploads.tobytes()
+
     @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
     def test_each_broadcast_installed_has_the_count_its_ledger_row_records(
         self, small_config_text, aggregator, monkeypatch
@@ -363,10 +428,11 @@ class TestServerMatrix:
         assert len(installed) == 3 * 4
         assert installed == [(e.client_id, e.scalar_count) for e in rows]
 
-    def test_traced_peak_grows_by_at_most_five_and_a_half_uploads_per_client(self):
-        # Per client the run keeps model.flat and two Adam moments (3 P), and
-        # the server two (N, P) buffers for the whole run: x and its mixes,
-        # which the similarity reuses for its centered copy.
+    def test_traced_peak_grows_by_at_most_four_and_a_half_uploads_per_client(self):
+        # Per client the run keeps a row of the parameter matrix (model.flat) and
+        # two rows of the moment matrix (3 P), and the server one (N, P) buffer
+        # for the whole run: the mixes, which the similarity reuses for its
+        # centered copy. The uploads x are a view of the parameter matrix.
         def traced_peak(num_clients):
             cfg = many_clients_config(num_clients)
             tracemalloc.start()
@@ -378,7 +444,7 @@ class TestServerMatrix:
 
         upload_bytes = 8 * 6 * 2 * 256 * 16
         per_client = (traced_peak(16) - traced_peak(8)) / 8
-        assert per_client <= 5.5 * upload_bytes, per_client / upload_bytes
+        assert per_client <= 4.5 * upload_bytes, per_client / upload_bytes
 
 
 def client_adapter_init(cfg, client_id):
@@ -398,6 +464,23 @@ class TestInitStates:
         for i, state in enumerate(states):
             assert state.model.flat.tobytes() == client_adapter_init(cfg, i).tobytes()
         assert len({frozen_digest(state.model) for state in states}) == 1
+
+    def test_clients_are_rows_of_one_parameter_and_one_moment_matrix(self, small_config_text):
+        cfg = parse_config_text(small_config_text)
+        states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
+        size = states[0].model.flat.size
+        params = states[0].model.flat.base
+        moments = states[0].adam.first_moment.base
+        assert params.shape == (4, size) and params.flags.c_contiguous
+        assert moments.shape == (2, 4, size) and moments.flags.c_contiguous
+        for i, state in enumerate(states):
+            # Each vector starts at its row and is as long: it is that row.
+            assert state.model.flat.base is params and state.adam.second_moment.base is moments
+            assert state.model.flat.ctypes.data == params[i].ctypes.data
+            assert state.adam.first_moment.ctypes.data == moments[0, i].ctypes.data
+            assert state.adam.second_moment.ctypes.data == moments[1, i].ctypes.data
+            assert state.model.adapters[0][0].base is params
+        assert not moments.any()
 
     def test_clients_share_one_workspace_and_a_round_does_not_depend_on_it(
         self, small_config_text
@@ -462,6 +545,7 @@ class TestFedavgSymmetry:
                     dataset=dataset,
                     config=ClientConfig(learning_rate=1e-2, batch_size=8, low_layers=1),
                     seed=11,
+                    adam=AdamState.zeros(model.flat.size),
                 )
             )
         # Identical shuffle streams as well: both clients must act as clones.

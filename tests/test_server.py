@@ -397,6 +397,34 @@ class TestAggregate:
         assert out.tobytes() == (w.w @ x).tobytes()
 
 
+class TestStridedUploads:
+    """A run's uploads are the first L layers of its parameter matrix, a view whose rows are
+    further apart than they are long."""
+
+    SHAPES = [(4, 512, 1536), (8, 16384, 24576)]  # clients, upload width, row stride
+
+    @staticmethod
+    def view_and_copy(n, width, stride):
+        params = np.stack([RngStream(44, i).draw_gaussian(stride) for i in range(n)])
+        view = params[:, :width]
+        assert not view.flags.c_contiguous
+        return view, view.copy()
+
+    @pytest.mark.parametrize("metric", ["inner", "cosine", "l1_based", "l2_based"])
+    @pytest.mark.parametrize("n, width, stride", SHAPES)
+    def test_similarity_of_a_view_is_the_bits_of_its_copy(self, metric, n, width, stride):
+        view, copy = self.view_and_copy(n, width, stride)
+        assert similarity(view, metric).tobytes() == similarity(copy, metric).tobytes()
+
+    @pytest.mark.parametrize("n, width, stride", SHAPES)
+    def test_mixes_of_a_view_are_the_bits_of_its_copy(self, n, width, stride):
+        view, copy = self.view_and_copy(n, width, stride)
+        w = CollaborationMatrix(solve_row(similarity(copy, "l2_based"), 1.0))
+        assert mix(w, view).tobytes() == mix(w, copy).tobytes()
+        sizes = list(range(1, n + 1))
+        assert fedavg_aggregate(view, sizes).tobytes() == fedavg_aggregate(copy, sizes).tobytes()
+
+
 class TestFedavg:
     def test_equal_sizes_average(self):
         out = fedavg_aggregate(uploads([flat([0.0, 0.0]), flat([2.0, 2.0])]), [5, 5])
