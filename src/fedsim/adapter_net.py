@@ -459,11 +459,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
 
-    @classmethod
-    def zeros(cls, size: int) -> "AdamState":
-        """Fresh accumulators for a parameter vector of `size` entries."""
-        return cls(first_moment=np.zeros(size), second_moment=np.zeros(size))
-
 
 def adam_update(
     values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, scratch: np.ndarray

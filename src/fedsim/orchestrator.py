@@ -73,7 +73,7 @@ class ResultsStore:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "manifest.json", _json_pretty(self.manifest))
-        _write_text(out / "rounds.jsonl", "".join(_json_line(asdict(r)) for r in self.records))
+        _write_text(out / "rounds.jsonl", "".join(_json_line(vars(r)) for r in self.records))
         _write_text(out / "summary.json", _json_pretty(self.summary))
         _write_text(out / "ledger.csv", _csv_text(self.ledger.to_rows()))
 
@@ -220,13 +220,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     The uploads x are the first L layers of _init_states' (N, P) parameter
     matrix, whose row i is client i's model.flat, so decoding client i's
-    upload into x[i] writes those same bits back. The server reads x only
-    where every row holds that client's trained layers: the mixing, before
-    any install of the round, and the similarity, after every upload. The
-    mixes go into `mixed`, allocated once per run; each broadcast is
-    serialized from its mix just before its install, so at most one payload
-    is alive at a time, and the similarity then centres the uploads in
-    `mixed`. Clients run one after another, in id order.
+    upload into x[i] writes those same bits back. The server reads x, as its
+    (N, L, layer_size) view, only where every row holds that client's trained
+    layers: the mixing, before any client of the round trains, and the
+    similarity, after every upload. sgca mixes in place, so x[i] holds client
+    i's mix until client i trains; each broadcast is serialized from its mix
+    just before its install, which writes the same bits back, so at most one
+    payload is alive at a time. Clients run one after another, in id order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
@@ -238,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     ledger = CommLedger()
 
     x = states[0].model.flat.base[:, : layers * states[0].model.layer_size]
-    mixed = np.empty_like(x)
+    uploads = x.reshape(n, layers, -1)
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
     matrix = CollaborationMatrix(np.tile(m_row, (n, 1)))
@@ -246,9 +246,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     records: list[RoundRecord] = []
     for round_index in range(1, cfg.rounds + 1):
         if cfg.aggregator == "sgca":
-            rows = aggregate(matrix, x, out=mixed)
+            rows = aggregate(matrix, uploads).reshape(x.shape)
         else:
-            rows = [fedavg_aggregate(x, sizes)] * n
+            rows = [fedavg_aggregate(uploads, sizes)] * n
         # ledger.csv lists a round's broadcasts first; every payload carries the
         # manifest's x.shape[1] values, so each is counted before it is serialized.
         for i in range(n):
@@ -271,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         w_snapshot = None
         if cfg.aggregator == "sgca":
-            matrix = update_matrix(x, cfg.sgca, scratch=mixed)
+            matrix = update_matrix(uploads, cfg.sgca)
             w_snapshot = [[float(v) for v in row] for row in matrix.w]
 
         records.append(

@@ -6,11 +6,11 @@ the Euclidean projection of m_i + (alpha/2) * s_i. The size prior m_i shifts
 the whole row, which a simplex projection ignores, so all rows of W are one
 projection of (alpha/2) * S. A size-weighted plain average is the control.
 
-The server holds a round's uploads in one (N, P) float64 matrix x, row i
-being client i's upload as decoded from the wire; similarity and mixing
-read x, and a mix is one row of W @ x. The caller owns every (N, P) float64
-buffer, so a run can allocate them once: aggregate writes W @ x into `out`,
-and l2 similarity centres x into `scratch`.
+The server reads a round's uploads as one (N, L, S) float64 array x: row i
+is client i's upload as decoded from the wire, its L adapter layers of S
+values each (a 2-D (N, P) x is one layer). Similarity and mixing read x, and
+aggregate writes the mixes W @ x back into x. The server holds no (N, P)
+buffer: it works one layer at a time through one (N, S) temporary.
 """
 
 from __future__ import annotations
@@ -73,23 +73,25 @@ class CollaborationMatrix:
         self.w = w
 
 
-def _check_uploads(x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InvalidArgumentError("uploads must be an (N, P) matrix with N >= 1")
+def _layers(x: np.ndarray) -> np.ndarray:
+    """x as (N, L, S) layers, a 2-D (N, P) matrix as one layer."""
+    if x.ndim not in (2, 3) or x.shape[0] == 0:
+        raise InvalidArgumentError("uploads must be an (N, P) or (N, L, S) array with N >= 1")
+    return x[:, None] if x.ndim == 2 else x
 
 
 def pairwise_similarity(
-    x: np.ndarray, metric: str, normalization: str = "max_abs_row", *, scratch: np.ndarray
+    x: np.ndarray, metric: str, normalization: str = "max_abs_row"
 ) -> np.ndarray:
     """N x N similarity matrix of the uploads in the rows of x; larger means more similar.
 
-    l2_based / l1_based are negated distances (self-similarity 0); with
-    max_abs_row each row is divided by its largest off-diagonal magnitude so
-    alpha stays comparable across metrics. inner, cosine and l2_based come
-    from one Gram matrix of x (centered on the first row, into `scratch`, for
-    l2_based); l1_based takes one difference vector per pair.
+    l2_based / l1_based are negated distances of the flattened uploads
+    (self-similarity 0); with max_abs_row each row is divided by its largest
+    off-diagonal magnitude so alpha stays comparable across metrics. inner and
+    cosine come from one Gram matrix of the flattened x, l2_based from the sum of
+    each layer's Gram, centred on the first row; l1_based takes one difference per pair.
     """
-    _check_uploads(x)
+    x = _layers(x)
     if metric not in SIMILARITY_METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     if normalization not in NORMALIZATIONS:
@@ -99,13 +101,19 @@ def pairwise_similarity(
     if metric == "l1_based":
         for i in range(n):
             for j in range(i + 1, n):
-                value = -float(np.linalg.norm(x[i] - x[j], ord=1))
-                s[i, j] = s[j, i] = value
+                d = (x[i] - x[j]).ravel()
+                s[i, j] = s[j, i] = -float(np.abs(d, out=d).sum())
     else:
-        # l2 is translation invariant: centering on one upload bounds the
-        # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
-        c = np.subtract(x, x[0], out=scratch) if metric == "l2_based" else x
-        g = c @ c.T
+        if metric == "l2_based":
+            # l2 is translation invariant: centering on one upload bounds the
+            # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
+            c = np.empty(x[:, 0].shape)
+            for k in range(x.shape[1]):
+                np.subtract(x[:, k], x[0, k], out=c)
+                g = c @ c.T if k == 0 else np.add(g, c @ c.T, out=g)
+        else:
+            flat = x.reshape(n, -1)
+            g = flat @ flat.T
         sq = np.diag(g)
         # Only the upper triangle is filled and then mirrored, so S is exactly
         # symmetric; a GEMM's G is only symmetric up to rounding. The l2
@@ -124,7 +132,7 @@ def pairwise_similarity(
             # Pairs close to each other but far from the center lose precision
             # to cancellation; take those as direct differences.
             for k in np.flatnonzero(d2 * GRAM_CANCELLATION_LIMIT < span):
-                upper[k] = -np.linalg.norm(x[i[k]] - x[j[k]])
+                upper[k] = -np.linalg.norm((x[i[k]] - x[j[k]]).ravel())
         s[i, j] = upper
         s[j, i] = upper
     if normalization == "max_abs_row":
@@ -156,28 +164,31 @@ def solve_row(s: np.ndarray, alpha: float) -> np.ndarray:
     return simplex_project(np.maximum(c, -1.0))
 
 
-def update_matrix(x: np.ndarray, cfg: SgcaConfig, *, scratch: np.ndarray) -> CollaborationMatrix:
+def update_matrix(x: np.ndarray, cfg: SgcaConfig) -> CollaborationMatrix:
     """Recompute the full collaboration matrix from this round's uploads, row i client i's.
 
     pairwise_similarity and solve_row check x and cfg's fields.
     """
-    s = pairwise_similarity(x, cfg.metric, cfg.normalization, scratch=scratch)
+    s = pairwise_similarity(x, cfg.metric, cfg.normalization)
     return CollaborationMatrix(solve_row(s, cfg.alpha))
 
 
-def aggregate(matrix: CollaborationMatrix, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
-    """Per-client mixes of the uploads in the rows of x, row i of W @ x, written into `out`."""
-    _check_uploads(x)
+def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:
+    """Per-client mixes of the uploads in the rows of x, row i of W @ x, written back into x."""
+    layers = _layers(x)
     if x.shape[0] != matrix.w.shape[0]:
         raise ProtocolError(
             f"matrix is {matrix.w.shape[0]}x{matrix.w.shape[0]} but got {x.shape[0]} uploads"
         )
-    return np.matmul(matrix.w, x, out=out)
+    mixed = np.empty(layers[:, 0].shape)
+    for k in range(layers.shape[1]):
+        layers[:, k] = np.matmul(matrix.w, layers[:, k], out=mixed)
+    return x
 
 
 def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Size-weighted plain average of the rows of x; every client receives this same result."""
-    _check_uploads(x)
+    """Size-weighted plain average of the flat uploads in the rows of x, sent to every client."""
+    _layers(x)
     if len(sizes) != x.shape[0]:
         raise InvalidArgumentError("sizes must have one entry per upload")
     weights = np.array(sizes, dtype=np.float64)
@@ -185,4 +196,4 @@ def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     if total <= 0:
         raise InvalidArgumentError("total dataset size must be > 0")
     weights = weights / total
-    return weights @ x
+    return weights @ x.reshape(len(x), -1)

@@ -298,7 +298,7 @@ def test_criterion_07_parameter_shift_ordering():
             dataset=dataset,
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,
-            adam=AdamState.zeros(model.flat.size),
+            adam=AdamState(np.zeros(model.flat.size), np.zeros(model.flat.size)),
         )
         install_low_adapters(state, serialize_params(model.low(1), model.manifest(1)))
         before = model.flat.copy()

@@ -249,7 +249,7 @@ class TestFlatBuffer:
         stream = RngStream(19, 0)
         images = stream.draw_uniform(4 * 8).reshape(4, 8)
         masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
-        state = AdamState.zeros(whole.values.size)
+        state = AdamState(np.zeros(whole.values.size), np.zeros(whole.values.size))
         for _ in range(3):
             _, grads = loss_and_grad(images, masks, model, None, 0.0)
             params = model.adapter_params()
@@ -826,7 +826,7 @@ class TestAdamStep:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params = self._params([1.0, -2.0, 3.0])
-        state = AdamState.zeros(params.values.size)
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         new_params, new_state = adam_step(params, self._params([0.0, 0.0, 0.0]), state, 1e-3)
         assert np.array_equal(new_params.values, params.values)
         assert new_state.step_count == 1
@@ -835,7 +835,7 @@ class TestAdamStep:
         lr = 1e-3
         params = self._params([0.0, 0.0])
         grads = self._params([0.5, -2.0])
-        state = AdamState.zeros(params.values.size)
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         prev = params
         for _ in range(1000):
             prev = params
@@ -850,7 +850,7 @@ class TestAdamStep:
 
         def run():
             params = self._params(values)
-            state = AdamState.zeros(params.values.size)
+            state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
             for _ in range(10):
                 params, state = adam_step(params, self._params(grad_values), state, 1e-2)
             return params.values
@@ -869,9 +869,9 @@ class TestAdamStep:
         stream = RngStream(22, 0)
         values = stream.draw_gaussian(257)
         params = self._params(values)
-        state = AdamState.zeros(params.values.size)
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         m = v = np.zeros(257)
-        in_place, in_place_state = values.copy(), AdamState.zeros(257)
+        in_place, in_place_state = values.copy(), AdamState(np.zeros(257), np.zeros(257))
         scratch = np.full(257, np.nan)
         for t in range(1, 31):
             grad_values = stream.draw_gaussian(257) * 10.0 ** stream.draw_integer(-6, 2)
@@ -888,7 +888,7 @@ class TestAdamStep:
         size = 49_152  # P of configs/default.ini
         stream = RngStream(24, 0)
         values, grads = stream.draw_gaussian(size), stream.draw_gaussian(size)
-        state, scratch = AdamState.zeros(size), np.empty(size)
+        state, scratch = AdamState(np.zeros(size), np.zeros(size)), np.empty(size)
         adam_update(values, grads.copy(), state, 1e-3, scratch)
         grads_again = grads.copy()
         tracemalloc.start()
@@ -902,7 +902,7 @@ class TestAdamStep:
 
     def test_inputs_are_left_unchanged(self):
         params = self._params([1.0, -2.0])
-        state = AdamState.zeros(params.values.size)
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         adam_step(params, self._params([0.5, 0.5]), state, 1e-2)
         assert np.array_equal(params.values, [1.0, -2.0])
         assert state.step_count == 0 and not np.any(state.first_moment)
@@ -910,8 +910,9 @@ class TestAdamStep:
     def test_shape_mismatch_raises(self):
         params = self._params([1.0, 2.0])
         grads = FlatParams(np.ones(3), ((1, 3),))
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         with pytest.raises(InvalidArgumentError):
-            adam_step(params, grads, AdamState.zeros(params.values.size), 1e-3)
+            adam_step(params, grads, state, 1e-3)
 
 
 class TestFrozenImmutability:
@@ -922,7 +923,7 @@ class TestFrozenImmutability:
         images = stream.draw_uniform(4 * 8).reshape(4, 8)
         masks = (stream.draw_uniform(4 * 8).reshape(4, 8) < 0.5).astype(float)
         params = model.adapter_params()
-        state = AdamState.zeros(params.values.size)
+        state = AdamState(np.zeros(params.values.size), np.zeros(params.values.size))
         for _ in range(5):
             _, grads = loss_and_grad(images, masks, model, None, 0.0)
             params = model.adapter_params()

@@ -65,7 +65,7 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
         dataset=dataset,
         config=config,
         seed=seed,
-        adam=AdamState.zeros(model.flat.size),
+        adam=AdamState(np.zeros(model.flat.size), np.zeros(model.flat.size)),
     )
 
 

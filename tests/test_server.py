@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -7,6 +8,7 @@ from fedsim.errors import InvalidArgumentError, NumericError, ProtocolError
 from fedsim.numerics import RngStream
 from fedsim.oracles import kkt_row_argmin
 from fedsim.server import (
+    SIMILARITY_METRICS,
     CollaborationMatrix,
     SgcaConfig,
     aggregate,
@@ -43,19 +45,9 @@ def uploads(params):
     return x
 
 
-def similarity(x, metric, normalization="max_abs_row"):
-    """pairwise_similarity with a fresh scratch matrix, as the round loop passes its own."""
-    return pairwise_similarity(x, metric, normalization, scratch=np.empty_like(x))
-
-
-def update(x, cfg):
-    """update_matrix with a fresh scratch matrix."""
-    return update_matrix(x, cfg, scratch=np.empty_like(x))
-
-
 def mix(matrix, x):
-    """aggregate into a fresh output matrix."""
-    return aggregate(matrix, x, out=np.empty_like(x))
+    """aggregate into a copy of x, which it leaves unchanged."""
+    return aggregate(matrix, x.copy())
 
 
 def pair_loop_similarity(params, metric, normalization):
@@ -108,28 +100,28 @@ class TestPairwiseSimilarity:
         for values in ([1.0, 2.0], RngStream(41, 0).draw_gaussian(49152)):
             params = [flat(values)] * 3
             for normalization in ("none", "max_abs_row"):
-                s = similarity(uploads(params), "l2_based", normalization)
+                s = pairwise_similarity(uploads(params), "l2_based", normalization)
                 assert np.array_equal(s, np.zeros((3, 3)))
 
     def test_l2_three_four_five_triangle(self):
-        s = similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l2_based", "none")
+        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l2_based", "none")
         assert s[0, 1] == pytest.approx(-5.0)
         assert s[1, 0] == pytest.approx(-5.0)
 
     def test_l1_distance(self):
-        s = similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l1_based", "none")
+        s = pairwise_similarity(uploads([flat([0.0, 0.0]), flat([3.0, 4.0])]), "l1_based", "none")
         assert s[0, 1] == pytest.approx(-7.0)
 
     def test_cosine_self_similarity_is_one(self):
         stream = RngStream(30, 0)
         params = [flat(stream.draw_gaussian(5)) for _ in range(4)]
-        s = similarity(uploads(params), "cosine", "none")
+        s = pairwise_similarity(uploads(params), "cosine", "none")
         assert np.allclose(np.diag(s), 1.0)
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
     def test_inner_self_similarity_is_squared_norm(self):
         v = np.array([1.0, 2.0, 2.0])
-        s = similarity(uploads([flat(v), flat(-v)]), "inner", "none")
+        s = pairwise_similarity(uploads([flat(v), flat(-v)]), "inner", "none")
         assert s[0, 0] == pytest.approx(9.0)
 
     def test_raw_matrix_is_symmetric(self):
@@ -137,15 +129,15 @@ class TestPairwiseSimilarity:
         for size in (6, 1000):
             params = [flat(3.0 + stream.draw_gaussian(size)) for _ in range(5)]
             for metric in ("inner", "cosine", "l1_based", "l2_based"):
-                s = similarity(uploads(params), metric, "none")
+                s = pairwise_similarity(uploads(params), metric, "none")
                 assert np.array_equal(s, s.T), metric
-            l2 = similarity(uploads(params), "l2_based", "none")
+            l2 = pairwise_similarity(uploads(params), "l2_based", "none")
             assert np.array_equal(np.diag(l2), np.zeros(5))
 
     def test_max_abs_row_normalization_bounds_off_diagonal(self):
         stream = RngStream(32, 0)
         params = [flat(10.0 * stream.draw_gaussian(6)) for _ in range(4)]
-        s = similarity(uploads(params), "l2_based", "max_abs_row")
+        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         for i in range(4):
             off = np.abs(np.delete(s[i], i))
             assert off.max() == pytest.approx(1.0)
@@ -155,22 +147,22 @@ class TestPairwiseSimilarity:
         # The uploads' only off-diagonal similarity is subnormal, so the scaled diagonal is inf.
         x = np.array([[1.0, 0.0], [2.2250738585e-313, 1.0]])
         with pytest.raises(NumericError, match=f"^{metric} similarity"):
-            similarity(x, metric, "max_abs_row")
+            pairwise_similarity(x, metric, "max_abs_row")
         sent = [flat(x[0]), flat(x[1])]
         with pytest.raises(NumericError):
-            update(uploads(sent), SgcaConfig(metric=metric))
-        assert np.all(np.isfinite(similarity(x, metric, "none")))
+            update_matrix(uploads(sent), SgcaConfig(metric=metric))
+        assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
 
     def test_qp_inputs_far_beyond_float64_resolution_solve_exactly(self):
         # Row 0's scaled self-similarity is 2e95, so its QP input is ~1e95.
         x = np.array([[1.0], [5.06974647e-96]])
         sent = [flat(x[0]), flat(x[1])]
-        w = update(uploads(sent), SgcaConfig(metric="inner")).w
+        w = update_matrix(uploads(sent), SgcaConfig(metric="inner")).w
         assert np.array_equal(w, [[1.0, 0.0], [0.75, 0.25]])
 
     def test_manifest_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            similarity(uploads([flat([1.0]), flat([1.0], ((2, 1),))]), "l2_based")
+            pairwise_similarity(uploads([flat([1.0]), flat([1.0], ((2, 1),))]), "l2_based")
 
     @pytest.mark.parametrize("n", [2, 4, 32])
     @pytest.mark.parametrize("size", [7, 1000, 49152])
@@ -179,7 +171,7 @@ class TestPairwiseSimilarity:
         offset = stream.draw_gaussian(size)
         params = [flat(offset + 0.05 * stream.draw_gaussian(size)) for _ in range(n)]
         for metric in ("inner", "cosine", "l1_based", "l2_based"):
-            s = similarity(uploads(params), metric, "max_abs_row")
+            s = pairwise_similarity(uploads(params), metric, "max_abs_row")
             expected = pair_loop_similarity(params, metric, "max_abs_row")
             assert np.max(np.abs(s - expected)) <= 1e-12, metric
 
@@ -189,7 +181,7 @@ class TestPairwiseSimilarity:
         # G_ii + G_jj - 2 G_ij; 50 keeps every pair on the Gram path, the
         # larger spreads send the far cluster's pairs past the cancellation limit.
         params = far_clusters(spread)
-        s = similarity(uploads(params), "l2_based", "max_abs_row")
+        s = pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
         assert np.max(np.abs(s - expected)) <= 1e-12
 
@@ -204,28 +196,27 @@ class TestPairwiseSimilarity:
         calls = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
-        similarity(uploads(params), "l2_based", "max_abs_row")
+        pairwise_similarity(uploads(params), "l2_based", "max_abs_row")
         assert len(calls) == direct_pairs
 
     def test_duplicate_upload_among_distinct_is_exactly_zero_apart(self):
         stream = RngStream(42, 0)
         values = [stream.draw_gaussian(4096) for _ in range(3)]
         params = [flat(values[0]), flat(values[1]), flat(values[2]), flat(values[1])]
-        s = similarity(uploads(params), "l2_based", "none")
+        s = pairwise_similarity(uploads(params), "l2_based", "none")
         assert s[1, 3] == 0.0 and s[3, 1] == 0.0
 
     def test_single_upload(self):
         params = [flat([3.0, 4.0])]
-        assert np.array_equal(similarity(uploads(params), "l2_based"), [[0.0]])
-        assert np.array_equal(similarity(uploads(params), "inner"), [[25.0]])
+        assert np.array_equal(pairwise_similarity(uploads(params), "l2_based"), [[0.0]])
+        assert np.array_equal(pairwise_similarity(uploads(params), "inner"), [[25.0]])
 
-    def test_l2_centres_the_uploads_in_scratch_and_leaves_them_unchanged(self):
-        x = uploads([flat(RngStream(42, i).draw_gaussian(5)) for i in range(3)])
+    @pytest.mark.parametrize("layers", [1, 5])
+    def test_l2_leaves_the_uploads_unchanged(self, layers):
+        x = uploads([flat(RngStream(42, i).draw_gaussian(10)) for i in range(3)])
         sent = x.copy()
-        scratch = np.full_like(x, np.nan)
-        s = pairwise_similarity(x, "l2_based", "none", scratch=scratch)
+        s = pairwise_similarity(x.reshape(3, layers, -1), "l2_based", "none")
         assert np.array_equal(x, sent)
-        assert np.array_equal(scratch, sent - sent[0])
         assert s == pytest.approx(-np.linalg.norm(sent[:, None] - sent[None], axis=2), abs=1e-12)
 
 
@@ -286,7 +277,7 @@ class TestSolveRow:
 class TestUpdateMatrix:
     def test_alpha_zero_yields_uniform_rows(self):
         sent = [flat([float(i), 0.0]) for i in range(4)]
-        matrix = update(uploads(sent), SgcaConfig(alpha=0.0))
+        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=0.0))
         assert np.allclose(matrix.w, 0.25, atol=1e-12)
         for row in matrix.w:
             assert len(set(row.tolist())) == 1
@@ -297,7 +288,7 @@ class TestUpdateMatrix:
             flat([1.0, 1.0]),
             flat([4.0, -3.0]),
         ]
-        matrix = update(uploads(sent), SgcaConfig(alpha=1.0))
+        matrix = update_matrix(uploads(sent), SgcaConfig(alpha=1.0))
         assert matrix.w[0, 1] >= matrix.w[0, 2]
         assert matrix.w[1, 0] >= matrix.w[1, 2]
 
@@ -305,10 +296,10 @@ class TestUpdateMatrix:
         stream = RngStream(36, 0)
         vectors = [stream.draw_gaussian(4) for _ in range(3)]
         sent = [flat(vectors[i]) for i in range(3)]
-        base = update(uploads(sent), SgcaConfig())
+        base = update_matrix(uploads(sent), SgcaConfig())
         perm = [2, 0, 1]  # new id i holds what used to be client perm[i]
         sent = [flat(vectors[perm[i]]) for i in range(3)]
-        permuted = update(uploads(sent), SgcaConfig())
+        permuted = update_matrix(uploads(sent), SgcaConfig())
         for i in range(3):
             for j in range(3):
                 assert permuted.w[i, j] == pytest.approx(base.w[perm[i], perm[j]], abs=1e-12)
@@ -317,7 +308,7 @@ class TestUpdateMatrix:
         stream = RngStream(37, 0)
         for alpha in (0.0, 0.5, 2.0, 50.0):
             sent = [flat(stream.draw_gaussian(6)) for i in range(5)]
-            matrix = update(uploads(sent), SgcaConfig(alpha=alpha))
+            matrix = update_matrix(uploads(sent), SgcaConfig(alpha=alpha))
             assert np.all(matrix.w >= 0.0)
             assert np.allclose(matrix.w.sum(axis=1), 1.0, atol=1e-9)
 
@@ -335,7 +326,7 @@ class TestUpdateMatrix:
         # update_matrix does not validate cfg itself: pairwise_similarity and solve_row do.
         sent = [flat([float(i), 1.0]) for i in range(3)]
         with pytest.raises(InvalidArgumentError, match=match):
-            update(uploads(sent), cfg)
+            update_matrix(uploads(sent), cfg)
 
 
 class TestAggregate:
@@ -389,12 +380,12 @@ class TestAggregate:
         with pytest.raises(InvalidArgumentError):
             CollaborationMatrix(np.array(rows))
 
-    def test_mixes_are_written_into_out(self):
+    def test_mixes_are_written_into_x(self):
         x = uploads([self._params(RngStream(43, i).draw_gaussian(5)) for i in range(3)])
+        sent = x.copy()
         w = CollaborationMatrix(np.full((3, 3), 1.0 / 3.0))
-        out = np.full_like(x, np.nan)
-        assert aggregate(w, x, out=out) is out
-        assert out.tobytes() == (w.w @ x).tobytes()
+        assert aggregate(w, x) is x
+        assert x.tobytes() == (w.w @ sent).tobytes()
 
 
 class TestStridedUploads:
@@ -414,15 +405,107 @@ class TestStridedUploads:
     @pytest.mark.parametrize("n, width, stride", SHAPES)
     def test_similarity_of_a_view_is_the_bits_of_its_copy(self, metric, n, width, stride):
         view, copy = self.view_and_copy(n, width, stride)
-        assert similarity(view, metric).tobytes() == similarity(copy, metric).tobytes()
+        got, want = pairwise_similarity(view, metric), pairwise_similarity(copy, metric)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, width, stride", SHAPES)
     def test_mixes_of_a_view_are_the_bits_of_its_copy(self, n, width, stride):
         view, copy = self.view_and_copy(n, width, stride)
-        w = CollaborationMatrix(solve_row(similarity(copy, "l2_based"), 1.0))
+        w = CollaborationMatrix(solve_row(pairwise_similarity(copy, "l2_based"), 1.0))
         assert mix(w, view).tobytes() == mix(w, copy).tobytes()
         sizes = list(range(1, n + 1))
         assert fedavg_aggregate(view, sizes).tobytes() == fedavg_aggregate(copy, sizes).tobytes()
+
+
+def layered(n, layers, size, stride=None):
+    """(N, L, S) uploads: the first L layers of an (N, stride) parameter matrix, a view."""
+    params = np.stack([RngStream(46, i).draw_gaussian(stride or layers * size) for i in range(n)])
+    return params, params[:, : layers * size].reshape(n, layers, size)
+
+
+def one_gram_l2(x):
+    """Reference l2 similarity without normalization: one Gram matrix of the flat, centred uploads."""
+    flat = x.reshape(len(x), -1)
+    c = flat - flat[0]
+    g = c @ c.T
+    sq = np.diag(g)
+    i, j = np.triu_indices(len(x), 1)
+    s = np.zeros(g.shape)
+    s[i, j] = s[j, i] = -np.sqrt(np.maximum(sq[i] + sq[j] - 2.0 * g[i, j], 0.0))
+    return s
+
+
+class TestLayeredUploads:
+    """The server reads a run's uploads as (N, L, S) layers of a strided view, one layer at a time."""
+
+    N, S = 8, 4096
+    CASES = [(1, None), (3, None), (1, 6 * S), (3, 6 * S)]  # layers, row stride (None: contiguous)
+    IDS = ["L1-contiguous", "L3-contiguous", "L1-strided", "L3-strided"]
+
+    @pytest.mark.parametrize("layers, stride", CASES, ids=IDS)
+    def test_aggregate_leaves_w_at_x_in_x(self, layers, stride):
+        params, x = layered(self.N, layers, self.S, stride)
+        before = params.copy()
+        flat = before[:, : layers * self.S].copy()
+        w = CollaborationMatrix(solve_row(pairwise_similarity(x, "l2_based"), 1.0))
+        assert aggregate(w, x) is x
+        assert x.tobytes() == (w.w @ flat).tobytes()
+        # Only the uploaded layers are written.
+        rest = slice(layers * self.S, None)
+        assert params[:, rest].tobytes() == before[:, rest].tobytes()
+
+    @pytest.mark.parametrize("layers, stride", CASES, ids=IDS)
+    def test_l2_is_the_one_gram_similarity(self, layers, stride):
+        _, x = layered(self.N, layers, self.S, stride)
+        sent = x.copy()
+        s = pairwise_similarity(x, "l2_based", "none")
+        want = one_gram_l2(sent)
+        assert np.array_equal(x, sent)
+        if layers == 1:
+            assert s.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(s - want)) <= 1e-12
+
+    @pytest.mark.parametrize("spread", [50.0, 1e6])
+    def test_l2_of_far_apart_layered_clusters_matches_pair_loop(self, spread):
+        params = far_clusters(spread)
+        x = uploads(params)
+        s = pairwise_similarity(x.reshape(len(x), 4, -1), "l2_based", "max_abs_row")
+        expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
+        assert np.max(np.abs(s - expected)) <= 1e-12
+
+    def test_fedavg_of_layers_is_the_bits_of_the_flat_average(self):
+        _, x = layered(self.N, 3, self.S, 6 * self.S)
+        sizes = list(range(1, self.N + 1))
+        flat = fedavg_aggregate(x.reshape(self.N, -1), sizes)
+        assert fedavg_aggregate(x, sizes).tobytes() == flat.tobytes()
+
+    def test_l1_is_the_vector_norm_of_the_flat_uploads(self):
+        # np.linalg.norm(ord=1) of an (L, S) difference would be the matrix 1-norm.
+        _, x = layered(4, 3, 5)
+        flat = x.reshape(4, -1)
+        s = pairwise_similarity(x, "l1_based", "none")
+        assert s == pytest.approx(-np.abs(flat[:, None] - flat[None]).sum(axis=2), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            *[lambda x, m=m: pairwise_similarity(x, m) for m in SIMILARITY_METRICS],
+            lambda x: update_matrix(x, SgcaConfig()),
+            lambda x: aggregate(CollaborationMatrix(np.full((8, 8), 1.0 / 8)), x),
+        ],
+        ids=[*SIMILARITY_METRICS, "update_matrix", "aggregate"],
+    )
+    def test_traced_peak_is_one_layer_block_and_n_squared(self, call):
+        _, x = layered(self.N, 3, self.S, 6 * self.S)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * self.N * self.S + 64 * 8 * self.N**2, peak
 
 
 class TestFedavg:

@@ -45,9 +45,8 @@ def test_l2_is_translation_invariant(x, seed, normalization):
     # rounds each coordinate of x + t by at most 6e-11.
     assume(len({row.tobytes() for row in x}) == x.shape[0])
     t = np.random.default_rng(seed).uniform(-1e6, 1e6, x.shape[1])
-    scratch = np.empty_like(x)
-    s = pairwise_similarity(x, "l2_based", normalization, scratch=scratch)
-    moved = pairwise_similarity(x + t, "l2_based", normalization, scratch=scratch)
+    s = pairwise_similarity(x, "l2_based", normalization)
+    moved = pairwise_similarity(x + t, "l2_based", normalization)
     assert np.max(np.abs(moved - s)) <= 1e-8 * max(1.0, np.max(np.abs(s)))
 
 
@@ -60,9 +59,8 @@ def test_l2_is_translation_invariant(x, seed, normalization):
 )
 def test_relabelling_clients_permutes_similarity(x, seed, metric, normalization):
     perm = np.random.default_rng(seed).permutation(x.shape[0])
-    scratch = np.empty_like(x)
-    s = pairwise_similarity(x, metric, normalization, scratch=scratch)
-    permuted = pairwise_similarity(x[perm], metric, normalization, scratch=scratch)
+    s = pairwise_similarity(x, metric, normalization)
+    permuted = pairwise_similarity(x[perm], metric, normalization)
     assert np.array_equal(permuted, s[np.ix_(perm, perm)])
 
 
@@ -106,7 +104,7 @@ def stochastic(n, seed):
 )
 def test_aggregate_maps_identical_uploads_to_themselves(n, upload, seed):
     x = np.tile(upload, (n, 1))
-    mixed = aggregate(CollaborationMatrix(stochastic(n, seed)), x, out=np.empty_like(x))
+    mixed = aggregate(CollaborationMatrix(stochastic(n, seed)), x.copy())
     np.testing.assert_allclose(mixed, x, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(upload))))
 
 
@@ -129,13 +127,13 @@ alphas = st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e))
 def test_update_matrix_rows_are_stochastic(x, alpha, metric, normalization):
     cfg = SgcaConfig(alpha, metric, normalization)
     try:
-        pairwise_similarity(x, metric, normalization, scratch=np.empty_like(x))
+        pairwise_similarity(x, metric, normalization)
     except NumericError:
         # A self-similarity overflowed its row's scaling: the round cannot mix.
         with pytest.raises(NumericError):
-            update_matrix(x, cfg, scratch=np.empty_like(x))
+            update_matrix(x, cfg)
         return
-    w = update_matrix(x, cfg, scratch=np.empty_like(x)).w
+    w = update_matrix(x, cfg).w
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -149,8 +147,8 @@ def test_update_matrix_rows_are_stochastic(x, alpha, metric, normalization):
 )
 def test_update_matrix_solves_all_rows_as_each_row_alone(x, alpha, metric, normalization):
     try:
-        s = pairwise_similarity(x, metric, normalization, scratch=np.empty_like(x))
+        s = pairwise_similarity(x, metric, normalization)
     except NumericError:
         assume(False)
-    w = update_matrix(x, SgcaConfig(alpha, metric, normalization), scratch=np.empty_like(x)).w
+    w = update_matrix(x, SgcaConfig(alpha, metric, normalization)).w
     assert np.array_equal(w, np.vstack([solve_row(row, alpha) for row in s]))
