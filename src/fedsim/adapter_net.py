@@ -55,8 +55,8 @@ class ToyFM:
     up_proj is (feature_dim, bottleneck_dim); there are no bias terms.
     `adapters[k - 1]` is layer k's (down_proj, up_proj) as reshaped views of
     its slice, so writing `flat` (Adam, install) moves the adapters with no
-    copies. The constructor keeps a C-contiguous float64 `flat` as its buffer
-    (in a run, a row of the parameter matrix) and converts anything else.
+    copies. The constructor keeps `flat` as its buffer (in a run, a row of
+    the parameter matrix), so it must be a C-contiguous float64 vector.
     """
 
     blocks: list[FrozenBlock]
@@ -74,13 +74,12 @@ class ToyFM:
         for block in self.blocks:
             if block.weight.shape != (self.feature_dim, self.feature_dim):
                 raise InvalidArgumentError("frozen block dimension mismatch")
-        flat = np.ascontiguousarray(self.flat, dtype=np.float64)
-        size = self.num_blocks * self.layer_size
-        if flat.shape != (size,):
-            raise InvalidArgumentError(f"flat must be a vector of {size} adapter values")
+        flat, size = self.flat, self.num_blocks * self.layer_size
+        kept = isinstance(flat, np.ndarray) and flat.flags.c_contiguous
+        if not kept or flat.dtype != np.float64 or flat.shape != (size,):
+            raise InvalidArgumentError(f"flat must be {size} C-contiguous float64 values")
         if not np.all(np.isfinite(flat)):
             raise InvalidArgumentError("adapter parameters must be finite")
-        self.flat = flat
         self.adapters = [self._layer_views(flat, k) for k in range(1, self.num_blocks + 1)]
 
     def _layer_views(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

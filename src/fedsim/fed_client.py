@@ -73,8 +73,7 @@ class ClientState:
     Each split must be a float64 (n, 2, feature_dim) array, n >= 1 (else InvalidStateError),
     with masks of only 0s and 1s; any other fault is an InvalidArgumentError. Only the frozen
     block-1 features are stored; masks are read from the dataset rows. `adam`'s moments must
-    be float64 vectors as long as model.flat. `workspace` is a step_workspace for model.flat;
-    one is made when none is given.
+    be float64 vectors as long as model.flat, and `workspace` a step_workspace for model.flat.
     """
 
     client_id: int
@@ -83,7 +82,7 @@ class ClientState:
     config: ClientConfig
     seed: int
     adam: AdamState = field(repr=False)
-    workspace: np.ndarray | None = field(default=None, repr=False)
+    workspace: np.ndarray = field(repr=False)
     _train_first: np.ndarray = field(init=False, repr=False)
     _test_first: np.ndarray = field(init=False, repr=False)
 
@@ -91,9 +90,7 @@ class ClientState:
         self.config.validate(self.model.num_blocks)
         self._train_first, self._test_first = self._features("train"), self._features("test")
         size = self.model.flat.size
-        if self.workspace is None:
-            self.workspace = step_workspace(size)
-        elif self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
+        if self.workspace.shape != (3, size) or self.workspace.dtype != np.float64:
             raise InvalidArgumentError(f"workspace must be a float64 (3, {size}) matrix")
         moments = self.adam.first_moment, self.adam.second_moment
         if any(m.shape != (size,) or m.dtype != np.float64 for m in moments):

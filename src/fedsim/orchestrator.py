@@ -196,7 +196,7 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
+def _init_states(cfg: ExperimentConfig, datasets) -> tuple[np.ndarray, list[ClientState]]:
     d, r, k = cfg.model.feature_dim, cfg.model.bottleneck_dim, cfg.model.num_blocks
     n, size = cfg.federation.num_clients, k * 2 * d * r
     # The run's state, allocated once before any model: client i's model.flat is
@@ -212,7 +212,7 @@ def _init_states(cfg: ExperimentConfig, datasets) -> list[ClientState]:
         draw_adapters(model, RngStream(cfg.seed, derive_stream_id("adapter", i)))
         adam = AdamState(moments[0, i], moments[1, i])
         states.append(ClientState(i, model, datasets[i], cfg.client, cfg.seed, adam, workspace))
-    return states
+    return params, states
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ResultsStore:
@@ -223,21 +223,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     upload into x[i] writes those same bits back. The server reads x, as its
     (N, L, layer_size) view, only where every row holds that client's trained
     layers: the mixing, before any client of the round trains, and the
-    similarity, after every upload. sgca mixes in place, so x[i] holds client
-    i's mix until client i trains; each broadcast is serialized from its mix
-    just before its install, which writes the same bits back, so at most one
-    payload is alive at a time. Clients run one after another, in id order.
+    similarity, after every upload. Either aggregator mixes in place, so x[i]
+    holds client i's broadcast from the mix until client i trains; each
+    broadcast is serialized from x[i] just before its install, which writes
+    the same bits back, so at most one payload is alive at a time. Clients
+    run one after another, in id order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
-    states = _init_states(cfg, datasets)
+    params, states = _init_states(cfg, datasets)
     n = cfg.federation.num_clients
     sizes = list(cfg.federation.client_sizes)
     layers = cfg.client.low_layers
     manifest = states[0].model.manifest(layers)
     ledger = CommLedger()
 
-    x = states[0].model.flat.base[:, : layers * states[0].model.layer_size]
+    x = params[:, : layers * states[0].model.layer_size]
     uploads = x.reshape(n, layers, -1)
     # Initial mixing weights are size-proportional, so round 1 matches FedAvg.
     m_row = np.array(sizes, dtype=np.float64) / float(sum(sizes))
@@ -246,9 +247,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     records: list[RoundRecord] = []
     for round_index in range(1, cfg.rounds + 1):
         if cfg.aggregator == "sgca":
-            rows = aggregate(matrix, uploads).reshape(x.shape)
+            aggregate(matrix, uploads)
         else:
-            rows = [fedavg_aggregate(uploads, sizes)] * n
+            fedavg_aggregate(uploads, sizes)
         # ledger.csv lists a round's broadcasts first; every payload carries the
         # manifest's x.shape[1] values, so each is counted before it is serialized.
         for i in range(n):
@@ -256,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         updates = []
         for i, state in enumerate(states):
-            install_low_adapters(state, serialize_params(rows[i], manifest))
+            install_low_adapters(state, serialize_params(x[i], manifest))
             try:
                 update = local_train_round(state, round_index)
             except NumericError as exc:

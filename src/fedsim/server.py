@@ -8,9 +8,10 @@ projection of (alpha/2) * S. A size-weighted plain average is the control.
 
 The server reads a round's uploads as one (N, L, S) float64 array x: row i
 is client i's upload as decoded from the wire, its L adapter layers of S
-values each (a 2-D (N, P) x is one layer). Similarity and mixing read x, and
-aggregate writes the mixes W @ x back into x. The server holds no (N, P)
-buffer: it works one layer at a time through one (N, S) temporary.
+values each. Similarity and mixing read x; aggregate writes the mixes W @ x
+back into x, and fedavg_aggregate writes the size-weighted average into
+every row. The server holds no (N, P) buffer: it works one layer at a time
+through one (N, S) temporary.
 """
 
 from __future__ import annotations
@@ -73,11 +74,9 @@ class CollaborationMatrix:
         self.w = w
 
 
-def _layers(x: np.ndarray) -> np.ndarray:
-    """x as (N, L, S) layers, a 2-D (N, P) matrix as one layer."""
-    if x.ndim not in (2, 3) or x.shape[0] == 0:
-        raise InvalidArgumentError("uploads must be an (N, P) or (N, L, S) array with N >= 1")
-    return x[:, None] if x.ndim == 2 else x
+def _check_uploads(x: np.ndarray) -> None:
+    if x.ndim != 3 or x.shape[0] == 0:
+        raise InvalidArgumentError("uploads must be an (N, L, S) array with N >= 1")
 
 
 def pairwise_similarity(
@@ -87,11 +86,11 @@ def pairwise_similarity(
 
     l2_based / l1_based are negated distances of the flattened uploads
     (self-similarity 0); with max_abs_row each row is divided by its largest
-    off-diagonal magnitude so alpha stays comparable across metrics. inner and
-    cosine come from one Gram matrix of the flattened x, l2_based from the sum of
-    each layer's Gram, centred on the first row; l1_based takes one difference per pair.
+    off-diagonal magnitude so alpha stays comparable across metrics. inner,
+    cosine and l2_based read the sum of each layer's Gram matrix, l2_based's
+    layers centred on the first row; l1_based takes one difference per pair.
     """
-    x = _layers(x)
+    _check_uploads(x)
     if metric not in SIMILARITY_METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     if normalization not in NORMALIZATIONS:
@@ -104,16 +103,13 @@ def pairwise_similarity(
                 d = (x[i] - x[j]).ravel()
                 s[i, j] = s[j, i] = -float(np.abs(d, out=d).sum())
     else:
-        if metric == "l2_based":
-            # l2 is translation invariant: centering on one upload bounds the
-            # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
-            c = np.empty(x[:, 0].shape)
-            for k in range(x.shape[1]):
-                np.subtract(x[:, k], x[0, k], out=c)
-                g = c @ c.T if k == 0 else np.add(g, c @ c.T, out=g)
-        else:
-            flat = x.reshape(n, -1)
-            g = flat @ flat.T
+        g, c = np.zeros((n, n)), np.empty(x[:, 0].shape)
+        for layer in x.transpose(1, 0, 2):
+            if metric == "l2_based":
+                # l2 is translation invariant: centering on one upload bounds the
+                # cancellation in G_ii + G_jj - 2 G_ij by the uploads' spread, not their norms.
+                layer = np.subtract(layer, layer[0], out=c)
+            g += layer @ layer.T
         sq = np.diag(g)
         # Only the upper triangle is filled and then mirrored, so S is exactly
         # symmetric; a GEMM's G is only symmetric up to rounding. The l2
@@ -175,20 +171,20 @@ def update_matrix(x: np.ndarray, cfg: SgcaConfig) -> CollaborationMatrix:
 
 def aggregate(matrix: CollaborationMatrix, x: np.ndarray) -> np.ndarray:
     """Per-client mixes of the uploads in the rows of x, row i of W @ x, written back into x."""
-    layers = _layers(x)
+    _check_uploads(x)
     if x.shape[0] != matrix.w.shape[0]:
         raise ProtocolError(
             f"matrix is {matrix.w.shape[0]}x{matrix.w.shape[0]} but got {x.shape[0]} uploads"
         )
-    mixed = np.empty(layers[:, 0].shape)
-    for k in range(layers.shape[1]):
-        layers[:, k] = np.matmul(matrix.w, layers[:, k], out=mixed)
+    mixed = np.empty(x[:, 0].shape)
+    for layer in x.transpose(1, 0, 2):
+        layer[...] = np.matmul(matrix.w, layer, out=mixed)
     return x
 
 
 def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Size-weighted plain average of the flat uploads in the rows of x, sent to every client."""
-    _layers(x)
+    """Size-weighted plain average of the flat uploads in the rows of x, written into every row."""
+    _check_uploads(x)
     if len(sizes) != x.shape[0]:
         raise InvalidArgumentError("sizes must have one entry per upload")
     weights = np.array(sizes, dtype=np.float64)
@@ -196,4 +192,5 @@ def fedavg_aggregate(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     if total <= 0:
         raise InvalidArgumentError("total dataset size must be > 0")
     weights = weights / total
-    return weights @ x.reshape(len(x), -1)
+    x[:] = (weights @ x.reshape(len(x), -1)).reshape(x.shape[1:])
+    return x

@@ -19,6 +19,7 @@ from fedsim.fed_client import (
     iou_dice,
     local_train_round,
     measure_param_shift,
+    step_workspace,
 )
 from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.oracles import check_gradients, check_row_solver
@@ -299,6 +300,7 @@ def test_criterion_07_parameter_shift_ordering():
             config=ClientConfig(learning_rate=1e-2, local_epochs=10, beta=0.1, low_layers=1),
             seed=seed,
             adam=AdamState(np.zeros(model.flat.size), np.zeros(model.flat.size)),
+            workspace=step_workspace(model.flat.size),
         )
         install_low_adapters(state, serialize_params(model.low(1), model.manifest(1)))
         before = model.flat.copy()

@@ -185,12 +185,10 @@ class TestFlatBuffer:
         model = ToyFM([eye, eye], eye, 4, 1, rows[1])
         rows[1, 0] = 5.0
         assert model.adapters[0][0][0, 0] == 5.0
-        # Anything else is converted into a contiguous float64 copy.
+        # Anything else is rejected: a copy would detach the model from its matrix row.
         for other in (flat.astype(np.float32), np.repeat(flat, 2)[::2], flat.tolist()):
-            model = ToyFM([eye, eye], eye, 4, 1, other)
-            assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
-            assert model.flat.tobytes() == flat.tobytes()
-            assert not isinstance(other, np.ndarray) or not np.shares_memory(model.flat, other)
+            with pytest.raises(InvalidArgumentError, match="C-contiguous float64"):
+                ToyFM([eye, eye], eye, 4, 1, other)
         for bad in (flat[:-1], np.where(np.arange(flat.size) == 3, np.nan, flat)):
             with pytest.raises(InvalidArgumentError):
                 ToyFM([eye, eye], eye, 4, 1, bad)

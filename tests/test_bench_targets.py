@@ -84,7 +84,8 @@ def test_beat_is_the_function_its_caller_calls(beat, defined_in):
 
 def test_beat_keys_read_real_arguments(small_config_text):
     cfg = parse_config_text(small_config_text)
-    state = _init_states(cfg, generate_federation(cfg.federation))[0]
+    _, states = _init_states(cfg, generate_federation(cfg.federation))
+    state = states[0]
     assert worker.TRAINING_BEAT[2]((state, 1)) == (len(state.dataset.train), True)
     model, images, masks, theta_ref = _build_fixture(gradient_fixtures()[0])
     key = worker.GRAD_BEAT[2]((images, masks, model, theta_ref, 0.05))

@@ -34,6 +34,7 @@ from fedsim.fed_client import (
     iou_dice,
     local_train_round,
     measure_param_shift,
+    step_workspace,
 )
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.transport import deserialize_params, serialize_params
@@ -66,6 +67,7 @@ def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1,
         config=config,
         seed=seed,
         adam=AdamState(np.zeros(model.flat.size), np.zeros(model.flat.size)),
+        workspace=step_workspace(model.flat.size),
     )
 
 

@@ -19,7 +19,13 @@ from fedsim.datagen import (
     generate_federation,
 )
 from fedsim.errors import ConfigError, DecodeError, NumericError, ProtocolError
-from fedsim.fed_client import ClientConfig, ClientState, install_low_adapters, local_train_round
+from fedsim.fed_client import (
+    ClientConfig,
+    ClientState,
+    install_low_adapters,
+    local_train_round,
+    step_workspace,
+)
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
@@ -37,8 +43,9 @@ def keep_states(monkeypatch):
     states, real = [], orchestrator._init_states
 
     def init_states(cfg, datasets):
-        states.extend(real(cfg, datasets))
-        return states
+        params, run_states = real(cfg, datasets)
+        states.extend(run_states)
+        return params, run_states
 
     monkeypatch.setattr(orchestrator, "_init_states", init_states)
     return states
@@ -86,14 +93,7 @@ class TestRunExperiment:
     def test_each_checkpoint_is_the_serialized_flat_buffer(
         self, small_config_text, tmp_path, monkeypatch
     ):
-        states = []
-
-        def keep(cfg, datasets):
-            states.extend(real(cfg, datasets))
-            return states
-
-        real = orchestrator._init_states
-        monkeypatch.setattr(orchestrator, "_init_states", keep)
+        states = keep_states(monkeypatch)
         run_experiment(parse_config_text(small_config_text), tmp_path)
         assert len(states) == 4
         for state in states:
@@ -414,6 +414,41 @@ class TestServerMatrix:
             uploads = np.stack(decoded[4 * (round_index - 1) : 4 * round_index])
             assert mixed_from[round_index].tobytes() == uploads.tobytes()
 
+    def test_each_fedavg_broadcast_is_the_size_weighted_average_of_the_round_before(
+        self, small_config_text, monkeypatch
+    ):
+        # Uneven sizes and three layers: the in-place mix writes one average
+        # into every row of the uploads, and each install serializes its row.
+        uploads, installed = [], []
+        real_init, real_train = orchestrator._init_states, orchestrator.local_train_round
+        real_install = orchestrator.install_low_adapters
+
+        def init_states(cfg, datasets):
+            params, states = real_init(cfg, datasets)
+            uploads.extend(params[:, : 3 * states[0].model.layer_size].copy())  # the draws
+            return params, states
+
+        def train(state, round_index):
+            update = real_train(state, round_index)
+            uploads.append(state.model.low(3).copy())
+            return update
+
+        def install(state, payload):
+            installed.append(payload)
+            real_install(state, payload)
+
+        monkeypatch.setattr(orchestrator, "_init_states", init_states)
+        monkeypatch.setattr(orchestrator, "local_train_round", train)
+        monkeypatch.setattr(orchestrator, "install_low_adapters", install)
+        text = small_config_text.replace("aggregator = sgca", "aggregator = fedavg")
+        run_experiment(parse_config_text(text.replace("low_layers = 1", "low_layers = 3")))
+        sizes = np.array([12.0, 10.0, 14.0, 16.0])
+        manifest = tuple((k, 2 * 64 * 4) for k in (1, 2, 3))
+        assert len(installed) == 3 * 4 and len(uploads) == 4 * 4
+        for k, payload in enumerate(installed):
+            previous = np.stack(uploads[4 * (k // 4) : 4 * (k // 4) + 4])
+            assert payload == serialize_params((sizes / sizes.sum()) @ previous, manifest)
+
     @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
     def test_each_broadcast_installed_has_the_count_its_ledger_row_records(
         self, small_config_text, aggregator, monkeypatch
@@ -466,16 +501,15 @@ def client_adapter_init(cfg, client_id):
 class TestInitStates:
     def test_client_adapters_are_the_per_client_draw(self, small_config_text, frozen_digest):
         cfg = parse_config_text(small_config_text)
-        states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
+        _, states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
         for i, state in enumerate(states):
             assert state.model.flat.tobytes() == client_adapter_init(cfg, i).tobytes()
         assert len({frozen_digest(state.model) for state in states}) == 1
 
     def test_clients_are_rows_of_one_parameter_and_one_moment_matrix(self, small_config_text):
         cfg = parse_config_text(small_config_text)
-        states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
+        params, states = orchestrator._init_states(cfg, generate_federation(cfg.federation))
         size = states[0].model.flat.size
-        params = states[0].model.flat.base
         moments = states[0].adam.first_moment.base
         assert params.shape == (4, size) and params.flags.c_contiguous
         assert moments.shape == (2, 4, size) and moments.flags.c_contiguous
@@ -495,7 +529,7 @@ class TestInitStates:
         datasets = generate_federation(cfg.federation)
 
         def fresh_states():
-            states = orchestrator._init_states(cfg, datasets)
+            _, states = orchestrator._init_states(cfg, datasets)
             low = cfg.client.low_layers
             payloads = [serialize_params(s.model.low(low), s.model.manifest(low)) for s in states]
             return states, payloads
@@ -552,13 +586,14 @@ class TestFedavgSymmetry:
                     config=ClientConfig(learning_rate=1e-2, batch_size=8, low_layers=1),
                     seed=11,
                     adam=AdamState(np.zeros(model.flat.size), np.zeros(model.flat.size)),
+                    workspace=step_workspace(model.flat.size),
                 )
             )
         # Identical shuffle streams as well: both clients must act as clones.
         states[1].client_id = 0
         for round_index in range(1, 4):
-            lows = np.stack([s.model.low(1) for s in states])
-            mean = fedavg_aggregate(lows, [20, 20])
+            lows = np.stack([s.model.low(1) for s in states])[:, None]
+            mean = fedavg_aggregate(lows, [20, 20])[0, 0]
             shared = serialize_params(mean, states[0].model.manifest(1))
             for state in states:
                 install_low_adapters(state, shared)

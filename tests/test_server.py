@@ -33,21 +33,21 @@ def flat(values, manifest=None):
 
 
 def uploads(params):
-    """The server's (N, P) matrix: each upload sent over the wire and decoded into its row.
+    """The server's (N, 1, P) uploads: each sent over the wire and decoded into its row.
 
     The decode checks every upload against the first one's manifest, as the
     round loop checks them against the round's low layers.
     """
     manifest = params[0].manifest
-    x = np.zeros((len(params), params[0].values.size))
+    x = np.zeros((len(params), 1, params[0].values.size))
     for row, p in zip(x, params):
-        deserialize_params(serialize_params(*p), manifest=manifest, out=row)
+        deserialize_params(serialize_params(*p), manifest=manifest, out=row[0])
     return x
 
 
 def mix(matrix, x):
-    """aggregate into a copy of x, which it leaves unchanged."""
-    return aggregate(matrix, x.copy())
+    """The flat rows of aggregate into a copy of x, which it leaves unchanged."""
+    return aggregate(matrix, x.copy()).reshape(len(x), -1)
 
 
 def pair_loop_similarity(params, metric, normalization):
@@ -145,10 +145,10 @@ class TestPairwiseSimilarity:
     @pytest.mark.parametrize("metric", ["inner", "cosine"])
     def test_overflowing_self_similarity_is_a_numeric_error(self, metric):
         # The uploads' only off-diagonal similarity is subnormal, so the scaled diagonal is inf.
-        x = np.array([[1.0, 0.0], [2.2250738585e-313, 1.0]])
+        x = np.array([[[1.0, 0.0]], [[2.2250738585e-313, 1.0]]])
         with pytest.raises(NumericError, match=f"^{metric} similarity"):
             pairwise_similarity(x, metric, "max_abs_row")
-        sent = [flat(x[0]), flat(x[1])]
+        sent = [flat(x[0, 0]), flat(x[1, 0])]
         with pytest.raises(NumericError):
             update_matrix(uploads(sent), SgcaConfig(metric=metric))
         assert np.all(np.isfinite(pairwise_similarity(x, metric, "none")))
@@ -214,9 +214,9 @@ class TestPairwiseSimilarity:
     @pytest.mark.parametrize("layers", [1, 5])
     def test_l2_leaves_the_uploads_unchanged(self, layers):
         x = uploads([flat(RngStream(42, i).draw_gaussian(10)) for i in range(3)])
-        sent = x.copy()
+        sent = x.reshape(3, -1).copy()
         s = pairwise_similarity(x.reshape(3, layers, -1), "l2_based", "none")
-        assert np.array_equal(x, sent)
+        assert np.array_equal(x.reshape(3, -1), sent)
         assert s == pytest.approx(-np.linalg.norm(sent[:, None] - sent[None], axis=2), abs=1e-12)
 
 
@@ -385,7 +385,7 @@ class TestAggregate:
         sent = x.copy()
         w = CollaborationMatrix(np.full((3, 3), 1.0 / 3.0))
         assert aggregate(w, x) is x
-        assert x.tobytes() == (w.w @ sent).tobytes()
+        assert x.tobytes() == (w.w @ sent.reshape(3, -1)).tobytes()
 
 
 class TestStridedUploads:
@@ -396,8 +396,9 @@ class TestStridedUploads:
 
     @staticmethod
     def view_and_copy(n, width, stride):
+        """One upload layer per client: an (N, 1, width) view and a contiguous copy."""
         params = np.stack([RngStream(44, i).draw_gaussian(stride) for i in range(n)])
-        view = params[:, :width]
+        view = params[:, None, :width]
         assert not view.flags.c_contiguous
         return view, view.copy()
 
@@ -423,16 +424,35 @@ def layered(n, layers, size, stride=None):
     return params, params[:, : layers * size].reshape(n, layers, size)
 
 
-def one_gram_l2(x):
-    """Reference l2 similarity without normalization: one Gram matrix of the flat, centred uploads."""
+def one_gram_similarity(x, metric):
+    """Reference similarity without normalization: one Gram matrix of the flat uploads.
+
+    l2_based centres them on the first upload first; the upper triangle is mirrored.
+    """
     flat = x.reshape(len(x), -1)
-    c = flat - flat[0]
-    g = c @ c.T
+    if metric == "l2_based":
+        flat = flat - flat[0]
+    g = flat @ flat.T
     sq = np.diag(g)
-    i, j = np.triu_indices(len(x), 1)
+    i, j = np.triu_indices(len(x), 1 if metric == "l2_based" else 0)
     s = np.zeros(g.shape)
-    s[i, j] = s[j, i] = -np.sqrt(np.maximum(sq[i] + sq[j] - 2.0 * g[i, j], 0.0))
+    if metric == "inner":
+        s[i, j] = s[j, i] = g[i, j]
+    elif metric == "cosine":
+        s[i, j] = s[j, i] = g[i, j] / (np.sqrt(sq)[i] * np.sqrt(sq)[j])
+    else:
+        s[i, j] = s[j, i] = -np.sqrt(np.maximum(sq[i] + sq[j] - 2.0 * g[i, j], 0.0))
     return s
+
+
+# Each server function, called on the uploads x of 8 clients.
+SERVER_CALLS = [
+    *[lambda x, m=m: pairwise_similarity(x, m) for m in SIMILARITY_METRICS],
+    lambda x: update_matrix(x, SgcaConfig()),
+    lambda x: aggregate(CollaborationMatrix(np.full((8, 8), 1.0 / 8)), x),
+    lambda x: fedavg_aggregate(x, range(1, 9)),
+]
+SERVER_CALL_IDS = [*SIMILARITY_METRICS, "update_matrix", "aggregate", "fedavg_aggregate"]
 
 
 class TestLayeredUploads:
@@ -455,16 +475,20 @@ class TestLayeredUploads:
         assert params[:, rest].tobytes() == before[:, rest].tobytes()
 
     @pytest.mark.parametrize("layers, stride", CASES, ids=IDS)
-    def test_l2_is_the_one_gram_similarity(self, layers, stride):
+    @pytest.mark.parametrize("metric", ["inner", "cosine", "l2_based"])
+    def test_each_gram_metric_is_the_one_gram_similarity(self, metric, layers, stride):
         _, x = layered(self.N, layers, self.S, stride)
         sent = x.copy()
-        s = pairwise_similarity(x, "l2_based", "none")
-        want = one_gram_l2(sent)
+        s = pairwise_similarity(x, metric, "none")
+        want = one_gram_similarity(sent, metric)
         assert np.array_equal(x, sent)
+        # inner's entries are sums of L * S squares, about 1.2e4 at L = 3, where one
+        # ulp is 1.8e-12: its bound is 1e-12 of its largest entry.
+        scale = np.max(np.abs(want)) if metric == "inner" else 1.0
         if layers == 1:
             assert s.tobytes() == want.tobytes()
         else:
-            assert np.max(np.abs(s - want)) <= 1e-12
+            assert np.max(np.abs(s - want)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("spread", [50.0, 1e6])
     def test_l2_of_far_apart_layered_clusters_matches_pair_loop(self, spread):
@@ -474,11 +498,19 @@ class TestLayeredUploads:
         expected = pair_loop_similarity(params, "l2_based", "max_abs_row")
         assert np.max(np.abs(s - expected)) <= 1e-12
 
-    def test_fedavg_of_layers_is_the_bits_of_the_flat_average(self):
-        _, x = layered(self.N, 3, self.S, 6 * self.S)
+    @pytest.mark.parametrize("layers, stride", CASES, ids=IDS)
+    def test_fedavg_writes_the_flat_average_into_every_row(self, layers, stride):
+        params, x = layered(self.N, layers, self.S, stride)
+        before = params.copy()
         sizes = list(range(1, self.N + 1))
-        flat = fedavg_aggregate(x.reshape(self.N, -1), sizes)
-        assert fedavg_aggregate(x, sizes).tobytes() == flat.tobytes()
+        weights = np.array(sizes, dtype=np.float64)
+        want = (weights / weights.sum()) @ x.copy().reshape(self.N, -1)
+        assert fedavg_aggregate(x, sizes) is x
+        for row in x:
+            assert row.tobytes() == want.tobytes()
+        # Only the uploaded layers are written.
+        rest = slice(layers * self.S, None)
+        assert params[:, rest].tobytes() == before[:, rest].tobytes()
 
     def test_l1_is_the_vector_norm_of_the_flat_uploads(self):
         # np.linalg.norm(ord=1) of an (L, S) difference would be the matrix 1-norm.
@@ -487,15 +519,12 @@ class TestLayeredUploads:
         s = pairwise_similarity(x, "l1_based", "none")
         assert s == pytest.approx(-np.abs(flat[:, None] - flat[None]).sum(axis=2), abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            *[lambda x, m=m: pairwise_similarity(x, m) for m in SIMILARITY_METRICS],
-            lambda x: update_matrix(x, SgcaConfig()),
-            lambda x: aggregate(CollaborationMatrix(np.full((8, 8), 1.0 / 8)), x),
-        ],
-        ids=[*SIMILARITY_METRICS, "update_matrix", "aggregate"],
-    )
+    @pytest.mark.parametrize("call", SERVER_CALLS, ids=SERVER_CALL_IDS)
+    def test_a_two_dimensional_upload_matrix_is_rejected(self, call):
+        with pytest.raises(InvalidArgumentError, match=r"\(N, L, S\) array"):
+            call(np.ones((self.N, 3 * self.S)))
+
+    @pytest.mark.parametrize("call", SERVER_CALLS, ids=SERVER_CALL_IDS)
     def test_traced_peak_is_one_layer_block_and_n_squared(self, call):
         _, x = layered(self.N, 3, self.S, 6 * self.S)
         tracemalloc.start()

@@ -25,13 +25,16 @@ from fedsim.server import (  # noqa: E402
     update_matrix,
 )
 
+def layered_uploads(max_clients, elements):
+    """(N, L, S) uploads: 2..max_clients clients of 1..3 layers of 1..16 values each."""
+    return st.tuples(st.integers(2, max_clients), st.integers(1, 3), st.integers(1, 16)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=elements)
+    )
+
+
 # Integer-valued uploads: every Gram entry and difference is exact in float64,
 # so a relabelling of the clients must permute S bit for bit.
-integer_uploads = st.integers(2, 6).flatmap(
-    lambda n: st.integers(1, 16).flatmap(
-        lambda size: arrays(np.float64, (n, size), elements=st.integers(-8, 8).map(float))
-    )
-)
+integer_uploads = layered_uploads(6, st.integers(-8, 8).map(float))
 
 
 @settings(deadline=None, database=None)
@@ -44,7 +47,7 @@ def test_l2_is_translation_invariant(x, seed, normalization):
     # Distinct integer rows are at least 1 apart; a translation of up to 1e6
     # rounds each coordinate of x + t by at most 6e-11.
     assume(len({row.tobytes() for row in x}) == x.shape[0])
-    t = np.random.default_rng(seed).uniform(-1e6, 1e6, x.shape[1])
+    t = np.random.default_rng(seed).uniform(-1e6, 1e6, x.shape[1:])
     s = pairwise_similarity(x, "l2_based", normalization)
     moved = pairwise_similarity(x + t, "l2_based", normalization)
     assert np.max(np.abs(moved - s)) <= 1e-8 * max(1.0, np.max(np.abs(s)))
@@ -103,16 +106,12 @@ def stochastic(n, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_aggregate_maps_identical_uploads_to_themselves(n, upload, seed):
-    x = np.tile(upload, (n, 1))
+    x = np.tile(upload, (n, 1, 1))
     mixed = aggregate(CollaborationMatrix(stochastic(n, seed)), x.copy())
     np.testing.assert_allclose(mixed, x, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(upload))))
 
 
-float_uploads = st.integers(2, 8).flatmap(
-    lambda n: st.integers(1, 16).flatmap(
-        lambda size: arrays(np.float64, (n, size), elements=st.floats(-100.0, 100.0))
-    )
-)
+float_uploads = layered_uploads(8, st.floats(-100.0, 100.0))
 # 0 and log-uniform up to 1e300: the QP must stay exact at any finite alpha.
 alphas = st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e))
 
