@@ -130,7 +130,10 @@ class ToyFM:
             self.flat[span] = values
 
     def clone(self) -> "ToyFM":
-        """Copy with its own adapter buffer; frozen blocks are shared (immutable)."""
+        """Copy with its own adapter buffer; frozen blocks are shared (immutable).
+
+        No src code calls it: it stays only because bench/tracer.py names it as a target.
+        """
         return replace(self, blocks=list(self.blocks), flat=self.flat.copy())
 
 

@@ -134,7 +134,8 @@ def finite_diff_grad(
 ) -> np.ndarray:
     """Central-difference gradient oracle: (f(x + h e_j) - f(x - h e_j)) / 2h.
 
-    Non-finite f evaluations propagate into the returned vector.
+    Non-finite f evaluations propagate into the returned vector. No src code
+    calls it: it stays only because bench/tracer.py names it as a target.
     """
     if h <= 0:
         raise InvalidArgumentError("step size h must be > 0")

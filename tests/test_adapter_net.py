@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsim import adapter_net
 from fedsim.adapter_net import (
     PROB_CLAMP,
     AdamState,
@@ -757,6 +758,10 @@ class TestStackedProducts:
     - many_clients' test sets: 32 blocks of 2 rows, (64, 256) @ (256, 256);
     - criterion 02's and the small config's one training step: blocks of
       10, 8, 11 and 13 rows, (42, 64) @ (64, 64).
+
+    Every stacked product, frozen and adapter, is the same bits at 1 and 2
+    OpenBLAS threads, so a stacked run keeps a run directory that does not
+    depend on the thread count.
     """
 
     @staticmethod
@@ -771,15 +776,43 @@ class TestStackedProducts:
         flats = 0.1 * RngStream(seed, 1).draw_gaussian(n * model.flat.size)
         return model, flats.reshape(n, model.flat.size)
 
-    @pytest.mark.parametrize("feature_dim, num_blocks, blocks, tolerant", _stacks())
-    def test_row_stacked_frozen_products(self, feature_dim, num_blocks, blocks, tolerant):
-        model, _ = self._clients(feature_dim, num_blocks, 1, seed=len(blocks))
+    @classmethod
+    def _frozen_operands(cls, feature_dim, num_blocks, blocks):
+        """Stacked rows h and gradients g, and the frozen weights of blocks 2..K and the head."""
+        model, _ = cls._clients(feature_dim, num_blocks, 1, seed=len(blocks))
         stream = RngStream(sum(blocks), 2)
         h = np.maximum(stream.draw_gaussian(sum(blocks) * feature_dim), 0.0)
         h = h.reshape(-1, feature_dim)
         g = stream.draw_gaussian(h.size).reshape(h.shape)
+        return h, g, [block.weight for block in model.blocks[1:]] + [model.head.weight]
+
+    @classmethod
+    def _adapter_operands(cls, feature_dim, num_blocks, blocks):
+        """Per distinct block height: n clients' adapter inputs r and s, and every layer's
+        (down, up) stacked over those clients as views of their (n, P) matrix."""
+        bottleneck = feature_dim // 16
+        for rows in sorted(set(blocks)):
+            n = blocks.count(rows)
+            model, flats = cls._clients(feature_dim, num_blocks, n, seed=rows)
+            stream = RngStream(rows, 3)
+            r = np.maximum(stream.draw_gaussian(n * rows * feature_dim), 0.0)
+            r = r.reshape(n, rows, feature_dim)
+            s = np.maximum(stream.draw_gaussian(n * rows * bottleneck), 0.0)
+            s = s.reshape(n, rows, bottleneck)
+            cut = bottleneck * feature_dim
+            layers = []
+            for k in range(num_blocks):
+                layer = flats[:, k * model.layer_size : (k + 1) * model.layer_size]
+                down = layer[:, :cut].reshape(n, bottleneck, feature_dim)
+                up = layer[:, cut:].reshape(n, feature_dim, bottleneck)
+                layers.append((down, up))
+            yield model, flats, r, s, layers
+
+    @pytest.mark.parametrize("feature_dim, num_blocks, blocks, tolerant", _stacks())
+    def test_row_stacked_frozen_products(self, feature_dim, num_blocks, blocks, tolerant):
+        h, g, weights = self._frozen_operands(feature_dim, num_blocks, blocks)
         cuts = np.cumsum([0, *blocks])
-        for w in [block.weight for block in model.blocks[1:]] + [model.head.weight]:
+        for w in weights:
             forward, backward = h @ w.T, g @ w
             for lo, hi in zip(cuts, cuts[1:]):
                 assert backward[lo:hi].tobytes() == (g[lo:hi] @ w).tobytes()
@@ -795,27 +828,44 @@ class TestStackedProducts:
 
     @pytest.mark.parametrize("feature_dim, num_blocks, blocks, tolerant", _stacks())
     def test_adapter_matmul_over_clients(self, feature_dim, num_blocks, blocks, tolerant):
-        bottleneck = feature_dim // 16
-        for rows in sorted(set(blocks)):
-            n = blocks.count(rows)
-            model, flats = self._clients(feature_dim, num_blocks, n, seed=rows)
-            stream = RngStream(rows, 3)
-            r = np.maximum(stream.draw_gaussian(n * rows * feature_dim), 0.0)
-            r = r.reshape(n, rows, feature_dim)
-            s = np.maximum(stream.draw_gaussian(n * rows * bottleneck), 0.0)
-            s = s.reshape(n, rows, bottleneck)
-            cut = bottleneck * feature_dim
-            for k in range(num_blocks):
-                layer = flats[:, k * model.layer_size : (k + 1) * model.layer_size]
-                down = layer[:, :cut].reshape(n, bottleneck, feature_dim)
-                up = layer[:, cut:].reshape(n, feature_dim, bottleneck)
+        for model, flats, r, s, layers in self._adapter_operands(feature_dim, num_blocks, blocks):
+            for k, (down, up) in enumerate(layers):
                 assert np.shares_memory(down, flats) and np.shares_memory(up, flats)
                 u = np.matmul(r, down.transpose(0, 2, 1))
                 h = np.matmul(s, up.transpose(0, 2, 1))
-                for i in range(n):
+                for i in range(len(flats)):
                     client = model._layer_views(flats[i], k + 1)
                     assert u[i].tobytes() == (r[i] @ client[0].T).tobytes()
                     assert h[i].tobytes() == (s[i] @ client[1].T).tobytes()
+
+    @pytest.mark.parametrize("feature_dim, num_blocks, blocks, tolerant", _stacks())
+    def test_stacked_products_are_the_same_bits_at_one_and_two_blas_threads(
+        self, feature_dim, num_blocks, blocks, tolerant
+    ):
+        threads = adapter_net._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        h, g, weights = self._frozen_operands(feature_dim, num_blocks, blocks)
+        adapters = list(self._adapter_operands(feature_dim, num_blocks, blocks))
+
+        def products():
+            out = [p for w in weights for p in (h @ w.T, g @ w)]
+            for _, _, r, s, layers in adapters:
+                for down, up in layers:
+                    out.append(np.matmul(r, down.transpose(0, 2, 1)))
+                    out.append(np.matmul(s, up.transpose(0, 2, 1)))
+            return [p.tobytes() for p in out]
+
+        get, set_ = threads
+        previous = get()
+        try:
+            set_(1)
+            one = products()
+            set_(2)
+            two = products()
+        finally:
+            set_(previous)
+        assert one == two
 
 
 class TestAdamStep:
@@ -971,8 +1021,10 @@ print(json.dumps({"one_thread": one_thread, "plain": digests(), "threads_after":
 class TestBackboneBlasThreads:
     def test_frozen_weights_are_the_same_bits_at_one_and_two_blas_threads(self):
         runs = {}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
             proc = subprocess.run(
                 [sys.executable, "-c", BACKBONE_DIGESTS], capture_output=True, text=True, env=env
             )

@@ -1,11 +1,17 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*args, cwd=None, env=None):
+    """`python -m fedsim args` in a child process that imports this checkout's fedsim."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "fedsim", *args],
         capture_output=True,

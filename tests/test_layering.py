@@ -1,7 +1,8 @@
 """Client and server meet only through wire bytes and the orchestrator's loop.
 
 Neither module imports the other, so what the server reads of a round is
-what the uploads carry.
+what the uploads carry. The tests' reference round imports neither that
+loop nor the server's in-place mixes, so it cannot share what it checks.
 """
 
 import ast
@@ -40,3 +41,10 @@ def test_the_import_scan_sees_relative_and_absolute_imports():
     # The orchestrator drives both sides, so the scan must find both there.
     found = imported_modules(PACKAGE / "orchestrator.py")
     assert {"fedsim.fed_client", "fedsim.server", "fedsim.transport"} <= found
+
+
+def test_the_reference_round_shares_neither_the_loop_nor_the_in_place_mix():
+    found = imported_modules(Path(__file__).parent / "reference_round.py")
+    assert "fedsim.server.update_matrix" in found  # the scan sees its server imports
+    shared = {"fedsim.orchestrator", "fedsim.server.aggregate", "fedsim.server.fedavg_aggregate"}
+    assert not found & shared

@@ -30,6 +30,7 @@ from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 from fedsim.server import fedavg_aggregate
 from fedsim.transport import read_params_file, serialize_params
+from reference_round import run_reference
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -248,25 +249,42 @@ blob_count = 1, 2
     )
 
 
-class TestServerMatrix:
-    """The round loop keeps one (N, P) upload matrix and decodes every upload into it."""
+class TestReferenceRound:
+    """run_experiment computes what the plain round of tests/reference_round.py computes."""
 
-    @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
-    def test_ledger_records_broadcasts_then_uploads_in_client_order(
-        self, small_config_text, aggregator
-    ):
-        cfg = parse_config_text(
-            small_config_text.replace("aggregator = sgca", f"aggregator = {aggregator}")
-        )
-        store = run_experiment(cfg)
-        expected = [
-            (round_index, direction, client_id)
-            for round_index in range(1, 4)
-            for direction in ("broadcast", "upload")
-            for client_id in range(4)
-        ]
-        got = [(e.round, e.direction, e.client_id) for e in store.ledger.entries]
-        assert got == expected
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {},
+            {"metric = l2_based": "metric = inner"},
+            {"metric = l2_based": "metric = cosine"},
+            {"metric = l2_based": "metric = l1_based"},
+            {"metric = l2_based": "metric = l2_based\nnormalization = none"},
+            {"aggregator = sgca": "aggregator = fedavg"},
+            {"low_layers = 1": "low_layers = 3"},
+            {"low_layers = 1": "low_layers = 3", "aggregator = sgca": "aggregator = fedavg"},
+        ],
+        ids=["l2", "inner", "cosine", "l1", "l2-unnormalized", "fedavg", "sgca-K", "fedavg-K"],
+    )
+    def test_the_run_is_the_reference_round_bit_for_bit(self, small_config_text, tmp_path, edits):
+        text = small_config_text
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = parse_config_text(text)
+        store = run_experiment(cfg, tmp_path)
+        ref = run_reference(cfg)
+        # repr round-trips a float, so equal reprs are equal bits.
+        assert repr([vars(record) for record in store.records]) == repr(ref.records)
+        assert store.ledger.entries == ref.ledger.entries
+        assert read_tree(tmp_path / "checkpoints") == ref.checkpoints
+        assert len(ref.kkt_gaps) == (cfg.rounds if cfg.aggregator == "sgca" else 0)
+        assert max(ref.kkt_gaps, default=0.0) <= 1e-9
+
+
+class TestServerMatrix:
+    """What no output of a run shows: the round's manifest check, how long its payloads
+    live, its traced memory, and uploads that view the run's parameter matrix."""
 
     def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
         real_train = orchestrator.local_train_round
@@ -288,31 +306,6 @@ class TestServerMatrix:
         with pytest.raises(ProtocolError, match="manifest"):
             run_experiment(parse_config_text(small_config_text))
 
-    def test_uploads_are_decoded_into_the_matrix_update_matrix_reads(
-        self, small_config_text, monkeypatch
-    ):
-        seen = []
-        real = orchestrator.update_matrix
-
-        def spy(x, cfg):
-            seen.append(x.copy())
-            return real(x, cfg)
-
-        trained = []
-        real_train = orchestrator.local_train_round
-
-        def record(state, round_index):
-            update = real_train(state, round_index)
-            trained.append(state.model.low(state.config.low_layers).copy())
-            return update
-
-        monkeypatch.setattr(orchestrator, "update_matrix", spy)
-        monkeypatch.setattr(orchestrator, "local_train_round", record)
-        run_experiment(parse_config_text(small_config_text))
-        assert len(seen) == 3
-        for round_index, x in enumerate(seen):
-            assert x.tobytes() == np.stack(trained[4 * round_index : 4 * round_index + 4]).tobytes()
-
     def test_no_payload_outlives_its_client_round(self, small_config_text, monkeypatch):
         # Each payload lives only for its own install or upload. Every payload
         # is a bytes object allocated in transport.py; none of that size may
@@ -333,30 +326,6 @@ class TestServerMatrix:
         finally:
             tracemalloc.stop()
         assert live == [[]] * 3
-
-    def test_the_server_mixes_into_the_one_upload_view_of_the_run(
-        self, small_config_text, monkeypatch
-    ):
-        calls = []
-        real_aggregate, real_update = orchestrator.aggregate, orchestrator.update_matrix
-
-        def aggregate(matrix, x):
-            before = x.copy()
-            calls.append(("aggregate", x))
-            assert real_aggregate(matrix, x) is x
-            flat = before.reshape(len(x), -1)
-            assert x.tobytes() == (matrix.w @ flat).tobytes()
-            return x
-
-        def update_matrix(x, cfg):
-            calls.append(("update_matrix", x))
-            return real_update(x, cfg)
-
-        monkeypatch.setattr(orchestrator, "aggregate", aggregate)
-        monkeypatch.setattr(orchestrator, "update_matrix", update_matrix)
-        run_experiment(parse_config_text(small_config_text))
-        assert [name for name, _ in calls] == ["aggregate", "update_matrix"] * 3
-        assert all(uploads is calls[0][1] for _, uploads in calls)
 
     @pytest.mark.parametrize("low_layers", [1, 2])
     def test_the_uploads_the_server_reads_view_the_parameter_matrix(
@@ -386,88 +355,6 @@ class TestServerMatrix:
             assert x.shape == (4, low_layers, size)
             assert x.strides == (params.strides[0], 8 * size, 8)
             assert x.ctypes.data == params.ctypes.data
-
-    def test_each_round_mixes_the_uploads_decoded_in_the_round_before(
-        self, small_config_text, monkeypatch
-    ):
-        # Installs write into the rows the server mixes from, so mixing must come
-        # before any install of its round.
-        states, mixed_from, decoded = keep_states(monkeypatch), [], []
-        real_aggregate, real_decode = orchestrator.aggregate, orchestrator.deserialize_params
-
-        def aggregate(matrix, x):
-            mixed_from.append(x.copy())
-            return real_aggregate(matrix, x)
-
-        def decode(payload, *, manifest, out):
-            # The only decode the round loop makes itself is an upload's, onto its own layers.
-            state = states[len(decoded) % 4]
-            assert np.shares_memory(out, state.model.flat)
-            real_decode(payload, manifest=manifest, out=out)
-            decoded.append(out.copy())
-
-        monkeypatch.setattr(orchestrator, "aggregate", aggregate)
-        monkeypatch.setattr(orchestrator, "deserialize_params", decode)
-        run_experiment(parse_config_text(small_config_text))
-        assert len(mixed_from) == 3 and len(decoded) == 3 * 4
-        for round_index in (1, 2):
-            uploads = np.stack(decoded[4 * (round_index - 1) : 4 * round_index])
-            assert mixed_from[round_index].tobytes() == uploads.tobytes()
-
-    def test_each_fedavg_broadcast_is_the_size_weighted_average_of_the_round_before(
-        self, small_config_text, monkeypatch
-    ):
-        # Uneven sizes and three layers: the in-place mix writes one average
-        # into every row of the uploads, and each install serializes its row.
-        uploads, installed = [], []
-        real_init, real_train = orchestrator._init_states, orchestrator.local_train_round
-        real_install = orchestrator.install_low_adapters
-
-        def init_states(cfg, datasets):
-            params, states = real_init(cfg, datasets)
-            uploads.extend(params[:, : 3 * states[0].model.layer_size].copy())  # the draws
-            return params, states
-
-        def train(state, round_index):
-            update = real_train(state, round_index)
-            uploads.append(state.model.low(3).copy())
-            return update
-
-        def install(state, payload):
-            installed.append(payload)
-            real_install(state, payload)
-
-        monkeypatch.setattr(orchestrator, "_init_states", init_states)
-        monkeypatch.setattr(orchestrator, "local_train_round", train)
-        monkeypatch.setattr(orchestrator, "install_low_adapters", install)
-        text = small_config_text.replace("aggregator = sgca", "aggregator = fedavg")
-        run_experiment(parse_config_text(text.replace("low_layers = 1", "low_layers = 3")))
-        sizes = np.array([12.0, 10.0, 14.0, 16.0])
-        manifest = tuple((k, 2 * 64 * 4) for k in (1, 2, 3))
-        assert len(installed) == 3 * 4 and len(uploads) == 4 * 4
-        for k, payload in enumerate(installed):
-            previous = np.stack(uploads[4 * (k // 4) : 4 * (k // 4) + 4])
-            assert payload == serialize_params((sizes / sizes.sum()) @ previous, manifest)
-
-    @pytest.mark.parametrize("aggregator", ["sgca", "fedavg"])
-    def test_each_broadcast_installed_has_the_count_its_ledger_row_records(
-        self, small_config_text, aggregator, monkeypatch
-    ):
-        installed = []
-        real = orchestrator.install_low_adapters
-
-        def install(state, payload):
-            installed.append((state.client_id, transport.payload_scalar_count(payload)))
-            real(state, payload)
-
-        monkeypatch.setattr(orchestrator, "install_low_adapters", install)
-        cfg = parse_config_text(
-            small_config_text.replace("aggregator = sgca", f"aggregator = {aggregator}")
-        )
-        store = run_experiment(cfg)
-        rows = [e for e in store.ledger.entries if e.direction == "broadcast"]
-        assert len(installed) == 3 * 4
-        assert installed == [(e.client_id, e.scalar_count) for e in rows]
 
     def test_traced_peak_grows_by_at_most_four_uploads_per_client(self):
         # Per client the run keeps three matrix rows: one of the parameter matrix
