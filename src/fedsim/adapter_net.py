@@ -229,7 +229,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
     """Logits for one input vector or a (batch, feature_dim) matrix.
 
-    Frozen block 1, then _forward_cached: the one forward arithmetic.
+    Frozen block 1, then _forward_cached: the training step's forward arithmetic.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.feature_dim:
@@ -250,13 +250,17 @@ def _bce(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
 
 
-def _cosine_parts(theta_low: np.ndarray, theta_ref: np.ndarray) -> tuple[float, float, float]:
-    """||theta_low||, ||theta_ref|| and their dot: all the regularizer and its gradient need."""
-    return (
-        float(np.linalg.norm(theta_low)),
-        float(np.linalg.norm(theta_ref)),
-        float(np.dot(theta_low, theta_ref)),
-    )
+def _cosine_parts(
+    theta_low: np.ndarray, theta_ref: np.ndarray, layer_size: int
+) -> tuple[float, float, float]:
+    """||theta_low||, ||theta_ref|| and their dot: all the regularizer and its gradient need.
+
+    Summed one layer at a time, as the server's Gram is: OpenBLAS threads longer dot products.
+    """
+    sq_low = sq_ref = dot = 0.0
+    for a, b in zip(theta_low.reshape(-1, layer_size), theta_ref.reshape(-1, layer_size)):
+        sq_low, sq_ref, dot = sq_low + float(a @ a), sq_ref + float(b @ b), dot + float(a @ b)
+    return float(np.sqrt(sq_low)), float(np.sqrt(sq_ref)), dot
 
 
 def _neg_cosine(na: float, nb: float, dot: float) -> float:
@@ -325,12 +329,19 @@ def _check_objective_args(
     return images, masks, theta_ref
 
 
+def _frozen_affine(h: np.ndarray, block: FrozenBlock) -> np.ndarray:
+    """h @ weight.T + bias as a new matrix; the product is taken as (weight @ h.T).T, the same
+    bits, which OpenBLAS runs about twice as fast on a few rows. The contiguous copy keeps
+    the adapter products after it on their bits."""
+    r = np.ascontiguousarray((block.weight @ h.T).T)
+    r += block.bias
+    return r
+
+
 def _frozen_block(h: np.ndarray, block: FrozenBlock) -> np.ndarray:
     """relu(h @ weight.T + bias), as a new matrix."""
-    r = h @ block.weight.T
-    r += block.bias
-    np.maximum(r, 0.0, out=r)
-    return r
+    r = _frozen_affine(h, block)
+    return np.maximum(r, 0.0, out=r)
 
 
 def block1_features(images: np.ndarray, model: ToyFM) -> np.ndarray:
@@ -351,7 +362,7 @@ def _forward_cached(first: np.ndarray, model: ToyFM):
     """Logits from block 1's output, one row or a matrix of rows, with what backprop needs.
 
     The cache holds each layer's adapter input r, bottleneck pre-activation
-    u and activation s. Every forward pass of the model runs through here.
+    u and activation s. Every forward pass but stacked_logits' runs through here.
     """
     r = first
     cache = []
@@ -363,8 +374,29 @@ def _forward_cached(first: np.ndarray, model: ToyFM):
         h = s @ up.T
         h += r
         cache.append((r, u, s))
-    logits = h @ model.head.weight.T + model.head.bias
-    return logits, cache
+    return _frozen_affine(h, model.head), cache
+
+
+def stacked_logits(first: np.ndarray, models: list[ToyFM], ends: np.ndarray) -> np.ndarray:
+    """Logits of stacked block-1 rows, rows ends[i - 1]:ends[i] (0:ends[0]) through models[i].
+
+    The models must share one frozen backbone, one blocks list and head (else
+    InvalidArgumentError): its blocks 2..K and head run once on all rows, each model's
+    adapters on its own rows. A block's logits are _forward_cached's but for the last bits
+    where the BLAS takes another kernel at the stacked height.
+    """
+    backbone = models[0]
+    if any(m.blocks is not backbone.blocks or m.head is not backbone.head for m in models):
+        raise InvalidArgumentError("stacked models must share one frozen backbone")
+    r = first
+    for k in range(backbone.num_blocks):
+        if k:
+            r = _frozen_block(h, backbone.blocks[k])
+        h = r.copy()
+        for model, a, b in zip(models, [0, *ends[:-1]], ends):
+            down, up = model.adapters[k]
+            h[a:b] += np.maximum(r[a:b] @ down.T, 0.0) @ up.T
+    return _frozen_affine(h, backbone.head)
 
 
 def objective_and_grad(
@@ -399,7 +431,7 @@ def objective_and_grad(
     reg = None
     if beta > 0:
         theta_low = model.flat[: theta_ref.size]
-        parts = _cosine_parts(theta_low, theta_ref)
+        parts = _cosine_parts(theta_low, theta_ref, model.layer_size)
         loss += beta * _neg_cosine(*parts)
         # Nothing is added when theta_low is the zero vector, where -cos is constant 0.
         if parts[0] != 0.0:
@@ -449,7 +481,7 @@ def objective(
     images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     loss = _bce(sigmoid(model_forward(images, model)), masks)
     if ref is not None:
-        loss += beta * _neg_cosine(*_cosine_parts(model.flat[: ref.size], ref))
+        loss += beta * _neg_cosine(*_cosine_parts(model.flat[: ref.size], ref, model.layer_size))
     return loss
 
 

@@ -1,4 +1,4 @@
-"""Client-side runtime: decode the broadcast into the adapters, train locally, report metrics."""
+"""Client-side runtime: decode the broadcast into the adapters, train locally, evaluate."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ from .adapter_net import (
     AdamState,
     ToyFM,
     adam_update,
-    _forward_cached,
     block1_features,
     objective_and_grad,
     sigmoid,
+    stacked_logits,
 )
 from .datagen import ClientDataset
 from .errors import InvalidArgumentError, InvalidStateError, NumericError
@@ -46,11 +46,9 @@ class ClientConfig:
 
 @dataclass
 class ClientUpdate:
-    """Per-round client report; the upload itself is layers 1..L of model.flat, on the wire."""
+    """Per-round training report; the upload is layers 1..L of model.flat, scored by evaluate."""
 
     train_loss: float
-    test_iou: float
-    test_dice: float
     layer_shift: np.ndarray  # per adapter layer: the round's relative L2 shift
 
 
@@ -121,7 +119,7 @@ def install_low_adapters(state: ClientState, payload: bytes) -> None:
 
 
 def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
-    """One local training pass (config.local_epochs epochs) plus evaluation.
+    """One local training pass (config.local_epochs epochs); evaluate scores it.
 
     The round starts by copying model.flat into workspace row 2; its layers
     1..L, the broadcast just installed, are the regularizer's reference.
@@ -129,7 +127,7 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
     adapter parameters move. Each step gathers the batch's stored block-1
     features and its masks from the dataset rows, writes the gradient into
     workspace row 0 and updates model.flat and the Adam moments in place,
-    with row 1 as scratch. Returns the round's metrics and each layer's
+    with row 1 as scratch. Returns the round's mean loss and each layer's
     shift from the round-start copy, taken in row 1; the trained adapters
     stay in model.flat. With beta > 0, an all-zero reference
     (InvalidArgumentError) fails before any step.
@@ -159,9 +157,8 @@ def local_train_round(state: ClientState, round_index: int) -> ClientUpdate:
                     f"client {state.client_id}: {exc}, first in adapter layer {layer}"
                 ) from exc
             losses.append(loss)
-    iou, dice = evaluate(state)
     shift = measure_param_shift(snapshot, model.flat, model.manifest(), scratch)
-    return ClientUpdate(float(np.mean(losses)), iou, dice, shift)
+    return ClientUpdate(float(np.mean(losses)), shift)
 
 
 def iou_dice(pred: np.ndarray, truth: np.ndarray):
@@ -182,11 +179,18 @@ def iou_dice(pred: np.ndarray, truth: np.ndarray):
     return iou, dice
 
 
-def evaluate(state: ClientState) -> tuple[float, float]:
-    """Mean test IoU and Dice with predictions thresholded at probability 0.5."""
-    logits, _ = _forward_cached(state._test_first, state.model)
-    ious, dices = iou_dice(sigmoid(logits) > 0.5, state.dataset.test[:, 1])
-    return float(np.mean(ious)), float(np.mean(dices))
+def evaluate(states: list[ClientState]) -> tuple[list[float], list[float]]:
+    """Each client's mean test IoU and Dice over its own rows, predictions thresholded at 0.5.
+
+    All test rows run as one stack (stacked_logits) through the backbone the states share;
+    only a logit within its rounding of 0 could score otherwise than its rows run alone.
+    """
+    ends = np.cumsum([len(s._test_first) for s in states])
+    first = np.concatenate([s._test_first for s in states])
+    logits = stacked_logits(first, [s.model for s in states], ends)
+    masks = np.concatenate([s.dataset.test[:, 1] for s in states])
+    scores = iou_dice(sigmoid(logits) > 0.5, masks)
+    return tuple([float(np.mean(v)) for v in np.split(each, ends[:-1])] for each in scores)
 
 
 def measure_param_shift(

@@ -23,16 +23,11 @@ from .adapter_net import AdamState, ToyFM, draw_adapters, frozen_backbone
 from .config import SWEEP_AXES, ExperimentConfig, apply_sweep_value
 from .datagen import generate_federation
 from .errors import ConfigError, DecodeError, FedsimError, NumericError
-from .fed_client import ClientState, install_low_adapters, local_train_round, step_workspace
+from .fed_client import ClientState, evaluate, install_low_adapters, local_train_round
+from .fed_client import step_workspace
 from .numerics import RngStream, derive_stream_id
 from .server import CollaborationMatrix, aggregate, fedavg_aggregate, update_matrix
-from .transport import (
-    CommLedger,
-    LedgerEntry,
-    deserialize_params,
-    serialize_params,
-    write_params_file,
-)
+from .transport import CommLedger, LedgerEntry, serialize_params, write_params_file
 
 
 @dataclass
@@ -219,15 +214,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     """Execute the full round loop and return (and optionally save) the results.
 
     The uploads x are the first L layers of _init_states' (N, P) parameter
-    matrix, whose row i is client i's model.flat, so decoding client i's
-    upload into x[i] writes those same bits back. The server reads x, as its
-    (N, L, layer_size) view, only where every row holds that client's trained
-    layers: the mixing, before any client of the round trains, and the
-    similarity, after every upload. Either aggregator mixes in place, so x[i]
-    holds client i's broadcast from the mix until client i trains; each
-    broadcast is serialized from x[i] just before its install, which writes
-    the same bits back, so at most one payload is alive at a time. Clients
-    run one after another, in id order.
+    matrix, whose row i is client i's model.flat: client i's upload is in
+    x[i] as it finishes training, so only the ledger counts it. The server
+    reads x, as its (N, L, layer_size) view, only where every row holds that
+    client's trained layers: the mixing, before any client of the round
+    trains, and the similarity, after the round's evaluate. Either
+    aggregator mixes in place, so x[i] holds client i's broadcast from the
+    mix until client i trains; each broadcast is serialized from x[i] just
+    before its install, which writes the same bits back, so at most one
+    payload is alive at a time. Clients train one after another, in id order.
     """
     cfg.validate()
     datasets = generate_federation(cfg.federation)
@@ -263,10 +258,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             except NumericError as exc:
                 raise NumericError(f"round {round_index}: {exc}") from exc
             ledger.record("upload", i, round_index, x.shape[1])
-            deserialize_params(serialize_params(x[i], manifest), manifest=manifest, out=x[i])
             updates.append(update)
 
-        metrics = np.array([[u.train_loss, u.test_iou, u.test_dice] for u in updates])
+        metrics = np.array([[u.train_loss for u in updates], *evaluate(states)])
         if not np.all(np.isfinite(metrics)):
             raise NumericError(f"non-finite client metrics at round {round_index}")
 
@@ -278,11 +272,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         records.append(
             RoundRecord(
                 round=round_index,
-                train_loss=[float(u.train_loss) for u in updates],
-                test_iou=[float(u.test_iou) for u in updates],
-                test_dice=[float(u.test_dice) for u in updates],
-                mean_iou=float(metrics[:, 1].mean()),
-                mean_dice=float(metrics[:, 2].mean()),
+                train_loss=metrics[0].tolist(),
+                test_iou=metrics[1].tolist(),
+                test_dice=metrics[2].tolist(),
+                mean_iou=float(metrics[1].mean()),
+                mean_dice=float(metrics[2].mean()),
                 w=w_snapshot,
                 layer_shift=np.mean([u.layer_shift for u in updates], axis=0).tolist(),
                 comm_total=ledger.total,

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedsim import adapter_net
 from fedsim.numerics import FlatParams
 
 SMALL_CONFIG = """
@@ -85,3 +86,18 @@ def frozen_digest():
         return h.hexdigest()
 
     return digest
+
+
+@pytest.fixture
+def set_blas_threads():
+    """The setter of numpy's bundled OpenBLAS thread count, restored after the test.
+
+    Skips the test when that library is not found.
+    """
+    threads = adapter_net._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, set_ = threads
+    previous = get()
+    yield set_
+    set_(previous)

@@ -5,17 +5,32 @@ server mixes the uploads it decoded in the round before into a new matrix,
 W @ X under sgca or the size-weighted mean under fedavg, and sends row i to
 client i as bytes; each client trains and uploads its low layers as bytes.
 It shares the client kernels and update_matrix with the run, but not its loop
-or its in-place mixes (tests/test_layering.py keeps it so). Each round's W is
-also rebuilt from a pairwise-loop similarity and oracles.kkt_row_argmin.
+or its in-place mixes (tests/test_layering.py keeps it so), and scores each
+client's test set on its own with model_forward, not with fed_client.evaluate.
+Each round's W is also rebuilt from a pairwise-loop similarity and
+oracles.kkt_row_argmin.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from fedsim.adapter_net import AdamState, ToyFM, draw_adapters, frozen_backbone
+from fedsim.adapter_net import (
+    AdamState,
+    ToyFM,
+    draw_adapters,
+    frozen_backbone,
+    model_forward,
+    sigmoid,
+)
 from fedsim.datagen import generate_federation
-from fedsim.fed_client import ClientState, install_low_adapters, local_train_round, step_workspace
+from fedsim.fed_client import (
+    ClientState,
+    install_low_adapters,
+    iou_dice,
+    local_train_round,
+    step_workspace,
+)
 from fedsim.numerics import RngStream, derive_stream_id
 from fedsim.oracles import kkt_row_argmin
 from fedsim.server import update_matrix
@@ -28,6 +43,13 @@ class ReferenceRun:
     ledger: CommLedger
     checkpoints: dict[str, bytes]  # file name under checkpoints/ -> its bytes
     kkt_gaps: list[float]  # per sgca round: max |W - W_kkt|
+
+
+def client_scores(client: ClientState) -> tuple[float, float]:
+    """A client's mean test IoU and Dice, from model_forward on its own test images."""
+    images, masks = client.dataset.test[:, 0], client.dataset.test[:, 1]
+    ious, dices = iou_dice(sigmoid(model_forward(images, client.model)) > 0.5, masks)
+    return float(np.mean(ious)), float(np.mean(dices))
 
 
 def loop_similarity(x: np.ndarray, metric: str, normalization: str) -> np.ndarray:
@@ -88,7 +110,7 @@ def run_reference(cfg) -> ReferenceRun:
             s = loop_similarity(x, cfg.sgca.metric, cfg.sgca.normalization)
             kkt = np.array([kkt_row_argmin(1.0 / n, row, cfg.sgca.alpha) for row in s])
             kkt_gaps.append(float(np.max(np.abs(w - kkt))))
-        iou, dice = [u.test_iou for u in updates], [u.test_dice for u in updates]
+        iou, dice = (list(v) for v in zip(*map(client_scores, clients)))
         records.append(
             {
                 "round": round_index,

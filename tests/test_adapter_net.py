@@ -65,9 +65,19 @@ def seg_loss(logits, y):
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p)))
 
 
-def neg_cosine(a, b):
-    """Reference regularizer: -cos(a, b) from two norms and a dot product."""
-    return -(float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
+def layer_parts(a, b, layer_size=None):
+    """Reference ||a||, ||b|| and a . b, each a sum of per-layer dot products in layer order."""
+    pairs = zip(*(np.reshape(v, (-1, layer_size or len(a))) for v in (a, b)))
+    sq_a = sq_b = dot = 0.0
+    for x, y in pairs:
+        sq_a, sq_b, dot = sq_a + float(x @ x), sq_b + float(y @ y), dot + float(x @ y)
+    return float(np.sqrt(sq_a)), float(np.sqrt(sq_b)), dot
+
+
+def neg_cosine(a, b, layer_size=None):
+    """Reference regularizer: -cos(a, b) from two norms and a dot product (see layer_parts)."""
+    na, nb, dot = layer_parts(a, b, layer_size)
+    return -(dot / (na * nb))
 
 
 def loss_and_grad(images, masks, model, theta_ref, beta):
@@ -327,9 +337,13 @@ class TestSegLoss:
             _check_mask(np.array([0.0, 0.5, 1.0]))
 
 
-def reg_term(a, b):
-    """The regularizer the objectives compute: -cos(a, b), 0 for a zero vector."""
-    return _neg_cosine(*_cosine_parts(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+def reg_term(a, b, layer_size=None):
+    """The regularizer the objectives compute: -cos(a, b), 0 for a zero vector.
+
+    a and b are layers of layer_size values each (default: one layer).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _neg_cosine(*_cosine_parts(a, b, layer_size or a.size))
 
 
 class TestRegLoss:
@@ -354,15 +368,26 @@ class TestRegLoss:
             assert -1.0 - 1e-12 <= reg_term(a, b) <= 1.0 + 1e-12
 
     def test_bitwise_equal_to_negated_cosine_of_two_norms_and_a_dot(self):
-        # Reference: the cosine as an array-scalar quotient, negated.
+        # Reference: the cosine as an array-scalar quotient, negated; on one layer
+        # its norms are np.linalg.norm's.
         stream = RngStream(13, 0)
         for size in (3, 8192):
             for _ in range(20):
                 a, b = stream.draw_gaussian(size), stream.draw_gaussian(size)
                 na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+                assert layer_parts(a, b) == (na, nb, float(np.dot(a, b)))
                 expected = -float(np.dot(a, b) / (na * nb))
                 assert np.float64(reg_term(a, b)).tobytes() == np.float64(expected).tobytes()
                 assert np.float64(neg_cosine(a, b)).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("layers", [2, 6])
+    def test_sums_one_layer_at_a_time(self, layers):
+        # many_clients' six layers of 8,192 values: one 49,152-value dot product
+        # would be split over OpenBLAS's threads, the per-layer ones are not.
+        stream = RngStream(14, layers)
+        a, b = (stream.draw_gaussian(layers * 8192) for _ in range(2))
+        expected = neg_cosine(a, b, 8192)
+        assert np.float64(reg_term(a, b, 8192)).tobytes() == np.float64(expected).tobytes()
 
 
 class TestObjective:
@@ -522,7 +547,7 @@ class TestGradAdapters:
         loss, analytic = loss_and_grad(images, masks, model, ref, 0.5)
         seg, seg_grads = loss_and_grad(images, masks, model, None, 0.0)
         assert loss == objective(images, masks, model, ref, 0.5)
-        assert loss == seg + 0.5 * neg_cosine(model.low(2), ref)
+        assert loss == seg + 0.5 * neg_cosine(model.low(2), ref, model.layer_size)
         assert np.array_equal(layer_grad(analytic, model, 3), layer_grad(seg_grads, model, 3))
         scratch = model.clone()
 
@@ -540,7 +565,8 @@ def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
 
     It allocates every intermediate, propagates the input gradient through
     every block, builds one array per layer and adds the regularizer's
-    gradient layer by layer, in the order the kernel must keep.
+    gradient layer by layer, in the order the kernel must keep; the
+    regularizer's norms and dot product are summed one layer at a time.
     """
     batch, pixels = images.shape
     h, cache = images, []
@@ -567,8 +593,8 @@ def allocating_objective_and_grad(images, masks, model, theta_ref, beta):
         layers[k] = np.concatenate([d_down.ravel(), d_up.ravel()])
     if beta > 0:
         a, b = model.flat[: theta_ref.size], theta_ref
-        loss += beta * neg_cosine(a, b)
-        na, nb, dot = float(np.linalg.norm(a)), float(np.linalg.norm(b)), float(np.dot(a, b))
+        loss += beta * neg_cosine(a, b, model.layer_size)
+        na, nb, dot = layer_parts(a, b, model.layer_size)
         reg_grad = beta * -(b / (na * nb) - a * dot / (na**3 * nb))
         for k, part in enumerate(reg_grad.reshape(-1, model.layer_size), start=1):
             layers[k] = layers[k] + part
@@ -759,6 +785,13 @@ class TestStackedProducts:
     - criterion 02's and the small config's one training step: blocks of
       10, 8, 11 and 13 rows, (42, 64) @ (64, 64).
 
+    Evaluation already runs the "test" stacks: fed_client.evaluate puts every
+    client's test rows through the frozen products at once. On many_clients
+    their logits then differ from the per-client ones in the last bits, but
+    thresholding at 0.5 keeps every IoU and Dice bit-equal on the configs
+    whose run digests are pinned (demo.ini with sgca and fedavg, default.ini,
+    the small config and many_clients).
+
     Every stacked product, frozen and adapter, is the same bits at 1 and 2
     OpenBLAS threads, so a stacked run keeps a run directory that does not
     depend on the thread count.
@@ -840,11 +873,8 @@ class TestStackedProducts:
 
     @pytest.mark.parametrize("feature_dim, num_blocks, blocks, tolerant", _stacks())
     def test_stacked_products_are_the_same_bits_at_one_and_two_blas_threads(
-        self, feature_dim, num_blocks, blocks, tolerant
+        self, feature_dim, num_blocks, blocks, tolerant, set_blas_threads
     ):
-        threads = adapter_net._openblas_threads()
-        if threads is None:
-            pytest.skip("numpy's bundled OpenBLAS was not found")
         h, g, weights = self._frozen_operands(feature_dim, num_blocks, blocks)
         adapters = list(self._adapter_operands(feature_dim, num_blocks, blocks))
 
@@ -856,16 +886,34 @@ class TestStackedProducts:
                     out.append(np.matmul(s, up.transpose(0, 2, 1)))
             return [p.tobytes() for p in out]
 
-        get, set_ = threads
-        previous = get()
-        try:
-            set_(1)
-            one = products()
-            set_(2)
-            two = products()
-        finally:
-            set_(previous)
-        assert one == two
+        set_blas_threads(1)
+        one = products()
+        set_blas_threads(2)
+        assert products() == one
+
+
+class TestFrozenProduct:
+    """fedsim computes a frozen block's h @ W.T as (W @ h.T).T, with the same bits."""
+
+    @pytest.mark.parametrize("feature_dim", [64, 256])
+    def test_frozen_block_is_relu_of_the_row_product_at_one_and_two_blas_threads(
+        self, feature_dim, set_blas_threads
+    ):
+        model = small_model(1, feature_dim, feature_dim // 16, 2)
+        block = model.blocks[1]
+        stream = RngStream(feature_dim, 4)
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            for rows in range(1, 41):
+                h = np.maximum(stream.draw_gaussian(rows * feature_dim), 0.0)
+                h = h.reshape(rows, feature_dim)
+                got = adapter_net._frozen_block(h, block)
+                want = np.maximum(h @ block.weight.T + block.bias, 0.0)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (threads, rows)
+                head = adapter_net._frozen_affine(h, model.head)
+                want = h @ model.head.weight.T + model.head.bias
+                assert head.tobytes() == want.tobytes(), (threads, rows)
 
 
 class TestAdamStep:

@@ -6,6 +6,7 @@ import pytest
 import fedsim.fed_client as fed_client
 from fedsim.adapter_net import (
     AdamState,
+    ToyFM,
     adam_step,
     block1_features,
     build_model,
@@ -38,6 +39,7 @@ from fedsim.fed_client import (
 )
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
 from fedsim.transport import deserialize_params, serialize_params
+from reference_round import client_scores
 
 
 def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1, n=50,
@@ -89,7 +91,7 @@ def client_round(state, payload, round_index):
 
 def report(update):
     """A ClientUpdate's fields, its layer shift as bytes, so reports compare with ==."""
-    return update.train_loss, update.test_iou, update.test_dice, update.layer_shift.tobytes()
+    return update.train_loss, update.layer_shift.tobytes()
 
 
 class TestInstall:
@@ -274,7 +276,8 @@ class TestLocalTraining:
         (sa, a), (sb, b) = run(), run()
         low_a, low_b = (s.model.low(s.config.low_layers) for s in (sa, sb))
         assert low_a.tobytes() == low_b.tobytes()
-        assert (a.train_loss, a.test_iou, a.test_dice) == (b.train_loss, b.test_iou, b.test_dice)
+        assert a.train_loss == b.train_loss
+        assert evaluate([sa]) == evaluate([sb])
 
     def test_upload_covers_exactly_the_low_layers(self):
         for low_layers in range(1, 7):
@@ -443,10 +446,52 @@ class TestEvaluate:
         images, masks = state.dataset.test[:, 0], state.dataset.test[:, 1]
         pred = sigmoid(model_forward(images, state.model)) > 0.5
         rows = [row_iou_dice(p, t.astype(bool)) for p, t in zip(pred, masks)]
-        assert evaluate(state) == (
-            float(np.mean([iou for iou, _ in rows])),
-            float(np.mean([dice for _, dice in rows])),
+        assert evaluate([state]) == (
+            [float(np.mean([iou for iou, _ in rows]))],
+            [float(np.mean([dice for _, dice in rows]))],
         )
+
+    @staticmethod
+    def _federation(sizes, seed=5):
+        """Clients on one shared backbone, each with its own random adapters."""
+        spec = FederationSpec(
+            client_sizes=sizes,
+            cluster_of=(0,) * len(sizes),
+            clusters={0: ClusterParams(gain=1.5, noise=0.05, radius=(2.0, 3.5), blob_count=(1, 2))},
+            mask_side=16,
+            seed=seed,
+        )
+        backbone = build_model(
+            256, 16, 6, RngStream(seed, derive_stream_id("backbone")), RngStream(seed, 0)
+        )
+        size = backbone.flat.size
+        states = []
+        for i in range(len(sizes)):
+            flat = 0.05 * RngStream(seed, derive_stream_id("adapter", i)).draw_gaussian(size)
+            model = ToyFM(backbone.blocks, backbone.head, 256, 16, flat)
+            adam = AdamState(np.zeros(size), np.zeros(size))
+            dataset = generate_client_dataset(spec, i)
+            states.append(
+                ClientState(i, model, dataset, ClientConfig(), seed, adam, step_workspace(size))
+            )
+        return states
+
+    @pytest.mark.parametrize(
+        "sizes, test_rows",
+        [((100, 40, 80, 120), [20, 8, 16, 24]), ((10,) * 8, [2] * 8)],
+        ids=["uneven", "two-row"],
+    )
+    def test_stacked_evaluation_is_each_client_scored_alone(self, sizes, test_rows):
+        states = self._federation(sizes)
+        assert [len(s.dataset.test) for s in states] == test_rows
+        scores = [client_scores(s) for s in states]
+        assert evaluate(states) == ([iou for iou, _ in scores], [dice for _, dice in scores])
+        assert len(set(scores)) > 1
+
+    def test_stacked_clients_must_share_the_frozen_backbone(self):
+        # make_state builds each model's own backbone: equal values, other objects.
+        with pytest.raises(InvalidArgumentError, match="one frozen backbone"):
+            evaluate([make_state(n=10), make_state(n=10)])
 
     def test_empty_test_set_is_invalid_state(self):
         state = make_state(n=10)

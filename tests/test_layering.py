@@ -2,7 +2,8 @@
 
 Neither module imports the other, so what the server reads of a round is
 what the uploads carry. The tests' reference round imports neither that
-loop nor the server's in-place mixes, so it cannot share what it checks.
+loop, nor the server's in-place mixes, nor the stacked evaluation, so it
+cannot share what it checks.
 """
 
 import ast
@@ -47,4 +48,5 @@ def test_the_reference_round_shares_neither_the_loop_nor_the_in_place_mix():
     found = imported_modules(Path(__file__).parent / "reference_round.py")
     assert "fedsim.server.update_matrix" in found  # the scan sees its server imports
     shared = {"fedsim.orchestrator", "fedsim.server.aggregate", "fedsim.server.fedavg_aggregate"}
+    shared |= {"fedsim.fed_client.evaluate", "fedsim.adapter_net.stacked_logits"}
     assert not found & shared

@@ -68,6 +68,18 @@ class TestRunExperiment:
         export_store(ResultsStore.load(tmp_path / "b"), tmp_path / "b", "csv")
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
+    def test_many_clients_run_is_the_same_bits_at_one_and_two_blas_threads(
+        self, tmp_path, set_blas_threads
+    ):
+        # All six layers are uploaded: the regularizer's and the Gram's 49,152-value
+        # sums would be split over OpenBLAS's threads if taken in one dot product.
+        runs = []
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            run_experiment(many_clients_config(4), tmp_path / str(threads))
+            runs.append(read_tree(tmp_path / str(threads)))
+        assert runs[0] == runs[1]
+
     def test_cumulative_comm_matches_closed_form(self, small_config_text):
         cfg = parse_config_text(small_config_text)
         store = run_experiment(cfg)
@@ -286,30 +298,34 @@ class TestServerMatrix:
     """What no output of a run shows: the round's manifest check, how long its payloads
     live, its traced memory, and uploads that view the run's parameter matrix."""
 
-    def test_upload_of_the_wrong_layers_is_a_protocol_error(self, small_config_text, monkeypatch):
-        real_train = orchestrator.local_train_round
-        trained = []
+    def test_broadcast_of_the_wrong_layers_is_a_protocol_error(
+        self, small_config_text, monkeypatch
+    ):
+        installed = []
+        real_install = orchestrator.install_low_adapters
 
-        def train(state, round_index):
-            trained.append(state)
-            return real_train(state, round_index)
+        def install(state, payload):
+            installed.append(state.client_id)
+            return real_install(state, payload)
 
         def wrong_layers(values, manifest):
-            # The first payload serialized once client 2 has trained is its upload.
-            if trained and trained[-1].client_id == 2:
-                size = trained[-1].model.layer_size
-                return serialize_params(trained[-1].model.flat[size : 2 * size], ((2, size),))
+            # The third payload serialized is client 2's broadcast: send it as layer 2.
+            if len(installed) == 2:
+                return serialize_params(values, ((2, values.size),))
             return serialize_params(values, manifest)
 
-        monkeypatch.setattr(orchestrator, "local_train_round", train)
+        monkeypatch.setattr(orchestrator, "install_low_adapters", install)
         monkeypatch.setattr(orchestrator, "serialize_params", wrong_layers)
-        with pytest.raises(ProtocolError, match="manifest"):
+        with pytest.raises(ProtocolError, match="manifest") as raised:
             run_experiment(parse_config_text(small_config_text))
+        assert installed == [0, 1, 2]
+        assert "install_low_adapters" in [entry.name for entry in raised.traceback]
 
     def test_no_payload_outlives_its_client_round(self, small_config_text, monkeypatch):
-        # Each payload lives only for its own install or upload. Every payload
-        # is a bytes object allocated in transport.py; none of that size may
-        # be live when the similarity is computed.
+        # The round's only payloads are its broadcasts, and each lives only for
+        # its own install: uploads stay in the parameter matrix the server reads.
+        # Every payload is a bytes object allocated in transport.py; none of
+        # that size may be live when the similarity is computed.
         live = []
         real = orchestrator.update_matrix
 
@@ -426,7 +442,7 @@ class TestInitStates:
             update = local_train_round(state, 1)
             low = cfg.client.low_layers
             upload = serialize_params(state.model.low(low), state.model.manifest(low))
-            return update.train_loss, update.test_iou, update.test_dice, update.layer_shift, upload
+            return update.train_loss, update.layer_shift, upload
 
         shared, payloads = fresh_states()
         assert all(state.workspace is shared[0].workspace for state in shared)
