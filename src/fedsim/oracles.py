@@ -9,16 +9,20 @@ binary cross-entropy; it reads only the model's weights and PROB_CLAMP.
 
 The central differences are batched. Below adapter k nothing depends on
 adapter k, so each layer's input r_k, bottleneck pre-activation u_k and
-output h_k are computed once per fixture. Moving one weight of adapter k
-by a step changes h_k by a rank-1 term, so every perturbed copy of h_k is
-built from h_k directly, and the copies run through the blocks above k
-and the head as stacked rows of 2-D GEMMs, CHUNK_ROWS rows at a time,
-with one loss per copy. The same pass records every ReLU sign pattern the
-+h and -h copies pass through. A coordinate whose two patterns differ
-straddles a kink, where a central difference is not the derivative;
-check_gradients retakes those coordinates at h/10 and reports how many
-there were. The unperturbed loss is checked against adapter_net.objective
-once per pass.
+output h_k are computed once per fixture, and so is the pre-activation
+h_k @ W.T + b of the map (W, b) above adapter k: block k+1, or the head
+for k = K. Moving one weight of adapter k by a step changes h_k by a
+rank-1 term a (x) c, and that pre-activation by a (x) W c. So every
+perturbed copy enters above adapter k as the stored pre-activation plus
+its rank-1 term, skipping that map's GEMM, and the copies run on through
+the rest of the blocks and the head as stacked rows of 2-D GEMMs,
+CHUNK_ROWS rows at a time, with one loss per copy; the top layer's
+copies are logits already. The same pass compares the ReLU sign patterns
+the +h and -h copies pass through, each as it is made. A coordinate whose
+two patterns differ straddles a kink, where a central difference is not
+the derivative; check_gradients retakes those coordinates at h/10 and
+reports how many there were. The unperturbed loss is checked against
+adapter_net.objective once per pass.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from .errors import InvalidArgumentError, NumericError
 from .numerics import RngStream, derive_stream_id, simplex_project
 from .server import solve_row
 
-# Stacked rows per suffix pass of the batched gradient check. On the
-# benchmark's six grad_oracle fixtures (seed 5), 96 rows raise the worker's
-# peak RSS by 0.1 MB over the per-coordinate loop and 192 rows by 1.0 MB, for
-# a run time of 0.33 s against 0.28 s.
-CHUNK_ROWS = 96
+# Stacked rows per suffix pass of the batched gradient check, 2 * batch rows
+# per perturbed coordinate. On the benchmark's six grad_oracle fixtures (seed
+# 131, 2 cores, 2 OpenBLAS threads), 384 rows run in 0.17 s against 0.23 s
+# at 96 rows, and the worker peaks at 39.4 MB of RSS, 0.7 MB above 96 rows.
+# 576 and 768 rows peak 1.2 and 1.4 MB above 96 rows, for no time gain
+# resolvable over four runs each.
+CHUNK_ROWS = 384
 NUM_GRADIENT_FIXTURES = 20
 
 
@@ -139,7 +145,7 @@ def gradient_fixtures(seed: int = 20240903) -> list[dict]:
     gradient_fixtures(1)[3] (seed 4, K=4, d=64) has such crossings: 366
     coordinates are flagged and its relative error is 2.8e-2 at h=1e-5;
     at h=1e-6 none are flagged and the error is 1.6e-9. The default seed
-    flags none in its 20 fixtures (worst error 1.5e-9 at h=1e-5).
+    flags none in its 20 fixtures (worst error 1.4e-9 at h=1e-5).
     """
     fixtures = []
     configs = [(k, d) for k in (2, 4, 6) for d in (16, 64)]
@@ -180,29 +186,54 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _row_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean binary cross-entropy of each row of logits against y, probabilities clamped."""
-    e = np.exp(-np.abs(logits))
-    p = np.where(logits >= 0.0, 1.0, e) / (1.0 + e)
-    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return np.mean(-y * np.log(p) - (1.0 - y) * np.log1p(-p), axis=-1)
+def _row_losses(logits: np.ndarray, spare: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean binary cross-entropy of each row of logits against y, probabilities clamped.
 
-
-def _suffix_logits(rows: np.ndarray, model, k: int, patterns: list[np.ndarray]) -> np.ndarray:
-    """Logits of stacked (rows, d) outputs of adapter k, through blocks k+1..K and the head.
-
-    Appends each block's and each bottleneck's ReLU sign pattern to patterns.
+    Overwrites logits and spare, an array of logits' shape.
     """
-    for block, (down, up) in zip(model.blocks[k:], model.adapters[k:]):
-        r = rows @ block.weight.T
-        r += block.bias
-        patterns.append(r > 0.0)
-        np.maximum(r, 0.0, out=r)
+    positive = logits >= 0.0
+    e = np.abs(logits, out=logits)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = np.add(e, 1.0, out=spare)
+    np.copyto(e, 1.0, where=positive)
+    p = np.divide(e, denominator, out=e)
+    np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+    loss = np.log(p, out=denominator)
+    loss *= -y
+    q = np.log1p(np.negative(p, out=p), out=p)
+    q *= 1.0 - y
+    loss -= q
+    return np.mean(loss, axis=-1)
+
+
+def _flag_crossings(pre: np.ndarray, flags: np.ndarray) -> None:
+    """OR into flags[c] whether copy c's ReLU signs in pre differ from copy n + c's.
+
+    pre stacks 2n copies' rows, the n +h copies first; flags has n entries.
+    """
+    halves = pre.reshape(2, flags.size, -1) > 0.0
+    flags |= np.any(halves[0] != halves[1], axis=1)
+
+
+def _suffix_logits(pre, spare, model, k: int, flags: np.ndarray):
+    """Logits of stacked (rows, d) pre-activations of the map above adapter k, and a spare.
+
+    For k < K that map is block k+1, and the rows go on through its ReLU and
+    adapter, blocks k+2..K and the head; for k = K it is the head, so pre is
+    the logits. pre and spare (an array of pre's shape) are overwritten and
+    returned in either order. Each ReLU's sign crossings are ORed into flags.
+    """
+    for (down, up), above in zip(model.adapters[k:], (*model.blocks[k + 1 :], model.head)):
+        _flag_crossings(pre, flags)
+        r = np.maximum(pre, 0.0, out=pre)
         u = r @ down.T
-        patterns.append(u > 0.0)
-        rows = _relu(u) @ up.T
+        _flag_crossings(u, flags)
+        rows = np.matmul(_relu(u), up.T, out=spare)
         rows += r
-    return rows @ model.head.weight.T + model.head.bias
+        pre, spare = np.matmul(rows, above.weight.T, out=r), rows
+        pre += above.bias
+    return pre, spare
 
 
 def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
@@ -241,8 +272,8 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
     ref_norm = float(np.linalg.norm(ref))
     reg = -(dot / (np.sqrt(sq) * ref_norm)) if beta > 0 else 0.0
 
-    logits = out @ model.head.weight.T + model.head.bias
-    base = float(_row_losses(logits.reshape(1, -1), y)[0]) + beta * reg
+    logits = (out @ model.head.weight.T + model.head.bias).reshape(1, -1)
+    base = float(_row_losses(logits, np.empty_like(logits), y)[0]) + beta * reg
     if not abs(base - expected) <= 1e-12 * abs(expected):
         raise NumericError(
             f"gradient oracle's unperturbed loss {base!r} is not objective's {expected!r}"
@@ -254,10 +285,19 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
     numeric = np.empty(coords.size)
     crossed = np.zeros(coords.size, dtype=bool)
     per_chunk = max(1, CHUNK_ROWS // (2 * batch))
-    for k in range(1, model.num_blocks + 1):
+    # Every chunk's stacked rows live in these two arrays, so no chunk allocates
+    # (and faults in) an array of their size.
+    stacks = np.empty((2, 2 * per_chunk * batch, d))
+    for k, above in enumerate((*model.blocks[1:], model.head), start=1):
         r, u, h_k = acts[k - 1]
         s = _relu(u)
         up = model.adapters[k - 1][1]
+        # A step moves h_k by a rank-1 term a (x) c, so it moves the pre-activation
+        # h_k @ W.T + b of the map (W, b) above adapter k by a (x) W c. c is
+        # column i of up for down[i, j] and the unit vector e_i for up[i, j].
+        pre_k = h_k @ above.weight.T + above.bias
+        w_up_cols = (above.weight @ up).T  # row i: column i of W @ up
+        w_cols = above.weight.T  # row i: column i of W
         local = coords - (k - 1) * size
         in_layer = (local >= 0) & (local < size)
         for is_down in (True, False):
@@ -267,21 +307,26 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
                 pos = positions[lo : lo + per_chunk]
                 n = pos.size
                 step = np.concatenate([plus[pos], minus[pos]])
+                flags = np.zeros(n, dtype=bool)
                 if is_down:
-                    # down[i, j] += step moves column i of u by step * r[:, j].
+                    # down[i, j] += step moves column i of u by step * r[:, j], and
+                    # h_k by the change of relu(u[:, i]) times column i of up.
                     i, j = np.divmod(np.tile(local[pos], 2), d)
                     col = u[:, i].T + step[:, None] * r[:, j].T
-                    patterns = [col > 0.0]
-                    change = _relu(col) - s[:, i].T
-                    stacked = h_k + change[:, :, None] * up[:, i].T[:, None, :]
+                    _flag_crossings(col, flags)
+                    a = _relu(col) - s[:, i].T
+                    w_c = w_up_cols[i]
                 else:
                     # up[i, j] += step adds step * s[:, j] to column i of h_k.
                     i, j = np.divmod(np.tile(local[pos], 2) - m * d, m)
-                    patterns = []
-                    stacked = np.repeat(h_k[None], 2 * n, axis=0)
-                    stacked[np.arange(2 * n), :, i] += step[:, None] * s[:, j].T
-                logits = _suffix_logits(stacked.reshape(-1, d), model, k, patterns)
-                f = _row_losses(logits.reshape(2 * n, -1), y)
+                    a = step[:, None] * s[:, j].T
+                    w_c = w_cols[i]
+                pre, spare = stacks[:, : 2 * n * batch]
+                copies = pre.reshape(2 * n, batch, d)
+                np.multiply(a[:, :, None], w_c[:, None, :], out=copies)
+                copies += pre_k
+                logits, spare = _suffix_logits(pre, spare, model, k, flags)
+                f = _row_losses(logits.reshape(2 * n, -1), spare.reshape(2 * n, -1), y)
                 if beta > 0:
                     moved = np.tile(coords[pos], 2)
                     sq_step = sq + step * (2.0 * flat[moved] + step)
@@ -289,9 +334,7 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
                     cos_step = dot_step / (np.sqrt(sq_step) * ref_norm)
                     f += beta * np.where(pulled[moved], -cos_step, reg)
                 numeric[pos] = (f[:n] - f[n:]) / (2.0 * h)
-                for pattern in patterns:
-                    halves = pattern.reshape(2, n, -1)
-                    crossed[pos] |= np.any(halves[0] != halves[1], axis=1)
+                crossed[pos] = flags
     return numeric, crossed
 
 

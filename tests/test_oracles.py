@@ -1,5 +1,6 @@
 """The batched gradient oracle against the per-coordinate loop it replaced, and its kink report."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -19,6 +20,10 @@ from fedsim.oracles import (
 
 # The kink fixture: at h=1e-5, 366 coordinates' +h and -h copies straddle a ReLU kink.
 KINK_FIXTURE = gradient_fixtures(1)[3]
+# Traced peak of one _central_differences pass on gradient_fixtures()[5] (K=6,
+# d=64) at CHUNK_ROWS = 384. The guard keeps a taller stack from quietly
+# spending grad_oracle's peak-RSS bound.
+PASS_PEAK_KB = 1000
 
 
 def reference_numeric(fx, h):
@@ -58,6 +63,10 @@ def test_batched_numeric_gradient_matches_the_per_coordinate_loop(fx, h):
 def test_kink_fixture_is_flagged_at_h_and_clean_at_h_over_10():
     err, flagged = _gradient_check(KINK_FIXTURE, 1e-5, recheck=False)
     assert flagged == 366
+    model, images, masks, theta_ref = _build_fixture(KINK_FIXTURE)
+    _, crossed = _central_differences(images, masks, model, theta_ref, KINK_FIXTURE["beta"], 1e-5)
+    kinks = np.flatnonzero(crossed)
+    assert (kinks.size, kinks.min(), kinks.max(), kinks.sum()) == (366, 0, 3053, 567_657)
     assert err == pytest.approx(2.78e-2, rel=1e-2)
     assert gradient_rel_error(KINK_FIXTURE) == err
     rechecked, again = _gradient_check(KINK_FIXTURE, 1e-5, recheck=True)
@@ -76,6 +85,19 @@ def test_every_bad_difference_is_flagged():
     scale = float(np.max(np.abs(exact)))
     assert np.max(np.abs(numeric - exact)[~crossed]) < 1e-7 * scale
     assert np.max(np.abs(numeric - exact)[crossed]) > 1e-3 * scale
+
+
+def test_one_pass_peaks_near_its_measured_allocation():
+    fx = gradient_fixtures()[5]
+    assert (fx["num_blocks"], fx["feature_dim"]) == (6, 64)
+    model, images, masks, theta_ref = _build_fixture(fx)
+    tracemalloc.start()
+    try:
+        _central_differences(images, masks, model, theta_ref, fx["beta"], 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * PASS_PEAK_KB * 1024
 
 
 def _bottleneck_at_zero(k):
