@@ -4,8 +4,8 @@ These deliberately avoid the production code paths they verify. The KKT
 solver enumerates every support set and solves the equality-constrained
 stationarity system directly. The gradient check compares the
 hand-derived reverse mode of adapter_net.objective_and_grad with central
-differences taken by this module's own forward pass, sigmoid and clamped
-binary cross-entropy; it reads only the model's weights and PROB_CLAMP.
+differences taken by this module's own forward pass and clamped binary
+cross-entropy; it reads only the model's weights and PROB_CLAMP.
 
 The central differences are batched. Below adapter k nothing depends on
 adapter k, so each layer's input r_k, bottleneck pre-activation u_k and
@@ -16,13 +16,14 @@ rank-1 term a (x) c, and that pre-activation by a (x) W c. So every
 perturbed copy enters above adapter k as the stored pre-activation plus
 its rank-1 term, skipping that map's GEMM, and the copies run on through
 the rest of the blocks and the head as stacked rows of 2-D GEMMs,
-CHUNK_ROWS rows at a time, with one loss per copy; the top layer's
-copies are logits already. The same pass compares the ReLU sign patterns
-the +h and -h copies pass through, each as it is made. A coordinate whose
-two patterns differ straddles a kink, where a central difference is not
-the derivative; check_gradients retakes those coordinates at h/10 and
-reports how many there were. The unperturbed loss is checked against
-adapter_net.objective once per pass.
+CHUNK_ROWS rows at a time; the top layer's copies are logits already.
+Each copy's loss is one clipped softplus of its signed logits. The same
+pass compares the ReLU sign patterns the +h and -h copies pass through,
+each as it is made. A coordinate whose two patterns differ straddles a
+kink, where a central difference is not the derivative; check_gradients
+retakes those coordinates at h/10 and reports how many there were. Once
+per pass, the unperturbed loss, taken with objective's own sigmoid and
+logarithms, is checked against adapter_net.objective.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from .server import solve_row
 
 # Stacked rows per suffix pass of the batched gradient check, 2 * batch rows
 # per perturbed coordinate. On the benchmark's six grad_oracle fixtures (seed
-# 131, 2 cores, 2 OpenBLAS threads), 384 rows run in 0.17 s against 0.23 s
-# at 96 rows, and the worker peaks at 39.4 MB of RSS, 0.7 MB above 96 rows.
-# 576 and 768 rows peak 1.2 and 1.4 MB above 96 rows, for no time gain
-# resolvable over four runs each.
+# 131, 2 cores, 2 OpenBLAS threads, three runs each), 384 rows run in 0.14 s
+# against 0.20 s at 96 rows, and the worker peaks at 39.4 MB of RSS, 0.6 MB
+# above 96 rows. 576 rows peak 1.0 MB above 96 rows for no time gain; 768 rows
+# run in 0.13 s but peak 1.3 MB above, two thirds of the benchmark's 5% RSS bound.
 CHUNK_ROWS = 384
 NUM_GRADIENT_FIXTURES = 20
+LOSS_RANGE = (-np.log1p(-PROB_CLAMP), -np.log(PROB_CLAMP))
 
 
 def kkt_simplex_argmin(c: np.ndarray) -> np.ndarray:
@@ -144,7 +146,7 @@ def gradient_fixtures(seed: int = 20240903) -> list[dict]:
     coordinate whose +h and -h copies see different ReLU sign patterns.
     gradient_fixtures(1)[3] (seed 4, K=4, d=64) has such crossings: 366
     coordinates are flagged and its relative error is 2.8e-2 at h=1e-5;
-    at h=1e-6 none are flagged and the error is 1.6e-9. The default seed
+    at h=1e-6 none are flagged and the error is 1.7e-9. The default seed
     flags none in its 20 fixtures (worst error 1.4e-9 at h=1e-5).
     """
     fixtures = []
@@ -189,7 +191,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 def _row_losses(logits: np.ndarray, spare: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean binary cross-entropy of each row of logits against y, probabilities clamped.
 
-    Overwrites logits and spare, an array of logits' shape.
+    objective's arithmetic, imprecise next to the clamp: only the guard on the
+    unperturbed loss, which must be objective's to 1e-12, uses it. Overwrites
+    logits and spare, an array of logits' shape.
     """
     positive = logits >= 0.0
     e = np.abs(logits, out=logits)
@@ -207,6 +211,20 @@ def _row_losses(logits: np.ndarray, spare: np.ndarray, y: np.ndarray) -> np.ndar
     return np.mean(loss, axis=-1)
 
 
+def _copy_losses(logits: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Mean clamped binary cross-entropy of each row of logits, sign being 1 - 2y.
+
+    For p = sigmoid(z), -log p = softplus(-z) and -log(1 - p) = softplus(z), and
+    clamping p clips either to LOSS_RANGE, -log(1 - PROB_CLAMP) to -log(PROB_CLAMP):
+    each entry is one clipped softplus log1p(exp(sign * z)), within 2 ulp. Capping
+    sign * z at the range's top first keeps exp finite and the clipped loss as it
+    is. Overwrites logits.
+    """
+    t = np.minimum(np.multiply(logits, sign, out=logits), LOSS_RANGE[1], out=logits)
+    np.log1p(np.exp(t, out=t), out=t)
+    return np.mean(np.clip(t, *LOSS_RANGE, out=t), axis=-1)
+
+
 def _flag_crossings(pre: np.ndarray, flags: np.ndarray) -> None:
     """OR into flags[c] whether copy c's ReLU signs in pre differ from copy n + c's.
 
@@ -217,12 +235,12 @@ def _flag_crossings(pre: np.ndarray, flags: np.ndarray) -> None:
 
 
 def _suffix_logits(pre, spare, model, k: int, flags: np.ndarray):
-    """Logits of stacked (rows, d) pre-activations of the map above adapter k, and a spare.
+    """Logits of stacked (rows, d) pre-activations of the map above adapter k.
 
     For k < K that map is block k+1, and the rows go on through its ReLU and
     adapter, blocks k+2..K and the head; for k = K it is the head, so pre is
-    the logits. pre and spare (an array of pre's shape) are overwritten and
-    returned in either order. Each ReLU's sign crossings are ORed into flags.
+    the logits. pre and spare (an array of pre's shape) are overwritten, and
+    either is returned. Each ReLU's sign crossings are ORed into flags.
     """
     for (down, up), above in zip(model.adapters[k:], (*model.blocks[k + 1 :], model.head)):
         _flag_crossings(pre, flags)
@@ -233,7 +251,7 @@ def _suffix_logits(pre, spare, model, k: int, flags: np.ndarray):
         rows += r
         pre, spare = np.matmul(rows, above.weight.T, out=r), rows
         pre += above.bias
-    return pre, spare
+    return pre
 
 
 def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
@@ -251,6 +269,7 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
     size, d, m = model.layer_size, model.feature_dim, model.bottleneck_dim
     batch = images.shape[0]
     y = masks.reshape(-1)
+    sign = 1.0 - 2.0 * y
 
     # What adapter k's perturbations leave alone: its input r, pre-activation u, output h.
     acts = []
@@ -325,8 +344,8 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
                 copies = pre.reshape(2 * n, batch, d)
                 np.multiply(a[:, :, None], w_c[:, None, :], out=copies)
                 copies += pre_k
-                logits, spare = _suffix_logits(pre, spare, model, k, flags)
-                f = _row_losses(logits.reshape(2 * n, -1), spare.reshape(2 * n, -1), y)
+                logits = _suffix_logits(pre, spare, model, k, flags)
+                f = _copy_losses(logits.reshape(2 * n, -1), sign)
                 if beta > 0:
                     moved = np.tile(coords[pos], 2)
                     sq_step = sq + step * (2.0 * flat[moved] + step)
