@@ -13,7 +13,7 @@ from .adapter_net import (
     block1_features,
     objective_and_grad,
     sigmoid,
-    stacked_logits,
+    stacked_forward,
 )
 from .datagen import ClientDataset
 from .errors import InvalidArgumentError, InvalidStateError, NumericError
@@ -182,12 +182,12 @@ def iou_dice(pred: np.ndarray, truth: np.ndarray):
 def evaluate(states: list[ClientState]) -> tuple[list[float], list[float]]:
     """Each client's mean test IoU and Dice over its own rows, predictions thresholded at 0.5.
 
-    All test rows run as one stack (stacked_logits) through the backbone the states share;
+    All test rows run as one stack (stacked_forward) through the backbone the states share;
     only a logit within its rounding of 0 could score otherwise than its rows run alone.
     """
     ends = np.cumsum([len(s._test_first) for s in states])
     first = np.concatenate([s._test_first for s in states])
-    logits = stacked_logits(first, [s.model for s in states], ends)
+    logits, _ = stacked_forward(first, [s.model for s in states], ends)
     masks = np.concatenate([s.dataset.test[:, 1] for s in states])
     scores = iou_dice(sigmoid(logits) > 0.5, masks)
     return tuple([float(np.mean(v)) for v in np.split(each, ends[:-1])] for each in scores)

@@ -7,11 +7,12 @@ the whole row, which a simplex projection ignores, so all rows of W are one
 projection of (alpha/2) * S. A size-weighted plain average is the control.
 
 The server reads a round's uploads as one (N, L, S) float64 array x: row i
-is client i's upload as decoded from the wire, its L adapter layers of S
-values each. Similarity and mixing read x; aggregate writes the mixes W @ x
-back into x, and fedavg_aggregate writes the size-weighted average into
-every row. The server holds no (N, P) buffer: it works one layer at a time
-through one (N, S) temporary.
+is client i's upload, the L adapter layers it trained, of S values each (in
+a run, a view of the first L layers of client i's model.flat). Similarity
+and mixing read x; aggregate writes the mixes W @ x back into x, and
+fedavg_aggregate writes the size-weighted average into every row. The
+server holds no (N, P) buffer: it works one layer at a time through one
+(N, S) temporary.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Payloads are little-endian float64 with a fixed header, so byte output is
 identical across runs and platforms. Every payload is a plain float64
 vector laid out by a manifest of (layer index, length) pairs: a round
-decodes it straight into a client's model.flat or a row of the server's
-matrix, and a .fsca checkpoint is the same bytes on disk. The ledger
-counts parameter scalars, one upload and one broadcast per client per
-round.
+decodes each broadcast straight into a client's model.low(L), and a .fsca
+checkpoint is the same bytes on disk. The ledger counts parameter scalars,
+one upload and one broadcast per client per round; an upload is counted,
+not encoded, since the server reads it where the client trained it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ MESSAGE_KINDS = ("upload", "broadcast")
 def serialize_params(values: np.ndarray, manifest: Manifest) -> bytes:
     """Wire bytes of a float64 vector laid out by `manifest`.
 
-    The round sends model.flat's low layers and rows of the server's mixing
-    output; a checkpoint is all of model.flat.
+    The round sends each broadcast from its row of the server's mix; a
+    checkpoint is all of model.flat.
     """
     if values.shape != (sum(length for _, length in manifest),):
         raise InvalidArgumentError(f"values do not match the manifest {manifest}")
@@ -82,11 +82,10 @@ def _decode_frame(data: bytes) -> tuple[Manifest, np.ndarray]:
 def deserialize_params(data: bytes, *, manifest: Manifest, out: np.ndarray) -> np.ndarray:
     """Decode a payload into `out`, a float64 vector laid out by `manifest`, and return `out`.
 
-    `out` is, for example, a client's model.flat low layers or row i of the
-    server's round matrix. The payload must carry exactly `manifest`; any
-    other is a ProtocolError, since it is not what the round expects. Every
-    check runs before `out` is written, so a rejected payload leaves it
-    unchanged.
+    `out` is, for example, a client's model.low(L), where the round decodes
+    each broadcast. The payload must carry exactly `manifest`; any other is
+    a ProtocolError, since it is not what the round expects. Every check
+    runs before `out` is written, so a rejected payload leaves it unchanged.
     """
     found, values = _decode_frame(data)
     if out.shape != (sum(length for _, length in manifest),):

@@ -5,8 +5,9 @@ server mixes the uploads it decoded in the round before into a new matrix,
 W @ X under sgca or the size-weighted mean under fedavg, and sends row i to
 client i as bytes; each client trains and uploads its low layers as bytes.
 It shares the client kernels and update_matrix with the run, but not its loop
-or its in-place mixes (tests/test_layering.py keeps it so), and scores each
-client's test set on its own with model_forward, not with fed_client.evaluate.
+or its in-place mixes (tests/test_layering.py keeps it so). It scores each
+client alone, through model_forward's one-model call, and never through the
+stack of every client's test rows that fed_client.evaluate runs.
 Each round's W is also rebuilt from a pairwise-loop similarity and
 oracles.kkt_row_argmin.
 """

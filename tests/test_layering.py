@@ -48,5 +48,5 @@ def test_the_reference_round_shares_neither_the_loop_nor_the_in_place_mix():
     found = imported_modules(Path(__file__).parent / "reference_round.py")
     assert "fedsim.server.update_matrix" in found  # the scan sees its server imports
     shared = {"fedsim.orchestrator", "fedsim.server.aggregate", "fedsim.server.fedavg_aggregate"}
-    shared |= {"fedsim.fed_client.evaluate", "fedsim.adapter_net.stacked_logits"}
+    shared |= {"fedsim.fed_client.evaluate", "fedsim.adapter_net.stacked_forward"}
     assert not found & shared

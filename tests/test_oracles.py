@@ -209,4 +209,4 @@ def test_oracle_shares_no_forward_code_with_objective_and_grad():
         code = getattr(value, "__code__", None)
         if code is not None and getattr(value, "__module__", None) == oracles.__name__:
             used |= _names(code)
-    assert not used & {"_forward_cached", "model_forward", "sigmoid", "_bce"}
+    assert not used & {"stacked_forward", "model_forward", "sigmoid", "_bce"}

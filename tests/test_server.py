@@ -35,8 +35,7 @@ def flat(values, manifest=None):
 def uploads(params):
     """The server's (N, 1, P) uploads: each sent over the wire and decoded into its row.
 
-    The decode checks every upload against the first one's manifest, as the
-    round loop checks them against the round's low layers.
+    The decode checks every upload against the first one's manifest.
     """
     manifest = params[0].manifest
     x = np.zeros((len(params), 1, params[0].values.size))
