@@ -238,7 +238,7 @@ def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
             f"input length {x.shape[-1]} does not match feature_dim {model.feature_dim}"
         )
     first = _frozen_block(np.atleast_2d(x), model.blocks[0])
-    return stacked_forward(first, [model], [len(first)])[0].reshape(x.shape)
+    return stacked_forward(first, [model], [len(first)]).reshape(x.shape)
 
 
 def _check_mask(y: np.ndarray) -> None:
@@ -362,37 +362,37 @@ def block1_features(images: np.ndarray, model: ToyFM) -> np.ndarray:
 
 
 def stacked_forward(
-    first: np.ndarray, models: list[ToyFM], ends: list[int] | np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Logits of stacked block-1 rows, rows ends[i - 1]:ends[i] (0:ends[0]) through models[i],
-    with what backprop needs.
+    first: np.ndarray, models: list[ToyFM], ends: list[int] | np.ndarray, cache: list | None = None
+) -> np.ndarray:
+    """Logits of stacked block-1 rows, rows ends[i - 1]:ends[i] (0:ends[0]) through models[i].
 
     The models must share one frozen backbone, one blocks list and head (else
     InvalidArgumentError): its blocks 2..K and head run once on all rows, each model's
-    adapters on its own rows. The cache holds each layer's adapter input r, bottleneck
-    pre-activation u and activation s, all rows stacked. Every forward pass but the gradient
-    oracle's runs through here. A block's logits are those of its model alone but for the
-    last bits where the BLAS takes another kernel at the stacked height.
+    adapters on its own rows. A caller that backpropagates passes a list as `cache`, and each
+    layer's adapter input r and bottleneck activation s, all rows stacked, are appended to it;
+    otherwise nothing is kept. Every forward pass but the gradient oracle's runs through here.
+    A block's logits are those of its model alone but for the last bits where the BLAS takes
+    another kernel at the stacked height.
     """
     backbone = models[0]
     if any(m.blocks is not backbone.blocks or m.head is not backbone.head for m in models):
         raise InvalidArgumentError("stacked models must share one frozen backbone")
     spans = [(m.adapters, slice(a, b)) for m, a, b in zip(models, [0, *ends[:-1]], ends)]
     r = first
-    cache = []
     for k in range(backbone.num_blocks):
         if k:
             r = _frozen_block(h, backbone.blocks[k])
         u = np.empty((len(r), backbone.bottleneck_dim))
         for adapters, rows in spans:
             np.matmul(r[rows], adapters[k][0].T, out=u[rows])
-        s = np.maximum(u, 0.0)
+        s = np.maximum(u, 0.0, out=u)
         h = np.empty(r.shape)
         for adapters, rows in spans:
             np.matmul(s[rows], adapters[k][1].T, out=h[rows])
         h += r
-        cache.append((r, u, s))
-    return _frozen_affine(h, backbone.head), cache
+        if cache is not None:
+            cache.append((r, s))
+    return _frozen_affine(h, backbone.head)
 
 
 def objective_and_grad(
@@ -416,11 +416,14 @@ def objective_and_grad(
       do not overlap.
     The segmentation term is averaged over the batch; the regularizer pulls
     layers 1..L toward theta_ref, scaled by beta, and is skipped when beta
-    is 0. Frozen blocks receive no gradient. The gradient is written into
-    `out`, which is returned; `scratch` receives the regularizer's temporaries.
+    is 0. Frozen blocks receive no gradient. The forward is stacked_forward
+    on the one model, asked for the per-layer (r, s) cache the backward pass
+    reads; a unit's ReLU passes gradient where s > 0. The gradient is written
+    into `out`, which is returned; `scratch` receives the regularizer's temporaries.
     """
     batch, pixels = masks.shape
-    logits, cache = stacked_forward(first, [model], [len(first)])
+    cache = []
+    logits = stacked_forward(first, [model], [len(first)], cache)
     p = sigmoid(logits)
     loss = _bce(p, masks)
 
@@ -442,10 +445,10 @@ def objective_and_grad(
 
     for k in range(model.num_blocks, 0, -1):
         down, up = model.adapters[k - 1]
-        r, u, s = cache[k - 1]
+        r, s = cache[k - 1]
         grad_down, grad_up = model._layer_views(out, k)
         np.matmul(g.T, s, out=grad_up)
-        d_hidden = (g @ up) * (u > 0)
+        d_hidden = (g @ up) * (s > 0)
         np.matmul(d_hidden.T, r, out=grad_down)
         if k > 1:
             d_input = d_hidden @ down

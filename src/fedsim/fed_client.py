@@ -187,7 +187,7 @@ def evaluate(states: list[ClientState]) -> tuple[list[float], list[float]]:
     """
     ends = np.cumsum([len(s._test_first) for s in states])
     first = np.concatenate([s._test_first for s in states])
-    logits, _ = stacked_forward(first, [s.model for s in states], ends)
+    logits = stacked_forward(first, [s.model for s in states], ends)
     masks = np.concatenate([s.dataset.test[:, 1] for s in states])
     scores = iou_dice(sigmoid(logits) > 0.5, masks)
     return tuple([float(np.mean(v)) for v in np.split(each, ends[:-1])] for each in scores)

@@ -49,51 +49,45 @@ NUM_GRADIENT_FIXTURES = 20
 LOSS_RANGE = (-np.log1p(-PROB_CLAMP), -np.log(PROB_CLAMP))
 
 
-def kkt_simplex_argmin(c: np.ndarray) -> np.ndarray:
-    """Brute-force min ||w - c||^2 over the simplex by support-set enumeration."""
-    c = np.asarray(c, dtype=np.float64)
-    n = c.size
-    if n == 0 or n > 16:
-        raise InvalidArgumentError("enumeration oracle supports 1..16 dimensions")
-    best_w = None
-    best_obj = np.inf
+def _kkt_argmin(n: int, stationary, objective) -> np.ndarray | None:
+    """Argmin of objective(w) on the simplex in R^n over the supports' stationary(idx) points."""
+    best_w, best_obj = None, np.inf
     for size in range(1, n + 1):
         for support in combinations(range(n), size):
             idx = list(support)
-            # Stationarity on the support with the sum-to-one multiplier.
-            w_s = c[idx] + (1.0 - c[idx].sum()) / size
+            w_s = stationary(idx)
             if np.any(w_s < 0):
                 continue
             w = np.zeros(n)
             w[idx] = w_s
-            obj = float(np.sum((w - c) ** 2))
+            obj = objective(w)
             if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_w = w
+                best_w, best_obj = w, obj
     return best_w
+
+
+def kkt_simplex_argmin(c: np.ndarray) -> np.ndarray:
+    """Brute-force min ||w - c||^2 over the simplex by support-set enumeration."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.size == 0 or c.size > 16:
+        raise InvalidArgumentError("enumeration oracle supports 1..16 dimensions")
+    # Stationarity on the support with the sum-to-one multiplier.
+    return _kkt_argmin(
+        c.size,
+        lambda idx: c[idx] + (1.0 - c[idx].sum()) / len(idx),
+        lambda w: float(np.sum((w - c) ** 2)),
+    )
 
 
 def kkt_row_argmin(m_value: float, s_row: np.ndarray, alpha: float) -> np.ndarray:
     """Brute-force minimizer of sum_j (w_j - m)^2 - alpha sum_j w_j s_j on the simplex."""
     s_row = np.asarray(s_row, dtype=np.float64)
-    n = s_row.size
-    best_w = None
-    best_obj = np.inf
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            idx = list(support)
-            s_sub = s_row[idx]
-            # Stationarity: 2(w_j - m) - alpha s_j + lam = 0, sum over support = 1.
-            w_s = 1.0 / size + (alpha / 2.0) * (s_sub - s_sub.mean())
-            if np.any(w_s < 0):
-                continue
-            w = np.zeros(n)
-            w[idx] = w_s
-            obj = float(np.sum((w - m_value) ** 2) - alpha * np.sum(w * s_row))
-            if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_w = w
-    return best_w
+    # Stationarity: 2(w_j - m) - alpha s_j + lam = 0, sum over support = 1.
+    return _kkt_argmin(
+        s_row.size,
+        lambda idx: 1.0 / len(idx) + (alpha / 2.0) * (s_row[idx] - s_row[idx].mean()),
+        lambda w: float(np.sum((w - m_value) ** 2) - alpha * np.sum(w * s_row)),
+    )
 
 
 @dataclass
@@ -103,39 +97,41 @@ class OracleResult:
     detail: str
 
 
-def _check_instance_count(num_instances: int) -> None:
+def _qp_suite(name: str, label: str, seed: int, num_instances: int, error) -> OracleResult:
+    """The worst error(stream) of num_instances instances drawn at (seed, label); < 1e-9 passes."""
     if num_instances < 1:
         raise InvalidArgumentError(f"instance count must be >= 1, got {num_instances}")
+    stream = RngStream(seed, derive_stream_id("oracle", label))
+    worst = 0.0
+    for _ in range(num_instances):
+        worst = max(worst, error(stream))
+    return OracleResult(name, worst < 1e-9, f"max |diff| = {worst:.3e}")
 
 
 def check_projection(num_instances: int = 1000, seed: int = 20240901) -> OracleResult:
     """simplex_project vs support enumeration on random vectors, N in 2..8."""
-    _check_instance_count(num_instances)
-    stream = RngStream(seed, derive_stream_id("oracle", "projection"))
-    worst = 0.0
-    for _ in range(num_instances):
+
+    def error(stream: RngStream) -> float:
         n = stream.draw_integer(2, 9)
         scale = 10.0 ** stream.draw_uniform(1, -1.0, 1.0)[0]
         c = scale * stream.draw_gaussian(n)
-        err = float(np.max(np.abs(simplex_project(c) - kkt_simplex_argmin(c))))
-        worst = max(worst, err)
-    passed = worst < 1e-9
-    return OracleResult("simplex-projection-vs-kkt", passed, f"max |diff| = {worst:.3e}")
+        return float(np.max(np.abs(simplex_project(c) - kkt_simplex_argmin(c))))
+
+    return _qp_suite("simplex-projection-vs-kkt", "projection", seed, num_instances, error)
 
 
 def check_row_solver(num_instances: int = 1000, seed: int = 20240902) -> OracleResult:
     """solve_row, which has no size prior m, vs the enumeration with m, alpha in [0, 100]."""
-    _check_instance_count(num_instances)
-    stream = RngStream(seed, derive_stream_id("oracle", "row-solver"))
-    worst = 0.0
-    for _ in range(num_instances):
+
+    def error(stream: RngStream) -> float:
         n = stream.draw_integer(2, 9)
         alpha = stream.draw_uniform(1, 0.0, 100.0)[0]
         m_value = stream.draw_uniform(1, 0.0, 1.0)[0]
         s_row = stream.draw_gaussian(n)
-        err = float(np.max(np.abs(solve_row(s_row, alpha) - kkt_row_argmin(m_value, s_row, alpha))))
-        worst = max(worst, err)
-    return OracleResult("row-qp-vs-kkt", worst < 1e-9, f"max |diff| = {worst:.3e}")
+        diff = solve_row(s_row, alpha) - kkt_row_argmin(m_value, s_row, alpha)
+        return float(np.max(np.abs(diff)))
+
+    return _qp_suite("row-qp-vs-kkt", "row-solver", seed, num_instances, error)
 
 
 def gradient_fixtures(seed: int = 20240903) -> list[dict]:
@@ -188,27 +184,15 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _row_losses(logits: np.ndarray, spare: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean binary cross-entropy of each row of logits against y, probabilities clamped.
+def _unperturbed_loss(logits: np.ndarray, masks: np.ndarray) -> float:
+    """Mean binary cross-entropy of logits against masks, probabilities clamped.
 
     objective's arithmetic, imprecise next to the clamp: only the guard on the
-    unperturbed loss, which must be objective's to 1e-12, uses it. Overwrites
-    logits and spare, an array of logits' shape.
+    unperturbed loss, which must be objective's to 1e-12, uses it.
     """
-    positive = logits >= 0.0
-    e = np.abs(logits, out=logits)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    denominator = np.add(e, 1.0, out=spare)
-    np.copyto(e, 1.0, where=positive)
-    p = np.divide(e, denominator, out=e)
-    np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
-    loss = np.log(p, out=denominator)
-    loss *= -y
-    q = np.log1p(np.negative(p, out=p), out=p)
-    q *= 1.0 - y
-    loss -= q
-    return np.mean(loss, axis=-1)
+    e = np.exp(-np.abs(logits))
+    p = np.clip(np.where(logits >= 0.0, 1.0, e) / (1.0 + e), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(np.mean(-masks * np.log(p) - (1.0 - masks) * np.log1p(-p)))
 
 
 def _copy_losses(logits: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -268,8 +252,7 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
     flat = model.flat
     size, d, m = model.layer_size, model.feature_dim, model.bottleneck_dim
     batch = images.shape[0]
-    y = masks.reshape(-1)
-    sign = 1.0 - 2.0 * y
+    sign = 1.0 - 2.0 * masks.reshape(-1)
 
     # What adapter k's perturbations leave alone: its input r, pre-activation u, output h.
     acts = []
@@ -291,8 +274,7 @@ def _central_differences(images, masks, model, theta_ref, beta, h, coords=None):
     ref_norm = float(np.linalg.norm(ref))
     reg = -(dot / (np.sqrt(sq) * ref_norm)) if beta > 0 else 0.0
 
-    logits = (out @ model.head.weight.T + model.head.bias).reshape(1, -1)
-    base = float(_row_losses(logits, np.empty_like(logits), y)[0]) + beta * reg
+    base = _unperturbed_loss(out @ model.head.weight.T + model.head.bias, masks) + beta * reg
     if not abs(base - expected) <= 1e-12 * abs(expected):
         raise NumericError(
             f"gradient oracle's unperturbed loss {base!r} is not objective's {expected!r}"

@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from fedsim.adapter_net import (
     objective_and_grad,
     sigmoid,
 )
+from fedsim.config import parse_config_text
 from fedsim.datagen import (
     ClientDataset,
     ClusterParams,
     FederationSpec,
     generate_client_dataset,
+    generate_federation,
 )
 from fedsim.errors import (
     DecodeError,
@@ -38,8 +42,16 @@ from fedsim.fed_client import (
     step_workspace,
 )
 from fedsim.numerics import FlatParams, RngStream, derive_stream_id
+from fedsim.orchestrator import _init_states
 from fedsim.transport import deserialize_params, serialize_params
 from reference_round import client_scores
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Traced peak of one evaluate of configs/default.ini's four clients (68 test rows).
+# The bound sits below the 1,892 KB that keeping every layer's backprop cache takes,
+# which evaluation never reads.
+EVALUATE_PEAK_KB = 1108
 
 
 def make_state(seed=0, num_blocks=6, low_layers=1, lr=1e-2, beta=0.01, epochs=1, n=50,
@@ -487,6 +499,18 @@ class TestEvaluate:
         scores = [client_scores(s) for s in states]
         assert evaluate(states) == ([iou for iou, _ in scores], [dice for _, dice in scores])
         assert len(set(scores)) > 1
+
+    def test_traced_peak_is_near_its_measured_allocation(self):
+        cfg = parse_config_text((CONFIGS / "default.ini").read_text(encoding="utf-8"))
+        _, states = _init_states(cfg, generate_federation(cfg.federation))
+        assert sum(len(s.dataset.test) for s in states) == 68
+        tracemalloc.start()
+        try:
+            evaluate(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * EVALUATE_PEAK_KB * 1024
 
     def test_stacked_clients_must_share_the_frozen_backbone(self):
         # make_state builds each model's own backbone: equal values, other objects.

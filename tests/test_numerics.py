@@ -9,7 +9,7 @@ from fedsim.numerics import (
     finite_diff_grad,
     simplex_project,
 )
-from fedsim.oracles import kkt_simplex_argmin
+from fedsim.oracles import check_projection, kkt_simplex_argmin
 
 
 class TestSimplexProject:
@@ -46,13 +46,9 @@ class TestSimplexProject:
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_matches_kkt_oracle_on_random_instances(self):
-        stream = RngStream(10, 0)
-        worst = 0.0
-        for _ in range(1000):
-            n = stream.draw_integer(2, 9)
-            c = stream.draw_gaussian(n)
-            worst = max(worst, float(np.max(np.abs(simplex_project(c) - kkt_simplex_argmin(c)))))
-        assert worst < 1e-9
+        assert check_projection(num_instances=1000, seed=10).passed
+        with pytest.raises(InvalidArgumentError, match="instance count must be >= 1"):
+            check_projection(num_instances=0)
 
     def test_rejects_non_finite_and_empty(self):
         with pytest.raises(InvalidArgumentError):

@@ -70,6 +70,7 @@ def demo_text(aggregator: str) -> str:
         ("small_config", "2c95fb5f08306880"),
         ("demo.ini", "240bae61b600ce23"),
         ("demo.ini/fedavg", "188c281ab6f14f1b"),
+        ("default.ini", "0cb395f597fef204"),
     ],
 )
 def test_run_directory_digest_is_pinned(name, digest, small_config_text, tmp_path):
@@ -77,6 +78,7 @@ def test_run_directory_digest_is_pinned(name, digest, small_config_text, tmp_pat
         "small_config": small_config_text,
         "demo.ini": demo_text("sgca"),
         "demo.ini/fedavg": demo_text("fedavg"),
+        "default.ini": (CONFIGS / "default.ini").read_text(encoding="utf-8"),
     }
     run_experiment(parse_config_text(texts[name]), tmp_path)
     assert dir_digest(tmp_path) == digest
