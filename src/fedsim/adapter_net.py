@@ -229,21 +229,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def model_forward(x: np.ndarray, model: ToyFM) -> np.ndarray:
     """Logits for one input vector or a (batch, feature_dim) matrix.
 
-    Frozen block 1, then stacked_forward of the one model: the training step's forward
-    arithmetic.
+    block1_features, then stacked_forward of the one model: the training step's forward
+    arithmetic. Like every kernel here it checks nothing; inputs are checked where they enter.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.feature_dim:
-        raise InvalidArgumentError(
-            f"input length {x.shape[-1]} does not match feature_dim {model.feature_dim}"
-        )
-    first = _frozen_block(np.atleast_2d(x), model.blocks[0])
+    first = block1_features(x, model)
     return stacked_forward(first, [model], [len(first)]).reshape(x.shape)
-
-
-def _check_mask(y: np.ndarray) -> None:
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise InvalidArgumentError("mask entries must be 0 or 1")
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> float:
@@ -296,41 +287,6 @@ def _reg_grad(
     term *= beta
 
 
-def _check_objective_args(
-    images: np.ndarray,
-    masks: np.ndarray,
-    model: ToyFM,
-    theta_ref: np.ndarray | None,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Validate objective's arguments: the batch's images, its masks, theta_ref and beta.
-
-    Returns images and masks as float64 matrices, and the regularizer's
-    reference: None when it is off, else theta_ref as a float64 vector over
-    layers 1..L, laid out like the start of model.flat.
-    """
-    if beta < 0:
-        raise InvalidArgumentError("beta must be >= 0")
-    if beta > 0 and theta_ref is None:
-        raise InvalidArgumentError("theta_ref is required when beta > 0")
-    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
-    masks = np.atleast_2d(np.asarray(masks, dtype=np.float64))
-    if images.shape != masks.shape:
-        raise InvalidArgumentError("inputs and masks must have matching shapes")
-    _check_mask(masks)
-    if theta_ref is None or beta == 0:
-        return images, masks, None
-    theta_ref = np.asarray(theta_ref, dtype=np.float64)
-    layers, rest = divmod(theta_ref.size, model.layer_size)
-    if theta_ref.ndim != 1 or rest or not 1 <= layers <= model.num_blocks:
-        raise InvalidArgumentError(
-            f"theta_ref must be a vector over layers 1..L, {model.layer_size} values per layer"
-        )
-    if not np.any(theta_ref):
-        raise InvalidArgumentError("reference parameters must be non-zero")
-    return images, masks, theta_ref
-
-
 def _frozen_affine(h: np.ndarray, block: FrozenBlock) -> np.ndarray:
     """h @ weight.T + bias as a new matrix; the product is taken as (weight @ h.T).T, the same
     bits. At d = 256 (OpenBLAS 0.3.31, SkylakeX kernels, 2 threads) that is faster than
@@ -353,12 +309,7 @@ def block1_features(images: np.ndarray, model: ToyFM) -> np.ndarray:
     Adapters never change it, so a training set's rows can be computed once
     and gathered per batch (objective_and_grad's `first`).
     """
-    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
-    if images.ndim != 2 or images.shape[1] != model.feature_dim:
-        raise InvalidArgumentError(
-            f"images must be a (batch, {model.feature_dim}) matrix, got shape {images.shape}"
-        )
-    return _frozen_block(images, model.blocks[0])
+    return _frozen_block(np.atleast_2d(np.asarray(images, dtype=np.float64)), model.blocks[0])
 
 
 def stacked_forward(
@@ -406,8 +357,8 @@ def objective_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Objective value and its exact gradient w.r.t. all adapter parameters, written into out.
 
-    The training step's kernel: it checks none of its arguments (objective
-    does), so the caller guarantees that
+    The training step's kernel: it checks none of its arguments, so the
+    caller guarantees that
     - `first`, the batch's block-1 features (block1_features), is a float64
       (batch, feature_dim) matrix, and `masks` a float64 0/1 matrix of its shape;
     - beta >= 0, and if beta > 0, theta_ref is a non-zero float64 vector
@@ -473,14 +424,14 @@ def objective(
 
     Runs model_forward, the segmentation loss and the beta-scaled
     regularizer on layers 1..L, with no backward pass and no gradient
-    built. Unlike objective_and_grad it checks its arguments, raising
-    InvalidArgumentError; it computes the loss with the same operations in
-    the same order, so the two agree bit for bit.
+    built. Its arguments are objective_and_grad's, images for `first`, under
+    the same guarantees; it computes the loss with the same operations in the
+    same order, so the two agree bit for bit.
     """
-    images, masks, ref = _check_objective_args(images, masks, model, theta_ref, beta)
     loss = _bce(sigmoid(model_forward(images, model)), masks)
-    if ref is not None:
-        loss += beta * _neg_cosine(*_cosine_parts(model.flat[: ref.size], ref, model.layer_size))
+    if beta > 0:
+        theta_low = model.flat[: theta_ref.size]
+        loss += beta * _neg_cosine(*_cosine_parts(theta_low, theta_ref, model.layer_size))
     return loss
 
 

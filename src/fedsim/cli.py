@@ -12,6 +12,7 @@ import sys
 
 from .config import SWEEP_AXES, load_config
 from .errors import FedsimError, NumericError
+from .oracles import NUM_GRADIENT_FIXTURES, check_gradients, check_projection, check_row_solver
 from .orchestrator import ResultsStore, export_store, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -50,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument(
         "--gradient-fixtures",
         type=int,
-        default=20,
-        help="model fixtures for the gradient suite (1..20)",
+        default=NUM_GRADIENT_FIXTURES,
+        help=f"model fixtures for the gradient suite (1..{NUM_GRADIENT_FIXTURES})",
     )
 
     export_p = sub.add_parser("export", help="export a stored run as flat tables")
@@ -101,8 +102,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .oracles import check_gradients, check_projection, check_row_solver
-
     results = [
         check_projection(num_instances=args.instances),
         check_row_solver(num_instances=args.instances),

@@ -51,6 +51,8 @@ LOSS_RANGE = (-np.log1p(-PROB_CLAMP), -np.log(PROB_CLAMP))
 
 def _kkt_argmin(n: int, stationary, objective) -> np.ndarray | None:
     """Argmin of objective(w) on the simplex in R^n over the supports' stationary(idx) points."""
+    if not 1 <= n <= 16:  # all 2^n - 1 supports are enumerated
+        raise InvalidArgumentError("enumeration oracle supports 1..16 dimensions")
     best_w, best_obj = None, np.inf
     for size in range(1, n + 1):
         for support in combinations(range(n), size):
@@ -69,8 +71,6 @@ def _kkt_argmin(n: int, stationary, objective) -> np.ndarray | None:
 def kkt_simplex_argmin(c: np.ndarray) -> np.ndarray:
     """Brute-force min ||w - c||^2 over the simplex by support-set enumeration."""
     c = np.asarray(c, dtype=np.float64)
-    if c.size == 0 or c.size > 16:
-        raise InvalidArgumentError("enumeration oracle supports 1..16 dimensions")
     # Stationarity on the support with the sum-to-one multiplier.
     return _kkt_argmin(
         c.size,

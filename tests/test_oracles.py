@@ -1,4 +1,5 @@
-"""The batched gradient oracle against the per-coordinate loop it replaced, and its kink report."""
+"""The batched gradient oracle against the per-coordinate loop it replaced, and its kink report;
+the KKT enumeration oracles' dimension bound."""
 
 import tracemalloc
 import types
@@ -9,7 +10,7 @@ import pytest
 
 from fedsim import oracles
 from fedsim.adapter_net import PROB_CLAMP, objective
-from fedsim.errors import NumericError
+from fedsim.errors import InvalidArgumentError, NumericError
 from fedsim.oracles import (
     _build_fixture,
     _central_differences,
@@ -18,6 +19,8 @@ from fedsim.oracles import (
     check_gradients,
     gradient_fixtures,
     gradient_rel_error,
+    kkt_row_argmin,
+    kkt_simplex_argmin,
 )
 
 # The kink fixture: at h=1e-5, 366 coordinates' +h and -h copies straddle a ReLU kink.
@@ -210,3 +213,15 @@ def test_oracle_shares_no_forward_code_with_objective_and_grad():
         if code is not None and getattr(value, "__module__", None) == oracles.__name__:
             used |= _names(code)
     assert not used & {"stacked_forward", "model_forward", "sigmoid", "_bce"}
+
+
+@pytest.mark.parametrize("n", [0, 17])
+def test_kkt_oracles_reject_sizes_outside_1_to_16_before_enumerating(n, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("supports were enumerated")
+
+    monkeypatch.setattr(oracles, "combinations", enumerate_nothing)
+    with pytest.raises(InvalidArgumentError, match="1..16 dimensions"):
+        kkt_row_argmin(0.5, np.ones(n), 1.0)
+    with pytest.raises(InvalidArgumentError, match="1..16 dimensions"):
+        kkt_simplex_argmin(np.ones(n))

@@ -781,6 +781,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config_text(small_config_text.replace("feature_dim = 64", "feature_dim = 32"))
 
+    def test_negative_beta_is_an_error(self, small_config_text):
+        # The config is where beta is checked; the loss kernels take it as given.
+        with pytest.raises(ConfigError, match="beta must be >= 0"):
+            parse_config_text(small_config_text.replace("beta = 0.01", "beta = -0.01"))
+
     @pytest.mark.parametrize("spelling", ["01", "+1", " 1"])
     def test_repeated_cluster_id_is_an_error(self, small_config_text, spelling):
         text = small_config_text + f"\n[cluster.{spelling}]\ngain = 2.0\n"

@@ -61,6 +61,21 @@ def demo_text(aggregator: str) -> str:
     return text.replace("aggregator = sgca", f"aggregator = {aggregator}")
 
 
+def many_clients_text() -> str:
+    """demo.ini at seed 47, all 6 layers shared by 32 ten-sample clients in clusters 0, 1, 0, ..."""
+    edits = {
+        "seed = 0": "seed = 47",
+        "low_layers = 1": "low_layers = 6",
+        "client_sizes = 100, 100, 100, 100": "client_sizes = " + ", ".join(["10"] * 32),
+        "clusters = 0, 0, 1, 1": "clusters = " + ", ".join(str(i % 2) for i in range(32)),
+    }
+    text = (CONFIGS / "demo.ini").read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.mark.skipif(
     not pinned_blas(), reason=f"the pins hold for OpenBLAS 0.3.31 on {PINNED_CORE} kernels"
 )
@@ -71,6 +86,7 @@ def demo_text(aggregator: str) -> str:
         ("demo.ini", "240bae61b600ce23"),
         ("demo.ini/fedavg", "188c281ab6f14f1b"),
         ("default.ini", "0cb395f597fef204"),
+        ("many_clients", "09a13aa2e54186f4"),
     ],
 )
 def test_run_directory_digest_is_pinned(name, digest, small_config_text, tmp_path):
@@ -79,6 +95,7 @@ def test_run_directory_digest_is_pinned(name, digest, small_config_text, tmp_pat
         "demo.ini": demo_text("sgca"),
         "demo.ini/fedavg": demo_text("fedavg"),
         "default.ini": (CONFIGS / "default.ini").read_text(encoding="utf-8"),
+        "many_clients": many_clients_text(),
     }
     run_experiment(parse_config_text(texts[name]), tmp_path)
     assert dir_digest(tmp_path) == digest
